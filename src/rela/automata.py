@@ -19,7 +19,6 @@ Epsilon is not a `Symbol`; transition labels use ``None`` for it.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -650,28 +649,73 @@ def accepts(fsa: Fsa, path: Sequence[Symbol]) -> bool:
 
 
 def enumerate_shortest(fsa: Fsa, limit: int) -> PathList:
-    """List up to `limit` members, shortest first, ties by symbol id.
+    """List the first `limit` members in shortlex order.
 
-    The machine is determinized and trimmed first, so every queued prefix
-    extends to at least one member; after `limit` members are collected a
-    non-empty queue therefore proves the language holds more.
+    Members come shortest first, and paths of equal length in
+    lexicographic order of their symbol ids.  `truncated` is true exactly
+    when the language has more than `limit` members.
+
+    The walk runs over the trimmed DFA one length n at a time.  `live[r]`
+    holds the states that accept some string of exactly r more symbols,
+    one backward step per length; a depth-first search from the initial
+    state then enters, in symbol-id order, only arcs whose target is live
+    for the steps left, so every branch it takes ends in a member.  It
+    stops after `limit` + 1 members, or once no state is reachable in n
+    steps.  With L the longest length listed, the cost is
+    O(L * arcs + (limit + 1) * L * fan-out), whatever the size of the
+    language.
     """
     d = trim(determinize(fsa))
     if not d.accepting:
         return PathList((), False)
-    out: list[tuple[Symbol, ...]] = []
-    # Heap entries carry the id tuple for ordering and the symbol tuple
-    # for output; in a DFA every entry is a distinct string.
-    heap: list[tuple[int, tuple[int, ...], tuple[Symbol, ...], int]] = \
-        [(0, (), (), d.initial)]
-    while heap and len(out) < limit:
-        length, ids, path, q = heapq.heappop(heap)
-        if q in d.accepting:
-            out.append(path)
-        for label, dst in d.arcs[q]:
-            heapq.heappush(
-                heap, (length + 1, ids + (label.id,), path + (label,), dst))
-    return PathList(tuple(out), bool(heap) and len(out) >= limit)
+    limit = max(limit, 0)
+    # Arcs of an input DFA (graph_to_fsa's, say) come in input order.
+    arcs = [sorted(state_arcs, key=lambda arc: arc[0].id)
+            for state_arcs in d.arcs]
+    rev: list[list[int]] = [[] for _ in range(d.num_states)]
+    for q, state_arcs in enumerate(d.arcs):
+        for _, dst in state_arcs:
+            rev[dst].append(q)
+    live = [d.accepting]
+    out: list[tuple[Symbol, ...]] = [()] if d.initial in d.accepting else []
+    reach = {d.initial}
+    n = 0
+    while len(out) <= limit:
+        reach = {dst for q in reach for _, dst in d.arcs[q]}
+        if not reach:
+            break
+        live.append(frozenset(src for q in live[n] for src in rev[q]))
+        n += 1
+        if d.initial in live[n]:
+            _members_of_length(arcs, live, d.initial, n, out, limit + 1)
+    return PathList(tuple(out[:limit]), len(out) > limit)
+
+
+def _members_of_length(arcs, live, start: int, n: int,
+                       out: list, want: int) -> None:
+    """Append the length-`n` members from `start` in symbol-id order.
+
+    Stops early once `out` holds `want` paths.  `start` must be live for
+    `n` steps (`start in live[n]`) and `n` must be positive.
+    """
+    path: list[Symbol] = []
+    frames = [iter(arcs[start])]
+    while frames:
+        left = n - len(path)  # symbols still to read from the top state
+        for label, dst in frames[-1]:
+            if dst in live[left - 1]:
+                path.append(label)
+                if left > 1:
+                    frames.append(iter(arcs[dst]))
+                    break
+                out.append(tuple(path))
+                if len(out) == want:
+                    return
+                path.pop()
+        else:
+            frames.pop()
+            if path:
+                path.pop()
 
 
 def build_fsa(expr, universe: frozenset[Symbol]) -> Fsa:

@@ -1,9 +1,12 @@
 """Command-line driver: parse, compile, check, and render a report.
 
-Exit status is 0 when every FEC passes, 1 when violations were found, and
-2 for usage or input problems (including input errors surfaced while
-checking).  Progress and phase timings go to stderr; the report goes to
-stdout or to --output.
+Exit status is 0 when every FEC passes, 1 when violations were found, 2
+for usage or input problems (including input errors surfaced while
+checking), and 3 for an internal error: an unexpected exception in the
+checker, in a worker process too.  It is never a verdict: stderr gets
+its traceback and then ``rela: internal error: <type>: <message>``.
+Progress and phase timings go to stderr; the report goes to stdout or to
+--output.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import hashlib
 import multiprocessing
 import sys
 import time
+import traceback
 
 from . import rir
 from .checker import (CheckOptions, StrictInputError, check_all,
@@ -155,7 +159,13 @@ def _run_check(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "check":
-        return _run_check(args)
+        try:
+            return _run_check(args)
+        except Exception as e:
+            traceback.print_exc()
+            print(f"rela: internal error: {type(e).__name__}: {e}",
+                  file=sys.stderr)
+            return 3
     raise AssertionError(f"unknown command {args.command!r}")
 
 

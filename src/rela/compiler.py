@@ -24,7 +24,8 @@ from .automata import LOCATION, Symbol
 from .frontend import (
     Add, AnyOf, AtomicSpec, ConcatSpec, Dot, DropTraffic, ElseSpec, Loc,
     LocationIndex, Modifier, Preserve, PrefixPredicate, Program, RegexAst,
-    Remove, Replace, RxConcat, RxStar, RxUnion, SpecAst, regex_to_text,
+    Remove, Replace, RxConcat, RxOpt, RxPlus, RxStar, RxUnion, SpecAst,
+    regex_to_text,
 )
 
 
@@ -100,6 +101,11 @@ def lower_regex(r: RegexAst, index: LocationIndex) -> rir.PathSetExpr:
                           lower_regex(r.right, index))
     if isinstance(r, RxStar):
         return rir.Star(lower_regex(r.inner, index))
+    if isinstance(r, RxPlus):
+        inner = lower_regex(r.inner, index)
+        return rir.Concat(inner, rir.Star(inner))
+    if isinstance(r, RxOpt):
+        return rir.Union(lower_regex(r.inner, index), rir.One())
     raise TypeError(f"not a regex: {r!r}")
 
 

@@ -209,6 +209,20 @@ class RxStar(RegexAst):
 
 
 @dataclass(frozen=True)
+class RxPlus(RegexAst):
+    """One or more repetitions: `x+` means `x x*`."""
+
+    inner: RegexAst
+
+
+@dataclass(frozen=True)
+class RxOpt(RegexAst):
+    """`x?`: the paths of `x`, or the empty path."""
+
+    inner: RegexAst
+
+
+@dataclass(frozen=True)
 class Modifier:
     pass
 
@@ -394,7 +408,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<eq>==)
   | (?P<neq>!=)
   | (?P<arrow>->)
-  | (?P<punct>[{}()|*.,;:])
+  | (?P<punct>[{}()|*+?.,;:])
 """, re.VERBOSE)
 
 
@@ -709,11 +723,12 @@ class _Parser:
             out = RxConcat(out, p)
         return out
 
+    _POSTFIX = {"*": RxStar, "+": RxPlus, "?": RxOpt}
+
     def rx_rep(self) -> RegexAst:
         atom = self.rx_atom()
-        while self.peek().kind == "*":
-            self.next()
-            atom = RxStar(atom)
+        while self.peek().kind in self._POSTFIX:
+            atom = self._POSTFIX[self.next().kind](atom)
         return atom
 
     def rx_atom(self) -> RegexAst:
@@ -893,6 +908,10 @@ def regex_to_text(r: RegexAst, prec: int = 0) -> str:
         return f"({text})" if prec > 1 else text
     if isinstance(r, RxStar):
         return f"{regex_to_text(r.inner, 2)}*"
+    if isinstance(r, RxPlus):
+        return f"{regex_to_text(r.inner, 2)}+"
+    if isinstance(r, RxOpt):
+        return f"{regex_to_text(r.inner, 2)}?"
     raise TypeError(f"not a regex: {r!r}")
 
 

@@ -62,9 +62,6 @@ class ForwardingGraph:
     sources: tuple
     sinks: tuple
 
-    def loc_of(self, node_id: str) -> str:
-        return self.locs[self.nodes.index(node_id)]
-
 
 @dataclass(frozen=True)
 class Fec:

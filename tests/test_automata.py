@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from rela.automata import (
     substitute,
-    AlphabetError, PathList, Symbol, SymbolTable, accepts, apply_image,
+    AlphabetError, Fsa, PathList, Symbol, SymbolTable, accepts, apply_image,
     build_fsa, build_fst, complement, determinize, enumerate_shortest,
     fsa_concat, fsa_difference, fsa_empty, fsa_equivalent, fsa_intersect,
     fsa_star, fsa_symbol, fsa_symbol_class, fsa_union, fsa_unit,
@@ -247,6 +247,41 @@ def test_enumerate_empty_language():
     got = enumerate_shortest(fsa_empty(t.universe()), 5)
     assert got.paths == ()
     assert not got.truncated
+
+
+def test_enumerate_cost_follows_limit_not_fan_out():
+    # A forwarding DAG of 12 layers, 10 nodes each, every node wired to
+    # the whole next layer, spells 10**12 paths of length 12; listing 100
+    # of them must not build the rest.  Arcs go in descending symbol
+    # order, as a snapshot may list them, so the walk has to sort them.
+    # A z* branch off the start puts a member at every shorter length,
+    # where the DAG's arcs, tried first, lead nowhere and must be pruned.
+    t = SymbolTable()
+    width, depth = 10, 12
+    syms = [[t.location(f"l{i:02d}c{j}") for j in range(width)]
+            for i in range(depth)]
+    z = t.location("z")
+    loop = 1 + depth * width
+
+    def into_layer(i):
+        if i == depth:
+            return ()
+        return tuple((syms[i][j], 1 + i * width + j)
+                     for j in reversed(range(width)))
+
+    arcs = ((into_layer(0) + ((z, loop),),)
+            + tuple(into_layer(i + 1) for i in range(depth)
+                    for _ in range(width))
+            + (((z, loop),),))
+    last = frozenset(range(1 + (depth - 1) * width, loop))
+    fsa = Fsa(t.universe(), loop + 1, 0, last | {0, loop}, arcs,
+              deterministic=True)
+    got = enumerate_shortest(fsa, 100)
+    head = tuple(syms[i][0] for i in range(depth - 2))
+    dag = [head + (syms[depth - 2][x], syms[depth - 1][y])
+           for x in range(width) for y in range(width)]
+    assert got.paths == tuple([(z,) * n for n in range(depth)] + dag[:88])
+    assert got.truncated
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +541,40 @@ def test_enumerate_agrees_with_oracle_ordering():
                   key=lambda p: (len(p), tuple(s.id for s in p)))
     assert list(got.paths) == want
     assert got.truncated
+
+
+def _shortlex(path):
+    return (len(path), tuple(s.id for s in path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_strategy())
+def test_enumerate_lists_oracle_prefix_in_shortlex_order(expr):
+    # A language whose minimal DFA has n states is infinite exactly when
+    # it has a member of length n to 2n - 1, and a finite one has none of
+    # length n or more, so the oracle at length 2n - 1 settles both the
+    # listing and `truncated`.  Bigger machines, whose bound the oracle
+    # cannot afford, are held to the members the capped oracle does know.
+    t, _ = _sym_objects()
+    uni = tuple(sorted(t.universe()))
+    fsa = build_fsa(expr, t.universe())
+    n = minimize(fsa).num_states
+    bound = min(2 * n - 1, 5)
+    exact = bound == 2 * n - 1
+    want = tuple(sorted(lang(expr, uni, bound), key=_shortlex))
+    infinite = any(len(p) >= n for p in want)
+    for k in range(9):
+        got = enumerate_shortest(fsa, k)
+        if len(want) > k:
+            assert got.paths == want[:k]
+            assert got.truncated
+            continue
+        assert got.paths[:len(want)] == want
+        assert all(len(p) > bound for p in got.paths[len(want):])
+        if exact:
+            assert got.truncated == infinite
+            if not infinite:
+                assert got.paths == want
 
 
 class TestSubstitute:

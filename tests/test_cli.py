@@ -92,6 +92,18 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_internal_error_is_three(self, tmp_path, capsys):
+        # A 900-atom concatenation zone overruns the recursion limit; that
+        # is a crash of the checker, not a verdict on the change.
+        zone = " ".join(["x1"] * 900)
+        spec_text = f"spec main := {{ {zone} : preserve; }}\n"
+        argv = write_world(tmp_path, FAILING, spec_text=spec_text)
+        assert main(argv + ["--workers", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert "rela: internal error: RecursionError:" in captured.err
+
 
 class TestStrict:
     def test_strict_aborts(self, tmp_path, capsys):

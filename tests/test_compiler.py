@@ -8,7 +8,7 @@ import pytest
 from _treegen import TreeGen, make_env
 from conformance_fixtures import CONFORMANCE, conformance_world, run_case
 from rela import rir
-from rela.automata import fsa_equivalent
+from rela.automata import fsa_empty, fsa_equivalent
 from rela.compiler import (
     compile_program, compile_spec, lower_regex, simplify_path, simplify_rel,
 )
@@ -55,6 +55,18 @@ class TestLowerRegex:
     def test_deterministic(self, index):
         r = parse_regex("(a | b | c) d", index)
         assert lower_regex(r, index) == lower_regex(r, index)
+
+    def test_optional_lowers_to_union_with_empty_path(self, index):
+        r = parse_regex("a?", index)
+        assert lower_regex(r, index) == rir.Union(sym(index, "a"), rir.One())
+
+    def test_plus_compiles_like_its_expansion(self, index):
+        empty = fsa_empty(index.universe)
+        env = rir.SnapshotPair(empty, empty)
+        plus = compiled_for(index, "a+ : preserve").zone
+        spelled = compiled_for(index, "a a* : preserve").zone
+        assert fsa_equivalent(rir.eval_pathset(plus, env),
+                              rir.eval_pathset(spelled, env))
 
 
 # ---------------------------------------------------------------------------

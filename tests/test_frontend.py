@@ -10,7 +10,8 @@ import pytest
 from rela.frontend import (
     Add, AnyOf, AtomicSpec, AttrTest, ConcatSpec, Dot, DropTraffic, ElseSpec,
     Granularity, GuardedSpec, Loc, LocationDb, LocationDbError, Preserve,
-    PredAtom, PredTrue, Program, RxConcat, RxStar, RxUnion, Remove, Replace,
+    PredAtom, PredTrue, Program, RxConcat, RxOpt, RxPlus, RxStar, RxUnion,
+    Remove, Replace,
     SpecResolveError, SpecSyntaxError, match_predicate, parse_program,
     parse_regex, program_to_text, regex_to_text, resolve_where, spec_to_text,
     tokenize,
@@ -169,6 +170,10 @@ class TestTokenizer:
     def test_arrow_and_braces(self):
         assert self.kinds("-> { } ; ,")[:5] == ["->", "{", "}", ";", ","]
 
+    def test_postfix_operators(self):
+        assert self.kinds("a* b+ c?")[:6] == ["NAME", "*", "NAME", "+",
+                                              "NAME", "?"]
+
 
 # ---------------------------------------------------------------------------
 # regex parsing and where()
@@ -203,6 +208,14 @@ class TestRegexParsing:
     def test_double_star(self, index):
         a = Loc(frozenset([sym(index, "a1")]))
         assert parse_regex("a1**", index) == RxStar(RxStar(a))
+
+    def test_plus_and_optional_bind_like_star(self, index):
+        a, b = (Loc(frozenset([sym(index, n)])) for n in ("a1", "b1"))
+        assert parse_regex("a1 b1+", index) == RxConcat(a, RxPlus(b))
+        assert parse_regex("a1 b1?", index) == RxConcat(a, RxOpt(b))
+        assert parse_regex("(a1 b1)+", index) == RxPlus(RxConcat(a, b))
+        assert parse_regex("a1 | b1?", index) == RxUnion(a, RxOpt(b))
+        assert parse_regex("a1*+?", index) == RxOpt(RxPlus(RxStar(a)))
 
     def test_where_by_group(self, index):
         r = parse_regex('where(group == "A")', index)
@@ -504,9 +517,15 @@ class TestRendering:
 
     def test_regex_round_trip(self, index):
         for text in ["a1", "a1 b1 | d1*", "(a1 | b1) d1", ". .*",
-                     'where(group=="A")', "drop", "a1**"]:
+                     'where(group=="A")', "drop", "a1**", "a1+", "a1?",
+                     "(a1 b1)+ d1?", "(a1 | b1)? d1+", "(a1 | b1 d1)+",
+                     "a1+? | .?", "a1*+?"]:
             r = parse_regex(text, index)
             assert parse_regex(regex_to_text(r), index) == r
+
+    def test_postfix_forms_render_as_written(self, index):
+        assert regex_to_text(parse_regex("(a1 b1)+ d1?", index)) == \
+            "(a1 b1)+ d1?"
 
     def test_multi_symbol_loc_renders_sorted(self, index):
         r = parse_regex('where(group=="A")', index)
