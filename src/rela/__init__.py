@@ -17,7 +17,7 @@ reports), and :mod:`rela.cli` (the ``rela`` command).
 
 from .checker import (
     CheckOptions, Counterexample, FecVerdict, Report, check_all, check_fec,
-    explain, report_to_json, report_to_text,
+    report_to_json, report_to_text,
 )
 from .compiler import CompiledProgram, CompiledSpec, compile_program
 from .frontend import (
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckOptions", "Counterexample", "FecVerdict", "Report", "check_all",
-    "check_fec", "explain", "report_to_json", "report_to_text",
+    "check_fec", "report_to_json", "report_to_text",
     "CompiledProgram", "CompiledSpec", "compile_program",
     "Granularity", "LocationDb", "LocationDbError", "LocationIndex",
     "SpecError", "parse_program",

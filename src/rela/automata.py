@@ -342,7 +342,7 @@ def _epsilon_closures(fsa: Fsa) -> list[tuple[int, ...]]:
 
 
 def determinize(fsa: Fsa) -> Fsa:
-    """Subset construction; the result has a partial transition function.
+    """Powerset construction; the result has a partial transition function.
 
     The result is memoized on the input machine, so repeated product
     constructions against a shared operand pay for one determinization.
@@ -718,33 +718,6 @@ def _members_of_length(arcs, live, start: int, n: int,
                 path.pop()
 
 
-def build_fsa(expr, universe: frozenset[Symbol]) -> Fsa:
-    """Build an acceptor from a regular constructor tree.
-
-    Trees are nested tuples: ``("sym", a)``, ``("empty",)``, ``("unit",)``,
-    ``("union", x, y)``, ``("concat", x, y)``, ``("star", x)``,
-    ``("intersect", x, y)``, ``("complement", x)``.
-    """
-    op = expr[0]
-    if op == "sym":
-        return fsa_symbol(expr[1], universe)
-    if op == "empty":
-        return fsa_empty(universe)
-    if op == "unit":
-        return fsa_unit(universe)
-    if op == "union":
-        return fsa_union(build_fsa(expr[1], universe), build_fsa(expr[2], universe))
-    if op == "concat":
-        return fsa_concat(build_fsa(expr[1], universe), build_fsa(expr[2], universe))
-    if op == "star":
-        return fsa_star(build_fsa(expr[1], universe))
-    if op == "intersect":
-        return fsa_intersect(build_fsa(expr[1], universe), build_fsa(expr[2], universe))
-    if op == "complement":
-        return complement(build_fsa(expr[1], universe), universe)
-    raise ValueError(f"unknown constructor {op!r}")
-
-
 def substitute(fsa: Fsa, mapping: dict) -> Fsa:
     """Replace each arc reading a mapped symbol with that symbol's language.
 
@@ -942,30 +915,3 @@ def project_output(t: Fst) -> Fsa:
 def apply_image(p: Fsa, r: Fst) -> Fsa:
     """The image of L(p) under relation r: range(identity(p) . r)."""
     return project_output(fst_compose(fst_identity(p), r))
-
-
-def build_fst(expr) -> Fst:
-    """Build a transducer from a relation constructor tree.
-
-    Trees are nested tuples with `Fsa` leaves: ``("cross", p1, p2)``,
-    ``("identity", p)``, ``("empty",)``, ``("unit",)``, ``("union", x, y)``,
-    ``("concat", x, y)``, ``("star", x)``, ``("compose", x, y)``.
-    """
-    op = expr[0]
-    if op == "cross":
-        return fst_cross(expr[1], expr[2])
-    if op == "identity":
-        return fst_identity(expr[1])
-    if op == "empty":
-        return fst_empty()
-    if op == "unit":
-        return fst_unit()
-    if op == "union":
-        return fst_union(build_fst(expr[1]), build_fst(expr[2]))
-    if op == "concat":
-        return fst_concat(build_fst(expr[1]), build_fst(expr[2]))
-    if op == "star":
-        return fst_star(build_fst(expr[1]))
-    if op == "compose":
-        return fst_compose(build_fst(expr[1]), build_fst(expr[2]))
-    raise ValueError(f"unknown constructor {op!r}")

@@ -1,9 +1,13 @@
 """Checking forwarding changes against a compiled specification.
 
-One FEC at a time: pick the spec its traffic matches, lower both forwarding
-graphs to acceptors, and decide the compiled check equation.  Failures get
-explained by replaying the arms of the spec in priority order and listing
-the shortest paths on which the two sides disagree.
+`check_fec` is the one place a FEC is judged.  It lowers both forwarding
+graphs to acceptors, evaluates the two sides of the compiled equation
+image(pre, Rpre) == image(post, Rpost) once, and decides it by automaton
+equivalence.  A failure is explained from the same two sides: the arms of
+the spec are replayed in priority order to find the one to blame, and the
+shortest paths on which the sides disagree are listed.  `check_all` picks
+each FEC's spec, runs `check_fec` over a stream of FECs, optionally on a
+process pool, and aggregates a deterministic report.
 """
 
 from __future__ import annotations
@@ -121,15 +125,26 @@ def select_spec(program: CompiledProgram,
     return "", None
 
 
-def check_fec(c: Optional[CompiledSpec], f: Fec, index: LocationIndex,
-              ground_cache: Optional[dict] = None) -> FecVerdict:
-    """Judge one FEC against one compiled spec (None means unmatched)."""
-    if c is None:
-        return FecVerdict(f.fec_id, UNMATCHED)
+def check_fec(c: CompiledSpec, f: Fec, index: LocationIndex,
+              ground_cache: Optional[dict] = None, limit: int = 100,
+              guard: str = "") -> tuple[FecVerdict, Optional[Counterexample]]:
+    """Judge one FEC against one compiled spec, explaining a failure.
+
+    Returns (verdict, counterexample), the counterexample None on a pass.
+    `limit` bounds each path listing; `guard` labels the verdict (the
+    spec's own name by default).  Raises SnapshotError when a graph
+    cannot be coarsened.
+    """
+    guard = guard or c.name
     pre, post = fec_acceptors(f, index)
     env = rir.SnapshotPair(pre, post)
-    verdict = rir.check_spec(c.top, env, ground_cache)
-    return FecVerdict(f.fec_id, PASS if verdict.holds else FAIL, c.name)
+    ev = rir.Evaluator(env, ground_cache)
+    left = ev.pathset(c.top.left)
+    right = ev.pathset(c.top.right)
+    if fsa_equivalent(left, right):
+        return FecVerdict(f.fec_id, PASS, guard), None
+    cx = _explain(c, f.fec_id, f.traffic, env, ev, left, right, guard, limit)
+    return FecVerdict(f.fec_id, FAIL, guard), cx
 
 
 def _splice(fsa, marker_langs):
@@ -138,36 +153,20 @@ def _splice(fsa, marker_langs):
     return substitute(fsa, live) if live else fsa
 
 
-def diff_languages(c: CompiledSpec, env: rir.SnapshotPair, limit: int = 100,
-                   ground_cache: Optional[dict] = None):
-    """Both sides of the check equation's symmetric difference, listed.
-
-    Returns (missing, unexpected): paths the pre side requires but the
-    post side lacks, and paths the post side has but should not.  The
-    difference is taken before markers are rewritten back, so an `any`
-    family that moved as one block stays a single agreement, not a diff.
-    """
-    ev = rir.Evaluator(env, ground_cache)
-    marker_langs = {b.symbol: ev.pathset(b.pathset) for b in c.markers}
-    left = ev.pathset(c.top.left)
-    right = ev.pathset(c.top.right)
-    missing = enumerate_shortest(
-        _splice(fsa_difference(left, right), marker_langs), limit)
-    unexpected = enumerate_shortest(
-        _splice(fsa_difference(right, left), marker_langs), limit)
-    return missing, unexpected
-
-
 def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
-             env: rir.SnapshotPair, ev: rir.Evaluator, guard: str,
-             limit: int) -> Counterexample:
+             env: rir.SnapshotPair, ev: rir.Evaluator, left, right,
+             guard: str, limit: int) -> Counterexample:
+    """Localize a failed equation `left == right` and list its paths.
+
+    `missing` and `unexpected` are the two directed differences.  They
+    are taken before markers are rewritten back, so an `any` family that
+    moved as one block stays a single agreement, not a diff.
+    """
     marker_langs = {b.symbol: ev.pathset(b.pathset) for b in c.markers}
 
     def listing(fsa) -> PathList:
         return enumerate_shortest(_splice(fsa, marker_langs), limit)
 
-    left = ev.pathset(c.top.left)
-    right = ev.pathset(c.top.right)
     missing = listing(fsa_difference(left, right))
     unexpected = listing(fsa_difference(right, left))
 
@@ -208,22 +207,12 @@ def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
     )
 
 
-def explain(c: CompiledSpec, f: Fec, index: LocationIndex, limit: int = 100,
-            ground_cache: Optional[dict] = None,
-            guard: str = "") -> Counterexample:
-    """Build the counterexample for a FEC known (or suspected) to fail."""
-    pre, post = fec_acceptors(f, index)
-    env = rir.SnapshotPair(pre, post)
-    ev = rir.Evaluator(env, ground_cache)
-    return _explain(c, f.fec_id, f.traffic, env, ev, guard or c.name, limit)
-
-
 # ---------------------------------------------------------------------------
 # Whole-run driver
 
 # A worker processes one item into one of:
 #   FecError                      (bad input line, or coarsening failed)
-#   FecVerdict                    (pass or unmatched)
+#   (FecVerdict, None)            (pass or unmatched)
 #   (FecVerdict, Counterexample)  (fail, with its explanation)
 
 
@@ -234,20 +223,12 @@ def _process_item(program: CompiledProgram, index: LocationIndex,
         return item
     guard, spec = select_spec(program, item.traffic)
     if spec is None:
-        return FecVerdict(item.fec_id, UNMATCHED)
+        return FecVerdict(item.fec_id, UNMATCHED), None
     try:
-        pre, post = fec_acceptors(item, index)
+        return check_fec(spec, item, index, ground_cache,
+                         options.witness_limit, guard)
     except SnapshotError as e:
         return FecError(item.fec_id, str(e))
-    env = rir.SnapshotPair(pre, post)
-    ev = rir.Evaluator(env, ground_cache)
-    exp = ev.pathset(spec.top.left)
-    obs = ev.pathset(spec.top.right)
-    if fsa_equivalent(exp, obs):
-        return FecVerdict(item.fec_id, PASS, guard)
-    cx = _explain(spec, item.fec_id, item.traffic, env, ev, guard,
-                  options.witness_limit)
-    return FecVerdict(item.fec_id, FAIL, guard), cx
 
 
 _WORK = None
@@ -274,7 +255,7 @@ def check_all(program: CompiledProgram, index: LocationIndex,
     raises StrictInputError at the first one.
     """
     options = options if options is not None else CheckOptions()
-    verdicts = []
+    totals = {PASS: 0, FAIL: 0, UNMATCHED: 0, ERROR: 0}
     counterexamples = []
     errors = []
 
@@ -283,11 +264,12 @@ def check_all(program: CompiledProgram, index: LocationIndex,
             if options.strict:
                 raise StrictInputError(out)
             errors.append(out)
-        elif isinstance(out, tuple):
-            verdicts.append(out[0])
-            counterexamples.append(out[1])
-        else:
-            verdicts.append(out)
+            totals[ERROR] += 1
+            return
+        verdict, cx = out
+        totals[verdict.status] += 1
+        if cx is not None:
+            counterexamples.append(cx)
 
     if options.workers > 1:
         with multiprocessing.Pool(options.workers,
@@ -300,13 +282,8 @@ def check_all(program: CompiledProgram, index: LocationIndex,
         for item in items:
             take(_process_item(program, index, item, options, cache))
 
-    verdicts.sort(key=lambda v: v.fec_id)
     counterexamples.sort(key=lambda cx: cx.fec_id)
     errors.sort(key=lambda e: e.fec_id)
-
-    totals = {PASS: 0, FAIL: 0, UNMATCHED: 0, ERROR: len(errors)}
-    for v in verdicts:
-        totals[v.status] += 1
 
     per_subspec: dict = {}
     for cx in counterexamples:

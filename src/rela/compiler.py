@@ -50,10 +50,13 @@ class SubSpec:
 
 @dataclass(frozen=True)
 class CompiledSpec:
-    top: rir.SpecExpr
-    rpre: rir.RelExpr
-    rpost: rir.RelExpr
-    zone: rir.PathSetExpr
+    """A spec's check equation, its arms in priority order, its markers.
+
+    `top` is Equal(Image(PreState, rpre), Image(PostState, rpost)), the
+    whole spec's two relations being the unions of the arms' ones.
+    """
+
+    top: rir.Equal
     subspecs: tuple
     markers: tuple
     name: str = "spec"
@@ -344,8 +347,7 @@ def compile_spec(spec: SpecAst, index: LocationIndex) -> CompiledSpec:
     rpost = simplify_rel(_fold([s.rpost for s in subspecs], rir.RelUnion))
     top = rir.Equal(rir.Image(rir.PreState(), rpre),
                     rir.Image(rir.PostState(), rpost))
-    return CompiledSpec(top, rpre, rpost, prior_zone,
-                        tuple(subspecs), tuple(lower.markers),
+    return CompiledSpec(top, tuple(subspecs), tuple(lower.markers),
                         getattr(spec, "name", None) or "spec")
 
 

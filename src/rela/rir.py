@@ -7,14 +7,14 @@ Three expression sublanguages, each a small tree of frozen dataclasses:
   `Image(P, R)`;
 * relations   -- regular expressions over *pairs* of paths, built from
   `Cross`, `Identity` and the usual closure operators plus `Compose`;
-* specs       -- boolean combinations of `Equal` / `Subset` comparisons.
+* specs       -- the check equation `Equal(left, right)` between two path
+  sets, the one form the compiler emits.
 
-`eval_pathset` / `eval_rel` lower expressions to automata from
-:mod:`rela.automata`; `check_spec` decides a spec against a snapshot pair
-and keeps the directed difference automata of failed comparisons as
-witnesses.  `oracle_eval_pathset` is an independent, deliberately naive
-evaluator over explicit bounded path sets, used by the test suite to keep
-the automata path honest.
+`Evaluator` (or the one-shot `eval_pathset`) lowers path sets and
+relations to automata from :mod:`rela.automata`; deciding and explaining
+an equation is left to :mod:`rela.checker`.  `oracle_eval_pathset` is an
+independent, deliberately naive evaluator over explicit bounded path
+sets, used by the test suite to keep the automata path honest.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from typing import Optional
 
 from .automata import (
     Fsa, Fst, MARKER, Symbol, accepts, apply_image, complement, fsa_concat,
-    fsa_difference, fsa_empty, fsa_equivalent, fsa_intersect, fsa_star,
-    fsa_symbol, fsa_symbol_class, fsa_union, fsa_unit, fst_compose,
-    fst_concat, fst_cross, fst_empty, fst_identity, fst_star, fst_union,
-    fst_unit, is_empty,
+    fsa_empty, fsa_intersect, fsa_star, fsa_symbol, fsa_symbol_class,
+    fsa_union, fsa_unit, fst_compose, fst_concat, fst_cross, fst_empty,
+    fst_identity, fst_star, fst_union, fst_unit, is_empty,
 )
 
 
@@ -216,28 +215,6 @@ class Equal(SpecExpr):
     right: PathSetExpr
 
 
-@_node
-class Subset(SpecExpr):
-    left: PathSetExpr
-    right: PathSetExpr
-
-
-@_node
-class And(SpecExpr):
-    left: SpecExpr
-    right: SpecExpr
-
-
-@_node
-class Or(SpecExpr):
-    left: SpecExpr
-    right: SpecExpr
-
-
-@_node
-class Not(SpecExpr):
-    inner: SpecExpr
-
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -385,96 +362,6 @@ class Evaluator:
 def eval_pathset(p: PathSetExpr, env: SnapshotPair,
                  ground_cache: Optional[dict] = None) -> Fsa:
     return Evaluator(env, ground_cache).pathset(p)
-
-
-def eval_rel(r: RelExpr, env: SnapshotPair,
-             ground_cache: Optional[dict] = None) -> Fst:
-    return Evaluator(env, ground_cache).rel(r)
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Difference automata for one failed comparison leaf.
-
-    `missing` accepts paths in the left operand only; `unexpected` those
-    in the right operand only (absent for Subset, which is one-sided).
-    """
-
-    leaf: SpecExpr
-    missing: Fsa
-    unexpected: Optional[Fsa]
-
-
-@dataclass(frozen=True)
-class SpecVerdict:
-    holds: bool
-    witnesses: tuple[Witness, ...] = ()
-
-
-def check_spec(s: SpecExpr, env: SnapshotPair,
-               ground_cache: Optional[dict] = None) -> SpecVerdict:
-    """Decide a spec; on failure, keep witnesses for the leaves to blame.
-
-    A leaf is blamed when it sits under an even number of negations and
-    its comparison came out false; failed leaves under odd negation depth
-    produce no witnesses (there is no difference automaton for "these
-    languages are equal but should not be").
-    """
-    ev = Evaluator(env, ground_cache)
-    truth: dict[int, bool] = {}
-
-    def holds(node: SpecExpr) -> bool:
-        got = truth.get(id(node))
-        if got is None:
-            got = _holds(node)
-            truth[id(node)] = got
-        return got
-
-    def _holds(node: SpecExpr) -> bool:
-        if isinstance(node, Equal):
-            return fsa_equivalent(ev.pathset(node.left),
-                                  ev.pathset(node.right))
-        if isinstance(node, Subset):
-            return is_empty(fsa_difference(ev.pathset(node.left),
-                                           ev.pathset(node.right)))
-        if isinstance(node, And):
-            return holds(node.left) and holds(node.right)
-        if isinstance(node, Or):
-            return holds(node.left) or holds(node.right)
-        if isinstance(node, Not):
-            return not holds(node.inner)
-        raise TypeError(f"not a spec expression: {node!r}")
-
-    out: list[Witness] = []
-
-    def blame(node: SpecExpr, positive: bool) -> None:
-        # Visit only nodes whose truth value contributes to the failure.
-        if isinstance(node, (Equal, Subset)):
-            if not positive:
-                return
-            x = ev.pathset(node.left)
-            y = ev.pathset(node.right)
-            missing = fsa_difference(x, y)
-            unexpected = fsa_difference(y, x) if isinstance(node, Equal) \
-                else None
-            out.append(Witness(node, missing, unexpected))
-            return
-        if isinstance(node, Not):
-            blame(node.inner, not positive)
-            return
-        if isinstance(node, (And, Or)):
-            # A child contributes to the failure when its truth value
-            # disagrees with the polarity this subtree was supposed to have.
-            for child in (node.left, node.right):
-                if holds(child) != positive:
-                    blame(child, positive)
-            return
-        raise TypeError(f"not a spec expression: {node!r}")
-
-    ok = holds(s)
-    if not ok:
-        blame(s, True)
-    return SpecVerdict(ok, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -670,12 +557,4 @@ def pretty(expr) -> str:
     # specs
     if isinstance(expr, Equal):
         return pretty(expr.left) + " = " + pretty(expr.right)
-    if isinstance(expr, Subset):
-        return pretty(expr.left) + " ⊆ " + pretty(expr.right)
-    if isinstance(expr, And):
-        return "(" + " ∧ ".join(pretty(t) for t in _flat(expr, And)) + ")"
-    if isinstance(expr, Or):
-        return "(" + " ∨ ".join(pretty(t) for t in _flat(expr, Or)) + ")"
-    if isinstance(expr, Not):
-        return "¬(" + pretty(expr.inner) + ")"
     raise TypeError(f"not an expression: {expr!r}")

@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from rela.automata import accepts, enumerate_shortest
-from rela.checker import (CheckOptions, check_all, diff_languages,
-                          report_to_json)
+from rela.checker import CheckOptions, check_all, check_fec, report_to_json
 from rela.cli import main
 from rela.compiler import compile_program, compile_spec
 from rela.frontend import Granularity, LocationDb, parse_program
@@ -230,7 +229,8 @@ def test_6_counterexample_exhaustiveness():
     want_unexpected = post_paths - pre_paths
     assert 0 < len(want_missing | want_unexpected) <= 100
 
-    missing, unexpected = diff_languages(program.default, env)
+    cx = check_fec(program.default, fec, index)[1]
+    missing, unexpected = cx.missing, cx.unexpected
     assert not missing.truncated and not unexpected.truncated
     assert set(missing.render()) == want_missing
     assert set(unexpected.render()) == want_unexpected
@@ -243,7 +243,8 @@ def test_6_counterexample_exhaustiveness():
     fec2 = parse_fec({"id": "g", "traffic": {"dstPrefix": "10.0.0.0/24"},
                       "pre": chain, "post": chain}, index)
     env2 = SnapshotPair(*fec_acceptors(fec2, index))
-    missing, unexpected = diff_languages(star.default, env2, limit=40)
+    cx = check_fec(star.default, fec2, index, limit=40)[1]
+    missing, unexpected = cx.missing, cx.unexpected
     assert missing.truncated
     assert len(missing.paths) == 40
     ev = Evaluator(env2)

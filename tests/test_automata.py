@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from rela.automata import (
     substitute,
-    AlphabetError, Fsa, PathList, Symbol, SymbolTable, accepts, apply_image,
-    build_fsa, build_fst, complement, determinize, enumerate_shortest,
-    fsa_concat, fsa_difference, fsa_empty, fsa_equivalent, fsa_intersect,
-    fsa_star, fsa_symbol, fsa_symbol_class, fsa_union, fsa_unit,
-    fst_compose, fst_cross, fst_identity, fst_star, fst_unit, is_empty,
+    AlphabetError, Fsa, Fst, PathList, Symbol, SymbolTable, accepts,
+    apply_image, complement, determinize, enumerate_shortest, fsa_concat,
+    fsa_difference, fsa_empty, fsa_equivalent, fsa_intersect, fsa_star,
+    fsa_symbol, fsa_symbol_class, fsa_union, fsa_unit, fst_compose,
+    fst_cross, fst_empty, fst_identity, fst_star, fst_unit, is_empty,
     minimize, project_input, project_output, fst_concat, fst_union,
 )
 
@@ -27,6 +27,63 @@ from rela.automata import (
 def table3():
     t = SymbolTable()
     return t, t.location("a"), t.location("b"), t.location("c")
+
+
+def build_fsa(expr, universe) -> Fsa:
+    """Build an acceptor from a regular constructor tree.
+
+    Trees are nested tuples: ``("sym", a)``, ``("empty",)``, ``("unit",)``,
+    ``("union", x, y)``, ``("concat", x, y)``, ``("star", x)``,
+    ``("intersect", x, y)``, ``("complement", x)``.
+    """
+    op = expr[0]
+    if op == "sym":
+        return fsa_symbol(expr[1], universe)
+    if op == "empty":
+        return fsa_empty(universe)
+    if op == "unit":
+        return fsa_unit(universe)
+    if op == "union":
+        return fsa_union(build_fsa(expr[1], universe),
+                         build_fsa(expr[2], universe))
+    if op == "concat":
+        return fsa_concat(build_fsa(expr[1], universe),
+                          build_fsa(expr[2], universe))
+    if op == "star":
+        return fsa_star(build_fsa(expr[1], universe))
+    if op == "intersect":
+        return fsa_intersect(build_fsa(expr[1], universe),
+                             build_fsa(expr[2], universe))
+    if op == "complement":
+        return complement(build_fsa(expr[1], universe), universe)
+    raise ValueError(f"unknown constructor {op!r}")
+
+
+def build_fst(expr) -> Fst:
+    """Build a transducer from a relation constructor tree.
+
+    Trees are nested tuples with `Fsa` leaves: ``("cross", p1, p2)``,
+    ``("identity", p)``, ``("empty",)``, ``("unit",)``, ``("union", x, y)``,
+    ``("concat", x, y)``, ``("star", x)``, ``("compose", x, y)``.
+    """
+    op = expr[0]
+    if op == "cross":
+        return fst_cross(expr[1], expr[2])
+    if op == "identity":
+        return fst_identity(expr[1])
+    if op == "empty":
+        return fst_empty()
+    if op == "unit":
+        return fst_unit()
+    if op == "union":
+        return fst_union(build_fst(expr[1]), build_fst(expr[2]))
+    if op == "concat":
+        return fst_concat(build_fst(expr[1]), build_fst(expr[2]))
+    if op == "star":
+        return fst_star(build_fst(expr[1]))
+    if op == "compose":
+        return fst_compose(build_fst(expr[1]), build_fst(expr[2]))
+    raise ValueError(f"unknown constructor {op!r}")
 
 
 def all_strings(syms, maxlen):

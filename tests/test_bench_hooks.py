@@ -1,0 +1,41 @@
+"""The benchmark's traced pass still hooks the checker.
+
+`bench/traced.py` times `check_all` by swapping module-level names in
+`rela.checker` and `rela.rir` while it runs.  A refactor that moves or
+renames one of them leaves its swap without effect, and that layer's
+metrics silently read 0.  This runs the traced call on a small corpus
+with failures and requires the plain call's report and a span from every
+swapped layer.  (The benchmark's own smoke test, `bench/test_smoke.py`,
+covers this too but also gates on timing.)
+"""
+
+import sys
+from pathlib import Path
+
+import rela.checker
+from rela import CheckOptions, check_all, report_to_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import corpus  # noqa: E402
+import traced  # noqa: E402
+
+LAYERS = {"checker.fec", "snapshot.acceptors", "rir.ground", "rir.image",
+          "automata.equiv", "checker.explain", "automata.enumerate"}
+
+
+def test_traced_check_all_hooks_every_layer(tmp_path):
+    corpus.write_corpus("reroute-explain", 1, str(tmp_path), 0.05)
+    tracer = traced.Tracer()
+    _, index, program, fecs = traced.load_stage(str(tmp_path), tracer)
+    plain = check_all(program, index, fecs, CheckOptions(workers=1))
+    assert plain.totals["fail"] > 0
+
+    process = rela.checker._process_item
+    root = len(tracer.spans)
+    with traced.traced_checker(tracer, traced._Counts()):
+        report = check_all(program, index, fecs, CheckOptions(workers=1))
+
+    assert rela.checker._process_item is process
+    assert report_to_json(report) == report_to_json(plain)
+    assert LAYERS <= {span[2] for span in tracer.spans[root:]}

@@ -5,14 +5,12 @@ import json
 import pytest
 
 from rela.checker import (
-    CheckOptions, FAIL, PASS, StrictInputError, UNMATCHED, check_all,
-    check_fec, diff_languages, explain, report_to_json, report_to_json_dict,
-    report_to_text, select_spec,
+    CheckOptions, FAIL, PASS, StrictInputError, check_all, check_fec,
+    report_to_json, report_to_json_dict, report_to_text, select_spec,
 )
 from rela.compiler import compile_program
 from rela.frontend import Granularity, LocationDb, parse_program
-from rela.rir import SnapshotPair
-from rela.snapshot import FecError, fec_acceptors, iter_fec_lines, parse_fec
+from rela.snapshot import FecError, iter_fec_lines, parse_fec
 
 DEVICES = [("x1", "X"), ("a1", "A"), ("a2", "A"), ("a3", "A"),
            ("b1", "B"), ("b2", "B"), ("b3", "B"), ("d1", "D"), ("y1", "Y")]
@@ -113,19 +111,16 @@ class TestCheckFec:
     def test_pass(self, index):
         program = compile_text(index, PRESERVE_ALL)
         fec = make_fec(index, "f", ("x1", "a1"), ("x1", "a1"))
-        verdict = check_fec(program.default, fec, index)
+        verdict, cx = check_fec(program.default, fec, index)
         assert verdict == type(verdict)("f", PASS, "main")
+        assert cx is None
 
     def test_fail(self, index):
         program = compile_text(index, PRESERVE_ALL)
         fec = make_fec(index, "f", ("x1", "a1"), ("x1", "a2"))
-        assert check_fec(program.default, fec, index).status == FAIL
-
-    def test_unmatched_when_no_spec(self, index):
-        fec = make_fec(index, "f", ("x1",), ("x1",))
-        verdict = check_fec(None, fec, index)
-        assert verdict.status == UNMATCHED
-        assert verdict.guard == ""
+        verdict, cx = check_fec(program.default, fec, index)
+        assert verdict.status == FAIL
+        assert cx.fec_id == "f"
 
     def test_shared_ground_cache(self, index):
         program = compile_text(index, PRESERVE_ALL)
@@ -133,7 +128,8 @@ class TestCheckFec:
         fec = make_fec(index, "f", ("x1", "a1"), ("x1", "a1"))
         check_fec(program.default, fec, index, cache)
         assert cache  # ground subexpressions landed in the shared cache
-        assert check_fec(program.default, fec, index, cache).status == PASS
+        verdict, _ = check_fec(program.default, fec, index, cache)
+        assert verdict.status == PASS
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,7 @@ class TestExplain:
     def test_path_shift_blames_e2e(self, index):
         program = compile_text(index, SHIFT_PROGRAM)
         fec = make_fec(index, "T1", SHIFT_PRE, SHIFT_POST_BAD)
-        cx = explain(program.default, fec, index)
+        cx = check_fec(program.default, fec, index)[1]
         assert cx.fec_id == "T1"
         assert cx.violated_subspec == "e2e"
         assert cx.note == ""
@@ -158,13 +154,14 @@ class TestExplain:
     def test_intended_shift_passes(self, index):
         program = compile_text(index, SHIFT_PROGRAM)
         fec = make_fec(index, "T1", SHIFT_PRE, SHIFT_POST_GOOD)
-        assert check_fec(program.default, fec, index).status == PASS
+        verdict, cx = check_fec(program.default, fec, index)
+        assert verdict.status == PASS and cx is None
 
     def test_collateral_damage_blames_nochange(self, index):
         program = compile_text(index, SHIFT_PROGRAM)
         fec = make_fec(index, "T2", ("x1", "b1", "b2", "d1"),
                        ("x1", "b1", "d1"))
-        cx = explain(program.default, fec, index)
+        cx = check_fec(program.default, fec, index)[1]
         assert cx.violated_subspec == "nochange"
         assert cx.missing.render() == ["x1 b1 b2 d1"]
         assert cx.unexpected.render() == ["x1 b1 d1"]
@@ -172,7 +169,7 @@ class TestExplain:
     def test_markers_never_rendered(self, index):
         program = compile_text(index, SHIFT_PROGRAM)
         fec = make_fec(index, "T1", SHIFT_PRE, SHIFT_POST_BAD)
-        cx = explain(program.default, fec, index)
+        cx = check_fec(program.default, fec, index)[1]
         for listing in (cx.pre_paths, cx.post_paths, cx.expected,
                         cx.observed, cx.missing, cx.unexpected):
             for text in listing.render():
@@ -184,7 +181,7 @@ class TestExplain:
         spec s := { a1 : preserve; } else { . : preserve; }
         """)
         fec = make_fec(index, "f", ("a1",), ("a2",))
-        cx = explain(program.default, fec, index)
+        cx = check_fec(program.default, fec, index)[1]
         assert cx.violated_subspec == "#1"
 
     def test_new_path_blamed_via_post_zone(self, index):
@@ -200,7 +197,7 @@ class TestExplain:
             "sources": ["s", "u"], "sinks": ["t", "v"],
         }
         fec = make_fec(index, "f", ("a1", "a2"), diamond)
-        cx = explain(program.default, fec, index)
+        cx = check_fec(program.default, fec, index)[1]
         assert cx.violated_subspec == "#2"
         assert cx.expected.render() == []
         assert cx.observed.render() == ["b1 b2"]
@@ -208,51 +205,46 @@ class TestExplain:
     def test_guard_label_passes_through(self, index):
         program = compile_text(index, PRESERVE_ALL)
         fec = make_fec(index, "f", ("a1",), ("a2",))
-        cx = explain(program.default, fec, index, guard="g7")
+        cx = check_fec(program.default, fec, index, guard="g7")[1]
         assert cx.guard == "g7"
-        cx = explain(program.default, fec, index)
+        cx = check_fec(program.default, fec, index)[1]
         assert cx.guard == "main"
 
 
 class TestDiffLanguages:
-    def env(self, index, fec):
-        return SnapshotPair(*fec_acceptors(fec, index))
+    """The two directed differences a counterexample lists."""
 
     def test_two_sided_difference(self, index):
         program = compile_text(index, PRESERVE_ALL)
         fec = make_fec(index, "f", ("a1", "b1"), ("a1", "d1"))
-        missing, unexpected = diff_languages(program.default,
-                                             self.env(index, fec))
-        assert missing.render() == ["a1 b1"]
-        assert unexpected.render() == ["a1 d1"]
-        assert not missing.truncated and not unexpected.truncated
+        cx = check_fec(program.default, fec, index)[1]
+        assert cx.missing.render() == ["a1 b1"]
+        assert cx.unexpected.render() == ["a1 d1"]
+        assert not cx.missing.truncated and not cx.unexpected.truncated
 
     def test_equal_languages_empty_diff(self, index):
         program = compile_text(index, PRESERVE_ALL)
         fec = make_fec(index, "f", ("a1", "b1"), ("a1", "b1"))
-        missing, unexpected = diff_languages(program.default,
-                                             self.env(index, fec))
-        assert missing.render() == [] and unexpected.render() == []
+        verdict, cx = check_fec(program.default, fec, index)
+        assert verdict.status == PASS and cx is None
 
     def test_infinite_difference_truncates(self, index):
         program = compile_text(index, "spec s := a1 : add(b1*)")
         fec = make_fec(index, "f", ("a1",), ("a1",))
-        missing, unexpected = diff_languages(program.default,
-                                             self.env(index, fec), limit=5)
-        assert missing.truncated
-        assert len(missing.paths) == 5
-        for path in missing.paths:
+        cx = check_fec(program.default, fec, index, limit=5)[1]
+        assert cx.missing.truncated
+        assert len(cx.missing.paths) == 5
+        for path in cx.missing.paths:
             assert all(sym.name == "b1" for sym in path)
-        assert unexpected.render() == []
+        assert cx.unexpected.render() == []
 
     def test_block_move_is_agreement_not_diff(self, index):
         # The any() family is diffed as one unit: a shift inside the
-        # family is a pass, so the diff must come out empty.
+        # family is a pass, so there is nothing to list.
         program = compile_text(index, "spec s := a1 .* a2 : any(a1 a2 | a2 a1)")
         fec = make_fec(index, "f", ("a1", "a2"), ("a2", "a1"))
-        missing, unexpected = diff_languages(program.default,
-                                             self.env(index, fec))
-        assert missing.render() == [] and unexpected.render() == []
+        verdict, cx = check_fec(program.default, fec, index)
+        assert verdict.status == PASS and cx is None
 
 
 # ---------------------------------------------------------------------------

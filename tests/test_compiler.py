@@ -63,8 +63,8 @@ class TestLowerRegex:
     def test_plus_compiles_like_its_expansion(self, index):
         empty = fsa_empty(index.universe)
         env = rir.SnapshotPair(empty, empty)
-        plus = compiled_for(index, "a+ : preserve").zone
-        spelled = compiled_for(index, "a a* : preserve").zone
+        plus = compiled_for(index, "a+ : preserve").subspecs[0].zone
+        spelled = compiled_for(index, "a a* : preserve").subspecs[0].zone
         assert fsa_equivalent(rir.eval_pathset(plus, env),
                               rir.eval_pathset(spelled, env))
 
@@ -82,42 +82,44 @@ class TestModifierRelations:
     def test_preserve(self, index):
         c = compiled_for(index, "a : preserve")
         a = sym(index, "a")
-        assert c.rpre == rir.Identity(a)
-        assert c.rpost == rir.Identity(a)
-        assert c.zone == a
+        assert c.top.left.rel == rir.Identity(a)
+        assert c.top.right.rel == rir.Identity(a)
+        assert c.subspecs[0].zone == a
 
     def test_add(self, index):
         c = compiled_for(index, "a : add(b)")
         a, b = sym(index, "a"), sym(index, "b")
         zone = symset(index, "a", "b")
-        assert c.rpre == rir.RelUnion(rir.Identity(zone), rir.Cross(a, b))
-        assert c.rpost == rir.Identity(zone)
-        assert c.zone == zone
+        assert c.top.left.rel == rir.RelUnion(rir.Identity(zone),
+                                              rir.Cross(a, b))
+        assert c.top.right.rel == rir.Identity(zone)
+        assert c.subspecs[0].zone == zone
 
     def test_remove(self, index):
         c = compiled_for(index, "a : remove(b)")
         a, b = sym(index, "a"), sym(index, "b")
-        assert c.rpre == rir.Identity(rir.Intersect(a, rir.Complement(b)))
-        assert c.rpost == rir.Identity(a)
-        assert c.zone == a
+        assert c.top.left.rel == rir.Identity(
+            rir.Intersect(a, rir.Complement(b)))
+        assert c.top.right.rel == rir.Identity(a)
+        assert c.subspecs[0].zone == a
 
     def test_replace(self, index):
         c = compiled_for(index, "a : replace(b, c)")
         a, b, cc = sym(index, "a"), sym(index, "b"), sym(index, "c")
         zone = symset(index, "a", "c")
-        assert c.rpre == rir.RelUnion(
+        assert c.top.left.rel == rir.RelUnion(
             rir.Identity(rir.Intersect(zone, rir.Complement(b))),
             rir.Cross(rir.Intersect(a, b), cc))
-        assert c.rpost == rir.Identity(zone)
-        assert c.zone == zone
+        assert c.top.right.rel == rir.Identity(zone)
+        assert c.subspecs[0].zone == zone
 
     def test_drop(self, index):
         c = compiled_for(index, "a : drop")
         dropped = rir.Sym(index.table.drop)
         zone = rir.SymSet(frozenset(
             [index.symbol_of["a"], index.table.drop]))
-        assert c.rpre == rir.Cross(zone, dropped)
-        assert c.rpost == rir.Identity(zone)
+        assert c.top.left.rel == rir.Cross(zone, dropped)
+        assert c.top.right.rel == rir.Identity(zone)
 
     def test_any(self, index):
         c = compiled_for(index, "a : any(b)")
@@ -129,22 +131,23 @@ class TestModifierRelations:
         assert binding.pathset == b
         mk = rir.Sym(binding.symbol)
         zone = symset(index, "a", "b")
-        assert c.rpre == rir.Cross(zone, mk)
-        assert c.rpost == rir.RelUnion(
+        assert c.top.left.rel == rir.Cross(zone, mk)
+        assert c.top.right.rel == rir.RelUnion(
             rir.Cross(b, mk),
             rir.Identity(rir.Intersect(a, rir.Complement(b))))
 
     def test_concat_collapses_identities(self, index):
         c = compiled_for(index, "{ a : preserve; b : preserve; }")
         a, b = sym(index, "a"), sym(index, "b")
-        assert c.rpre == rir.Identity(rir.Concat(a, b))
-        assert c.zone == rir.Concat(a, b)
+        assert c.top.left.rel == rir.Identity(rir.Concat(a, b))
+        assert c.subspecs[0].zone == rir.Concat(a, b)
 
     def test_top_equation(self, index):
         c = compiled_for(index, "a : preserve")
+        a = sym(index, "a")
         assert c.top == rir.Equal(
-            rir.Image(rir.PreState(), c.rpre),
-            rir.Image(rir.PostState(), c.rpost))
+            rir.Image(rir.PreState(), rir.Identity(a)),
+            rir.Image(rir.PostState(), rir.Identity(a)))
 
 
 class TestElseChains:
@@ -166,20 +169,21 @@ class TestElseChains:
 
     def test_whole_relation_is_arm_union(self, index):
         c = compiled_for(index, "a : preserve else b : drop")
-        assert c.rpre == rir.RelUnion(c.subspecs[0].rpre, c.subspecs[1].rpre)
+        assert c.top.left.rel == rir.RelUnion(c.subspecs[0].rpre,
+                                              c.subspecs[1].rpre)
         # both arms' post relations are identities, so they merge
         a = sym(index, "a")
         masked = rir.Intersect(
             rir.Complement(a),
             rir.SymSet(frozenset([index.symbol_of["b"], index.table.drop])))
-        assert c.rpost == rir.Identity(rir.Union(a, masked))
+        assert c.top.right.rel == rir.Identity(rir.Union(a, masked))
 
     def test_preserve_chain_collapses_to_identity(self, index):
         c = compiled_for(
             index, "a : preserve else b : preserve else . : preserve")
-        assert isinstance(c.rpre, rir.Identity)
-        assert isinstance(c.rpost, rir.Identity)
-        assert c.rpre == c.rpost
+        assert isinstance(c.top.left.rel, rir.Identity)
+        assert isinstance(c.top.right.rel, rir.Identity)
+        assert c.top.left.rel == c.top.right.rel
 
     def test_arm_labels_use_definition_names(self, index):
         text = """

@@ -1,4 +1,4 @@
-"""Tests for the relational IR: evaluation, spec checking, oracle, printing."""
+"""Tests for the relational IR: evaluation, oracle, printing."""
 
 from __future__ import annotations
 
@@ -11,11 +11,10 @@ from rela.automata import (
     SymbolTable, accepts, enumerate_shortest, is_empty,
 )
 from rela.rir import (
-    And, Complement, Compose, Concat, Cross, Equal, Evaluator, Identity,
-    Image, Intersect, Not, One, Or, OracleEnv, PostState, PreState,
-    RelConcat, RelOne, RelStar, RelUnion, RelZero, SnapshotPair, Star,
-    Subset, Sym, SymSet, Union, Zero, check_spec, eval_pathset, eval_rel,
-    oracle_eval_pathset, pretty,
+    Complement, Compose, Concat, Cross, Equal, Evaluator, Identity, Image,
+    Intersect, One, OracleEnv, PostState, PreState, RelConcat, RelOne,
+    RelStar, RelUnion, RelZero, SnapshotPair, Star, Sym, SymSet, Union,
+    Zero, eval_pathset, oracle_eval_pathset, pretty,
 )
 
 
@@ -161,75 +160,6 @@ def test_snapshot_pair_rejects_mismatched_universes():
 
 
 # ---------------------------------------------------------------------------
-# check_spec
-
-
-def test_equal_holds():
-    t, (a, b, c), env, _ = small_world()
-    v = check_spec(Equal(PreState(), PreState()), env)
-    assert v.holds and v.witnesses == ()
-
-
-def test_equal_fails_with_two_sided_witnesses():
-    t, (a, b, c), env, _ = small_world()
-    v = check_spec(Equal(PreState(), PostState()), env)
-    assert not v.holds
-    (w,) = v.witnesses
-    assert paths_of(w.missing) == {"a b"}
-    assert paths_of(w.unexpected) == {"b c"}
-
-
-def test_subset_one_sided_witness():
-    t, (a, b, c), env, _ = small_world()
-    v = check_spec(Subset(PreState(), Sym(a)), env)
-    assert not v.holds
-    (w,) = v.witnesses
-    assert paths_of(w.missing) == {"a b"}
-    assert w.unexpected is None
-    assert check_spec(Subset(Sym(a), PreState()), env).holds
-
-
-def test_not_failure_yields_no_witnesses():
-    t, (a, b, c), env, _ = small_world()
-    v = check_spec(Not(Equal(PreState(), PreState())), env)
-    assert not v.holds
-    assert v.witnesses == ()
-
-
-def test_double_negation_restores_witnesses():
-    t, (a, b, c), env, _ = small_world()
-    v = check_spec(Not(Not(Equal(PreState(), PostState()))), env)
-    assert not v.holds
-    assert len(v.witnesses) == 1
-
-
-def test_and_blames_only_failing_branch():
-    t, (a, b, c), env, _ = small_world()
-    good = Equal(PreState(), PreState())
-    bad = Equal(PreState(), PostState())
-    v = check_spec(And(good, bad), env)
-    assert not v.holds
-    assert len(v.witnesses) == 1
-    assert v.witnesses[0].leaf == bad
-
-
-def test_or_blames_both_branches():
-    t, (a, b, c), env, _ = small_world()
-    bad1 = Equal(PreState(), PostState())
-    bad2 = Subset(PreState(), Zero())
-    v = check_spec(Or(bad1, bad2), env)
-    assert not v.holds
-    assert {type(w.leaf) for w in v.witnesses} == {Equal, Subset}
-
-
-def test_or_holding_collects_nothing():
-    t, (a, b, c), env, _ = small_world()
-    v = check_spec(Or(Equal(PreState(), PostState()),
-                      Equal(One(), One())), env)
-    assert v.holds and v.witnesses == ()
-
-
-# ---------------------------------------------------------------------------
 # Oracle
 
 
@@ -307,6 +237,6 @@ def test_pretty_relations_and_specs():
     assert pretty(r) == "(I(a) | (a × b))"
     assert pretty(RelConcat(Identity(Sym(a)), RelStar(Cross(Sym(a), Sym(b))))) \
         == "I(a) (a × b)*"
-    s = And(Equal(PreState(), PostState()), Not(Subset(One(), Zero())))
-    assert pretty(s) == "(PreState = PostState ∧ ¬(1 ⊆ 0))"
+    s = Equal(PreState(), Image(PostState(), Identity(Sym(a))))
+    assert pretty(s) == "PreState = (PostState ▷ I(a))"
     assert pretty(Compose(RelOne(), RelZero())) == "(1 ∘ 0)"
