@@ -13,12 +13,17 @@ from rela.automata import (Fsa, SymbolTable, enumerate_shortest,
                            fsa_difference, fsa_equivalent)
 from rela.rir import (
     Compose, Concat, Cross, Identity, Image, PostState, PreState, RelUnion,
-    SnapshotPair, Star, Sym, SymSet, Union,
+    SnapshotPair, Star, SymSet,
 )
 
 table = SymbolTable()
 a, b, c, d = (table.location(n) for n in "abcd")
 universe = table.universe()
+
+
+def locs(*symbols):
+    """The one-hop paths through any of `symbols`: a single leaf."""
+    return SymSet(frozenset(symbols))
 
 
 def paths_fsa(paths):
@@ -49,17 +54,17 @@ def show(label, expr):
 
 # The identity relation on a zone keeps matching paths as they are; its
 # image is just the intersection with the zone.
-no_c = Star(SymSet(frozenset({a, b, d})))
+no_c = Star(locs(a, b, d))
 show("image of pre under I(paths avoiding c):", Image(PreState(), Identity(no_c)))
 show("image of post under the same identity:", Image(PostState(), Identity(no_c)))
 
 # A cross relation maps every old path in its domain to every path in
 # its range: "whatever matched before is now this family".
-reroute = Cross(no_c, Union(Sym(c), Sym(d)))
+reroute = Cross(no_c, locs(c, d))
 show("image of pre under the reroute cross:", Image(PreState(), reroute))
 
 # Relations compose; composing with an identity restricts the domain.
-masked = Compose(Identity(Star(SymSet(frozenset({a, b, c, d})))), reroute)
+masked = Compose(Identity(Star(locs(a, b, c, d))), reroute)
 show("the same cross behind a full mask:", Image(PreState(), masked))
 
 # Union covers alternatives: paths may stay put or take the reroute.
@@ -69,8 +74,8 @@ show("union relation (keep or reroute):", Image(PreState(), either))
 # The check itself is one equation between two images.  This spec says
 # "the b hop becomes c": the pre snapshot is mapped through the intended
 # rewrite, the post snapshot only has to match it.
-intended = Cross(no_c, Concat(Sym(a), Concat(Sym(c), Sym(d))))
-after = Star(SymSet(frozenset({a, c, d})))
+intended = Cross(no_c, Concat(locs(a), Concat(locs(c), locs(d))))
+after = Star(locs(a, c, d))
 equation = rir.Equal(Image(PreState(), intended),
                      Image(PostState(), Identity(after)))
 

@@ -1,9 +1,12 @@
-"""Finite automata and transducers over an interned location alphabet.
+"""Finite automata over an interned location alphabet.
 
 This module is the kernel the rest of the checker is built on.  Path sets
-(languages of location sequences) are represented as finite-state acceptors
-(`Fsa`), path relations as two-tape finite-state transducers (`Fst`).  Both
-are immutable once constructed; every operation returns a fresh machine.
+(languages of location sequences) are finite-state acceptors (`Fsa`).
+A path relation is an `Fsa` too, a transducer whose arc labels are
+``(in, out)`` symbol pairs (``None`` on a tape that stands still) and
+whose `alphabet` is its output alphabet; `fsa_union`, `fsa_concat` and
+`fsa_star` build both kinds.  Machines are immutable once constructed;
+every operation returns a fresh one.
 
 Symbols are interned through a `SymbolTable`.  Three kinds exist:
 
@@ -14,14 +17,15 @@ Symbols are interned through a `SymbolTable`.  Three kinds exist:
   location universe (complements are always taken relative to
   locations + drop).
 
-Epsilon is not a `Symbol`; transition labels use ``None`` for it.
+Epsilon is not a `Symbol`; transition labels use ``None`` for it, in
+transducers too (one label that moves neither tape).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 EPSILON = None  # transition-label value for the empty move
 
@@ -98,25 +102,12 @@ class SymbolTable:
         self._marker_count += 1
         return self._intern(f"#{self._marker_count}", MARKER)
 
-    def get(self, name: str) -> Optional[Symbol]:
-        return self._by_name.get(name)
-
-    def by_id(self, sid: int) -> Symbol:
-        return self._symbols[sid]
-
     def universe(self) -> frozenset[Symbol]:
         """All location symbols plus drop; markers excluded."""
         return frozenset(s for s in self._symbols if s.kind in (LOCATION, DROP))
 
-    def __len__(self) -> int:
-        return len(self._symbols)
-
-    def __iter__(self) -> Iterator[Symbol]:
-        return iter(self._symbols)
-
 
 Label = Optional[Symbol]  # None is epsilon
-PairLabel = tuple[Label, Label]
 
 
 @dataclass(frozen=True)
@@ -145,8 +136,9 @@ class Fsa:
     """A finite-state acceptor.  Treat instances as immutable.
 
     `arcs[q]` is a tuple of ``(label, target)`` pairs where label is a
-    `Symbol` or ``None`` for epsilon.  `deterministic` promises there are
-    no epsilon arcs and at most one arc per (state, symbol).
+    `Symbol` (a symbol pair in a transducer) or ``None`` for epsilon.
+    `deterministic` promises there are no epsilon arcs and at most one
+    arc per (state, symbol).
 
     The two trailing slots memoize derived views (the determinized twin
     and per-state transition maps); they are dropped on pickling and do
@@ -186,36 +178,6 @@ class Fsa:
                 f"{'det' if self.deterministic else 'nondet'}>")
 
 
-class Fst:
-    """A two-tape finite-state transducer.  Treat instances as immutable.
-
-    `arcs[q]` holds ``((in_label, out_label), target)`` entries; either
-    tape label may be ``None`` for epsilon.
-    """
-
-    __slots__ = ("in_alphabet", "out_alphabet", "num_states", "initial",
-                 "accepting", "arcs")
-
-    def __init__(self, in_alphabet: frozenset[Symbol],
-                 out_alphabet: frozenset[Symbol], num_states: int,
-                 initial: int, accepting: frozenset[int],
-                 arcs: tuple[tuple[tuple[PairLabel, int], ...], ...]):
-        if not (0 <= initial < num_states):
-            raise ValueError("initial state out of range")
-        if len(arcs) != num_states:
-            raise ValueError("arc table does not match state count")
-        self.in_alphabet = in_alphabet
-        self.out_alphabet = out_alphabet
-        self.num_states = num_states
-        self.initial = initial
-        self.accepting = accepting
-        self.arcs = arcs
-
-    def __repr__(self) -> str:
-        return (f"<Fst {self.num_states} states, "
-                f"{sum(len(a) for a in self.arcs)} arcs>")
-
-
 class _Builder:
     """Mutable accumulator used internally to assemble machines."""
 
@@ -249,11 +211,7 @@ def fsa_unit(universe: frozenset[Symbol]) -> Fsa:
 
 def fsa_symbol(sym: Symbol, universe: frozenset[Symbol]) -> Fsa:
     """The single-string language {sym}."""
-    if sym not in universe and sym.kind != MARKER:
-        raise AlphabetError(f"symbol {sym.name!r} is outside the universe")
-    alphabet = universe if sym in universe else universe | {sym}
-    return Fsa(alphabet, 2, 0, frozenset([1]), (((sym, 1),), ()),
-               deterministic=True)
+    return fsa_symbol_class((sym,), universe)
 
 
 def fsa_symbol_class(symbols, universe: frozenset[Symbol]) -> Fsa:
@@ -310,7 +268,7 @@ def fsa_star(x: Fsa) -> Fsa:
                b.frozen_arcs())
 
 
-def _copy_into(b: _Builder, m) -> int:
+def _copy_into(b: _Builder, m: Fsa) -> int:
     """Copy a machine's states and arcs into builder `b`; return the offset."""
     offset = len(b.arcs)
     for _ in range(m.num_states):
@@ -751,26 +709,16 @@ def substitute(fsa: Fsa, mapping: dict) -> Fsa:
 # Transducers
 
 
-def fst_empty() -> Fst:
-    """The empty relation."""
-    return Fst(frozenset(), frozenset(), 1, 0, frozenset(), ((),))
-
-
-def fst_unit() -> Fst:
-    """The relation containing only the pair of empty paths."""
-    return Fst(frozenset(), frozenset(), 1, 0, frozenset([0]), ((),))
-
-
-def fst_identity(p: Fsa) -> Fst:
+def fst_identity(p: Fsa) -> Fsa:
     """The identity relation restricted to L(p)."""
     arcs = tuple(
-        tuple(((label, label), dst) for label, dst in state_arcs)
+        tuple((label if label is EPSILON else (label, label), dst)
+              for label, dst in state_arcs)
         for state_arcs in p.arcs)
-    return Fst(p.alphabet, p.alphabet, p.num_states, p.initial, p.accepting,
-               arcs)
+    return Fsa(p.alphabet, p.num_states, p.initial, p.accepting, arcs)
 
 
-def fst_cross(p1: Fsa, p2: Fsa) -> Fst:
+def fst_cross(p1: Fsa, p2: Fsa) -> Fsa:
     """The full relation L(p1) x L(p2), linear in the operand sizes.
 
     Reads any member of p1 while writing nothing, then writes any member
@@ -780,10 +728,10 @@ def fst_cross(p1: Fsa, p2: Fsa) -> Fst:
     off1 = _copy_into_fst(b, p1, "in")
     off2 = _copy_into_fst(b, p2, "out")
     for q in sorted(p1.accepting):
-        b.arc(q + off1, (EPSILON, EPSILON), p2.initial + off2)
+        b.arc(q + off1, EPSILON, p2.initial + off2)
     accepting = frozenset(q + off2 for q in p2.accepting)
-    return Fst(p1.alphabet, p2.alphabet, len(b.arcs), p1.initial + off1,
-               accepting, b.frozen_arcs())
+    return Fsa(p2.alphabet, len(b.arcs), p1.initial + off1, accepting,
+               b.frozen_arcs())
 
 
 def _copy_into_fst(b: _Builder, p: Fsa, tape: str) -> int:
@@ -792,72 +740,31 @@ def _copy_into_fst(b: _Builder, p: Fsa, tape: str) -> int:
         b.state()
     for q in range(p.num_states):
         for label, dst in p.arcs[q]:
-            pair = (label, EPSILON) if tape == "in" else (EPSILON, label)
-            b.arc(q + offset, pair, dst + offset)
+            if label is not EPSILON:
+                label = (label, EPSILON) if tape == "in" else (EPSILON, label)
+            b.arc(q + offset, label, dst + offset)
     return offset
 
 
-def _copy_fst_into(b: _Builder, t: Fst) -> int:
-    offset = len(b.arcs)
-    for _ in range(t.num_states):
-        b.state()
-    for q in range(t.num_states):
-        for pair, dst in t.arcs[q]:
-            b.arc(q + offset, pair, dst + offset)
-    return offset
+_STILL = (EPSILON, EPSILON)  # the tapes of a joint-epsilon (None) label
 
 
-def fst_union(x: Fst, y: Fst) -> Fst:
-    b = _Builder()
-    start = b.state()
-    off_x = _copy_fst_into(b, x)
-    off_y = _copy_fst_into(b, y)
-    b.arc(start, (EPSILON, EPSILON), x.initial + off_x)
-    b.arc(start, (EPSILON, EPSILON), y.initial + off_y)
-    accepting = frozenset(q + off_x for q in x.accepting) | \
-        frozenset(q + off_y for q in y.accepting)
-    return Fst(x.in_alphabet | y.in_alphabet,
-               x.out_alphabet | y.out_alphabet,
-               len(b.arcs), start, accepting, b.frozen_arcs())
-
-
-def fst_concat(x: Fst, y: Fst) -> Fst:
-    b = _Builder()
-    off_x = _copy_fst_into(b, x)
-    off_y = _copy_fst_into(b, y)
-    for q in sorted(x.accepting):
-        b.arc(q + off_x, (EPSILON, EPSILON), y.initial + off_y)
-    accepting = frozenset(q + off_y for q in y.accepting)
-    return Fst(x.in_alphabet | y.in_alphabet,
-               x.out_alphabet | y.out_alphabet,
-               len(b.arcs), x.initial + off_x, accepting, b.frozen_arcs())
-
-
-def fst_star(x: Fst) -> Fst:
-    b = _Builder()
-    start = b.state()
-    off = _copy_fst_into(b, x)
-    b.arc(start, (EPSILON, EPSILON), x.initial + off)
-    for q in sorted(x.accepting):
-        b.arc(q + off, (EPSILON, EPSILON), start)
-    return Fst(x.in_alphabet, x.out_alphabet, len(b.arcs), start,
-               frozenset([start]), b.frozen_arcs())
-
-
-def fst_compose(x: Fst, y: Fst) -> Fst:
+def fst_compose(x: Fsa, y: Fsa) -> Fsa:
     """Relation composition with the standard three-mode epsilon filter.
 
     The filter admits exactly one interleaving of the moves where x emits
     epsilon (x advances alone) and the moves where y reads epsilon
     (y advances alone); pairs of such moves may also be taken jointly
-    from mode 0.  Language-level correctness is the contract here; path
-    multiplicity is not preserved.
+    from mode 0.  A ``None`` label is read as a move on neither tape.
+    Language-level correctness is the contract here; path multiplicity
+    is not preserved.
     """
     # Index y's arcs by input label once per state.
     y_by_in: list[dict] = []
     for q in range(y.num_states):
         m: dict = {}
-        for (yin, yout), dst in y.arcs[q]:
+        for label, dst in y.arcs[q]:
+            yin, yout = _STILL if label is EPSILON else label
             m.setdefault(yin, []).append((yout, dst))
         y_by_in.append(m)
 
@@ -868,14 +775,17 @@ def fst_compose(x: Fst, y: Fst) -> Fst:
     work = deque([start])
     accepting = set()
 
-    def push(sid, pair, target):
+    def push(sid, xin, yout, target):
         tid = index.get(target)
         if tid is None:
             tid = len(index)
             index[target] = tid
             b.state()
             work.append(target)
-        b.arc(sid, pair, tid)
+        if xin is EPSILON and yout is EPSILON:
+            b.arc(sid, EPSILON, tid)
+        else:
+            b.arc(sid, (xin, yout), tid)
 
     while work:
         qx, qy, mode = state = work.popleft()
@@ -883,35 +793,33 @@ def fst_compose(x: Fst, y: Fst) -> Fst:
         if qx in x.accepting and qy in y.accepting:
             accepting.add(sid)
         ymap = y_by_in[qy]
-        for (xin, xout), dx in x.arcs[qx]:
+        for label, dx in x.arcs[qx]:
+            xin, xout = _STILL if label is EPSILON else label
             if xout is EPSILON:
                 if mode != 2:
-                    push(sid, (xin, EPSILON), (dx, qy, 1))
+                    push(sid, xin, EPSILON, (dx, qy, 1))
                 if mode == 0:
                     for yout, dy in ymap.get(EPSILON, ()):
-                        push(sid, (xin, yout), (dx, dy, 0))
+                        push(sid, xin, yout, (dx, dy, 0))
             else:
                 for yout, dy in ymap.get(xout, ()):
-                    push(sid, (xin, yout), (dx, dy, 0))
+                    push(sid, xin, yout, (dx, dy, 0))
         if mode != 1:
             for yout, dy in ymap.get(EPSILON, ()):
-                push(sid, (EPSILON, yout), (qx, dy, 2))
-    return Fst(x.in_alphabet, y.out_alphabet, len(b.arcs), 0,
-               frozenset(accepting), b.frozen_arcs())
+                push(sid, EPSILON, yout, (qx, dy, 2))
+    return Fsa(y.alphabet, len(b.arcs), 0, frozenset(accepting),
+               b.frozen_arcs())
 
 
-def project_input(t: Fst) -> Fsa:
-    arcs = tuple(tuple((pair[0], dst) for pair, dst in state_arcs)
-                 for state_arcs in t.arcs)
-    return Fsa(t.in_alphabet, t.num_states, t.initial, t.accepting, arcs)
+def project_output(t: Fsa) -> Fsa:
+    """The output tape of transducer `t`, as an acceptor."""
+    arcs = tuple(
+        tuple((label if label is EPSILON else label[1], dst)
+              for label, dst in state_arcs)
+        for state_arcs in t.arcs)
+    return Fsa(t.alphabet, t.num_states, t.initial, t.accepting, arcs)
 
 
-def project_output(t: Fst) -> Fsa:
-    arcs = tuple(tuple((pair[1], dst) for pair, dst in state_arcs)
-                 for state_arcs in t.arcs)
-    return Fsa(t.out_alphabet, t.num_states, t.initial, t.accepting, arcs)
-
-
-def apply_image(p: Fsa, r: Fst) -> Fsa:
-    """The image of L(p) under relation r: range(identity(p) . r)."""
+def apply_image(p: Fsa, r: Fsa) -> Fsa:
+    """The image of L(p) under transducer r: range(identity(p) . r)."""
     return project_output(fst_compose(fst_identity(p), r))

@@ -35,14 +35,12 @@ ERROR = "error"
 class CheckOptions:
     """Knobs for a checking run.
 
-    `max_counterexamples` bounds the report as a whole; `max_per_subspec`
-    additionally bounds each violated arm so one broken arm cannot crowd
-    out the rest (None disables the per-arm cap).  `witness_limit` is the
-    number of shortest paths listed per language in a counterexample.
+    `max_counterexamples` bounds the counterexamples the report lists
+    (the per-arm tallies still count every failure).  `witness_limit` is
+    the number of shortest paths listed per language in a counterexample.
     """
 
     max_counterexamples: int = 100
-    max_per_subspec: Optional[int] = None
     witness_limit: int = 100
     workers: int = 1
     strict: bool = False
@@ -290,19 +288,8 @@ def check_all(program: CompiledProgram, index: LocationIndex,
         key = f"{cx.guard}/{cx.violated_subspec}"
         per_subspec[key] = per_subspec.get(key, 0) + 1
 
-    kept = []
-    kept_per_key: dict = {}
-    truncated = False
-    for cx in counterexamples:
-        key = f"{cx.guard}/{cx.violated_subspec}"
-        n = kept_per_key.get(key, 0)
-        if len(kept) >= options.max_counterexamples or (
-                options.max_per_subspec is not None
-                and n >= options.max_per_subspec):
-            truncated = True
-            continue
-        kept.append(cx)
-        kept_per_key[key] = n + 1
+    kept = counterexamples[:max(options.max_counterexamples, 0)]
+    truncated = len(kept) < len(counterexamples)
 
     if totals[FAIL]:
         verdict = FAIL

@@ -7,11 +7,11 @@ arguments are folded into the relations so that both images describe
 the same intended outcome; a `#n` marker symbol stands for "some
 member of a path family" where the spec allows freedom (`any`).
 
-Statement concatenation becomes pairwise relation concatenation, and
-`else` chains become unions of arm relations guarded by the complement
-of every earlier arm's claim zone.  The compiled form keeps the arm
-list so a failed check can be blamed on the first arm whose images
-disagree.
+Statement concatenation becomes pairwise relation concatenation.  Every
+`else` chain, at the top or inside a block, is the union of the arms
+`_Lowerer.arms` masks, each guarded by the complement of every earlier
+arm's claim zone.  The compiled form keeps the top-level arm list so a
+failed check can be blamed on the first arm whose images disagree.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class MarkerBinding:
 
 @dataclass(frozen=True)
 class SubSpec:
-    """One arm of the top-level else chain, with earlier arms masked out."""
+    """One arm of an else chain, with the earlier arms masked out."""
 
     label: str
     zone: rir.PathSetExpr
@@ -83,25 +83,30 @@ def _fold(parts, join):
     return parts[0]
 
 
-def _symbol_class(symbols) -> rir.PathSetExpr:
-    syms = frozenset(symbols)
-    if len(syms) == 1:
-        return rir.Sym(next(iter(syms)))
-    return rir.SymSet(syms)
+def _chain(r, cls) -> list:
+    """The operands of a chain of `cls` nodes, left to right, iteratively."""
+    out, stack = [], [r]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, cls):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            out.append(node)
+    return out
 
 
 def lower_regex(r: RegexAst, index: LocationIndex) -> rir.PathSetExpr:
+    """Lower a regex; concatenation and union chains become balanced trees."""
     if isinstance(r, Loc):
-        return _symbol_class(r.symbols)
+        return rir.SymSet(r.symbols)
     if isinstance(r, Dot):
-        return _symbol_class(
-            s for s in index.universe if s.kind == LOCATION)
-    if isinstance(r, RxUnion):
-        return rir.Union(lower_regex(r.left, index),
-                         lower_regex(r.right, index))
-    if isinstance(r, RxConcat):
-        return rir.Concat(lower_regex(r.left, index),
-                          lower_regex(r.right, index))
+        return rir.SymSet(frozenset(
+            s for s in index.universe if s.kind == LOCATION))
+    if isinstance(r, (RxUnion, RxConcat)):
+        join = rir.Union if isinstance(r, RxUnion) else rir.Concat
+        return _fold([lower_regex(x, index) for x in _chain(r, type(r))],
+                     join)
     if isinstance(r, RxStar):
         return rir.Star(lower_regex(r.inner, index))
     if isinstance(r, RxPlus):
@@ -114,14 +119,6 @@ def lower_regex(r: RegexAst, index: LocationIndex) -> rir.PathSetExpr:
 
 def _minus(x: rir.PathSetExpr, y: rir.PathSetExpr) -> rir.PathSetExpr:
     return rir.Intersect(x, rir.Complement(y))
-
-
-def _class_of(p) -> Optional[frozenset]:
-    if isinstance(p, rir.Sym):
-        return frozenset([p.symbol])
-    if isinstance(p, rir.SymSet):
-        return p.symbols
-    return None
 
 
 def simplify_path(p: rir.PathSetExpr) -> rir.PathSetExpr:
@@ -139,9 +136,8 @@ def simplify_path(p: rir.PathSetExpr) -> rir.PathSetExpr:
             return right
         if isinstance(right, rir.Zero):
             return left
-        lc, rc = _class_of(left), _class_of(right)
-        if lc is not None and rc is not None:
-            return _symbol_class(lc | rc)
+        if isinstance(left, rir.SymSet) and isinstance(right, rir.SymSet):
+            return rir.SymSet(left.symbols | right.symbols)
         return rir.Union(left, right)
     if isinstance(p, rir.Concat):
         left, right = simplify_path(p.left), simplify_path(p.right)
@@ -261,13 +257,41 @@ class _Lowerer:
             return (rir.RelConcat(lpre, rpre), rir.RelConcat(lpost, rpost),
                     rir.Concat(lzone, rzone))
         if isinstance(s, ElseSpec):
-            fpre, fpost, fzone = self.spec(s.first)
-            spre, spost, szone = self.spec(s.second)
-            mask = rir.Identity(rir.Complement(fzone))
-            return (rir.RelUnion(fpre, rir.Compose(mask, spre)),
-                    rir.RelUnion(fpost, rir.Compose(mask, spost)),
-                    rir.Union(fzone, szone))
+            arms = self.arms(s)
+            return (_fold([a.rpre for a in arms], rir.RelUnion),
+                    _fold([a.rpost for a in arms], rir.RelUnion),
+                    _fold([a.zone for a in arms], rir.Union))
         raise TypeError(f"not a spec: {s!r}")
+
+    def arms(self, s: SpecAst) -> list[SubSpec]:
+        """The arms of an else chain in priority order, each masked.
+
+        Arm i's zone and relations are restricted to the complement of
+        the union of the earlier arms' zones.
+        """
+        nodes = []
+        while isinstance(s, ElseSpec):
+            nodes.append(s.first)
+            s = s.second
+        nodes.append(s)
+        out = []
+        prior = None  # union of the zones of the arms so far
+        for i, arm in enumerate(nodes):
+            rpre, rpost, zone = self.spec(arm)
+            zone = simplify_path(zone)
+            label = _arm_label(arm, i + 1)
+            if prior is None:
+                out.append(SubSpec(label, zone, rpre, rpost))
+                prior = zone
+                continue
+            outside = rir.Complement(prior)
+            mask = rir.Identity(outside)
+            out.append(SubSpec(label, rir.Intersect(zone, outside),
+                               rir.Compose(mask, rpre),
+                               rir.Compose(mask, rpost)))
+            if i + 1 < len(nodes):
+                prior = simplify_path(rir.Union(prior, zone))
+        return out
 
     def atomic(self, s: AtomicSpec):
         d = lower_regex(s.zone, self.index)
@@ -291,7 +315,7 @@ class _Lowerer:
                                  rir.Cross(rir.Intersect(d, old), new)),
                     rir.Identity(zone), zone)
         if isinstance(m, DropTraffic):
-            dropped = rir.Sym(self.index.table.drop)
+            dropped = rir.SymSet(frozenset([self.index.table.drop]))
             zone = rir.Union(d, dropped)
             return rir.Cross(zone, dropped), rir.Identity(zone), zone
         if isinstance(m, AnyOf):
@@ -299,7 +323,7 @@ class _Lowerer:
             marker = self.index.table.fresh_marker()
             self.markers.append(MarkerBinding(
                 marker, regex_to_text(m.paths), p))
-            mk = rir.Sym(marker)
+            mk = rir.SymSet(frozenset([marker]))
             zone = rir.Union(d, p)
             return (rir.Cross(zone, mk),
                     rir.RelUnion(rir.Cross(p, mk),
@@ -316,32 +340,9 @@ def _arm_label(arm: SpecAst, position: int) -> str:
 def compile_spec(spec: SpecAst, index: LocationIndex) -> CompiledSpec:
     """Compile one spec tree into its check equation and arm list."""
     lower = _Lowerer(index)
-
-    arms = []
-    node = spec
-    while isinstance(node, ElseSpec):
-        arms.append(node.first)
-        node = node.second
-    arms.append(node)
-
-    subspecs = []
-    prior_zone = None
-    for i, arm in enumerate(arms):
-        rpre, rpost, zone = lower.spec(arm)
-        zone = simplify_path(zone)
-        if prior_zone is None:
-            sub_zone, sub_rpre, sub_rpost = zone, rpre, rpost
-            prior_zone = zone
-        else:
-            mask = rir.Identity(rir.Complement(prior_zone))
-            sub_zone = rir.Intersect(zone, rir.Complement(prior_zone))
-            sub_rpre = rir.Compose(mask, rpre)
-            sub_rpost = rir.Compose(mask, rpost)
-            prior_zone = simplify_path(rir.Union(prior_zone, zone))
-        subspecs.append(SubSpec(_arm_label(arm, i + 1),
-                                simplify_path(sub_zone),
-                                simplify_rel(sub_rpre),
-                                simplify_rel(sub_rpost)))
+    subspecs = [SubSpec(a.label, simplify_path(a.zone), simplify_rel(a.rpre),
+                        simplify_rel(a.rpost))
+                for a in lower.arms(spec)]
 
     rpre = simplify_rel(_fold([s.rpre for s in subspecs], rir.RelUnion))
     rpost = simplify_rel(_fold([s.rpost for s in subspecs], rir.RelUnion))

@@ -556,12 +556,6 @@ class _Parser:
         t = self.peek()
         return t.kind == "KEYWORD" and t.value == word
 
-    def eat_keyword(self, word: str) -> Token:
-        t = self.next()
-        if t.kind != "KEYWORD" or t.value != word:
-            raise SpecSyntaxError(f"expected {word!r}", t.line, t.col)
-        return t
-
     # -- program structure
 
     def program(self) -> Program:
@@ -865,19 +859,8 @@ def parse_program(text: str, index: LocationIndex) -> Program:
     return _Parser(tokenize(text), index).program()
 
 
-def parse_regex(text: str, index: LocationIndex) -> RegexAst:
-    """Parse a standalone zone regex (handy for tools and tests)."""
-    p = _Parser(tokenize(text), index)
-    out = p.regex()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise SpecSyntaxError(f"trailing input {tok.value!r}",
-                              tok.line, tok.col)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Rendering (inverse of the parser, up to definition inlining)
+# Regex rendering (the compiler names `any` families with it)
 
 _BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*$")
 
@@ -891,7 +874,7 @@ def _loc_name(sym: Symbol) -> str:
 
 
 def regex_to_text(r: RegexAst, prec: int = 0) -> str:
-    """Render a regex; parse_regex(regex_to_text(r)) == r."""
+    """Render a regex so that parsing the text gives back `r`."""
     if isinstance(r, Loc):
         if len(r.symbols) == 1:
             (sym,) = r.symbols
@@ -913,63 +896,3 @@ def regex_to_text(r: RegexAst, prec: int = 0) -> str:
     if isinstance(r, RxOpt):
         return f"{regex_to_text(r.inner, 2)}?"
     raise TypeError(f"not a regex: {r!r}")
-
-
-def modifier_to_text(m: Modifier) -> str:
-    if isinstance(m, Preserve):
-        return "preserve"
-    if isinstance(m, DropTraffic):
-        return "drop"
-    if isinstance(m, Add):
-        return f"add({regex_to_text(m.paths)})"
-    if isinstance(m, Remove):
-        return f"remove({regex_to_text(m.paths)})"
-    if isinstance(m, AnyOf):
-        return f"any({regex_to_text(m.paths)})"
-    if isinstance(m, Replace):
-        return f"replace({regex_to_text(m.old)}, {regex_to_text(m.new)})"
-    raise TypeError(f"not a modifier: {m!r}")
-
-
-def spec_to_text(s: SpecAst) -> str:
-    if isinstance(s, AtomicSpec):
-        return f"{regex_to_text(s.zone, 1)} : {modifier_to_text(s.modifier)}"
-    if isinstance(s, ConcatSpec):
-        def flat(node):
-            if isinstance(node, ConcatSpec):
-                yield from flat(node.left)
-                yield from flat(node.right)
-            else:
-                yield node
-        return "{ " + " ".join(spec_to_text(p) + ";" for p in flat(s)) + " }"
-    if isinstance(s, ElseSpec):
-        return "{ " + spec_to_text(s.first) + "; } else { " \
-            + spec_to_text(s.second) + "; }"
-    raise TypeError(f"not a spec: {s!r}")
-
-
-def predicate_to_text(p: PrefixPredicate) -> str:
-    if isinstance(p, PredTrue):
-        return "true"
-    if isinstance(p, PredAtom):
-        if p.op == "in":
-            return f"{p.fieldname} in {{{', '.join(str(c) for c in p.cidrs)}}}"
-        return f"{p.fieldname} {p.op} {p.cidrs[0]}"
-    if isinstance(p, PredAnd):
-        return f"({predicate_to_text(p.left)} and {predicate_to_text(p.right)})"
-    if isinstance(p, PredOr):
-        return f"({predicate_to_text(p.left)} or {predicate_to_text(p.right)})"
-    if isinstance(p, PredNot):
-        return f"not {predicate_to_text(p.inner)}"
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def program_to_text(program: Program) -> str:
-    """Render a program in inlined form; reparsing restores the program."""
-    lines = []
-    for i, g in enumerate(program.guarded):
-        lines.append(f"pspec {g.name} := {predicate_to_text(g.predicate)} "
-                     f"-> {spec_to_text(g.spec)}")
-    if program.default is not None:
-        lines.append(f"spec main := {spec_to_text(program.default)}")
-    return "\n".join(lines) + "\n"

@@ -4,30 +4,27 @@ Three expression sublanguages, each a small tree of frozen dataclasses:
 
 * path sets   -- regular expressions over locations, extended with the two
   snapshot references `PreState` / `PostState` and the image operator
-  `Image(P, R)`;
+  `Image(P, R)`; the one leaf over locations is `SymSet`, a set of
+  length-one paths (a single location is a one-element set);
 * relations   -- regular expressions over *pairs* of paths, built from
   `Cross`, `Identity` and the usual closure operators plus `Compose`;
 * specs       -- the check equation `Equal(left, right)` between two path
   sets, the one form the compiler emits.
 
-`Evaluator` (or the one-shot `eval_pathset`) lowers path sets and
-relations to automata from :mod:`rela.automata`; deciding and explaining
-an equation is left to :mod:`rela.checker`.  `oracle_eval_pathset` is an
-independent, deliberately naive evaluator over explicit bounded path
-sets, used by the test suite to keep the automata path honest.
+`Evaluator` lowers path sets to acceptors and relations to pair-labelled
+transducers, both `Fsa`s from :mod:`rela.automata`; deciding and
+explaining an equation is left to :mod:`rela.checker`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
 from typing import Optional
 
 from .automata import (
-    Fsa, Fst, MARKER, Symbol, accepts, apply_image, complement, fsa_concat,
-    fsa_empty, fsa_intersect, fsa_star, fsa_symbol, fsa_symbol_class,
-    fsa_union, fsa_unit, fst_compose, fst_concat, fst_cross, fst_empty,
-    fst_identity, fst_star, fst_union, fst_unit, is_empty,
+    Fsa, MARKER, Symbol, accepts, apply_image, complement, fsa_concat,
+    fsa_empty, fsa_intersect, fsa_star, fsa_symbol_class, fsa_union,
+    fsa_unit, fst_compose, fst_cross, fst_identity, is_empty,
 )
 
 
@@ -74,15 +71,10 @@ class SpecExpr(_Node):
 
 
 @_node
-class Sym(PathSetExpr):
-    symbol: Symbol
-
-
-@_node
 class SymSet(PathSetExpr):
-    """The length-one paths over a set of locations, as a single leaf.
+    """The length-one paths over a set of symbols, as a single leaf.
 
-    Semantically a union of `Sym` leaves; keeping wide location classes
+    A single location is a one-element set; keeping wide location classes
     as one node keeps the lowered machines flat.
     """
 
@@ -271,8 +263,6 @@ class Evaluator:
 
     def _pathset(self, p: PathSetExpr) -> Fsa:
         u = self.universe
-        if isinstance(p, Sym):
-            return fsa_symbol(p.symbol, u)
         if isinstance(p, SymSet):
             return fsa_symbol_class(p.symbols, u)
         if isinstance(p, Zero):
@@ -331,7 +321,7 @@ class Evaluator:
             return self._image(self._image(source, r.left), r.right)
         return apply_image(source, self.rel(r))
 
-    def rel(self, r: RelExpr) -> Fst:
+    def rel(self, r: RelExpr) -> Fsa:
         cache = self._ground if r.ground else self._local
         got = cache.get(r)
         if got is None:
@@ -339,159 +329,39 @@ class Evaluator:
             cache[r] = got
         return got
 
-    def _rel(self, r: RelExpr) -> Fst:
+    def _rel(self, r: RelExpr) -> Fsa:
+        """A relation as a pair-labelled transducer (see rela.automata)."""
         if isinstance(r, Cross):
             return fst_cross(self.pathset(r.left), self.pathset(r.right))
         if isinstance(r, Identity):
             return fst_identity(self.pathset(r.source))
         if isinstance(r, RelZero):
-            return fst_empty()
+            return fsa_empty(self.universe)
         if isinstance(r, RelOne):
-            return fst_unit()
+            return fsa_unit(self.universe)
         if isinstance(r, RelUnion):
-            return fst_union(self.rel(r.left), self.rel(r.right))
+            return fsa_union(self.rel(r.left), self.rel(r.right))
         if isinstance(r, RelConcat):
-            return fst_concat(self.rel(r.left), self.rel(r.right))
+            return fsa_concat(self.rel(r.left), self.rel(r.right))
         if isinstance(r, RelStar):
-            return fst_star(self.rel(r.inner))
+            return fsa_star(self.rel(r.inner))
         if isinstance(r, Compose):
             return fst_compose(self.rel(r.left), self.rel(r.right))
         raise TypeError(f"not a relation expression: {r!r}")
-
-
-def eval_pathset(p: PathSetExpr, env: SnapshotPair,
-                 ground_cache: Optional[dict] = None) -> Fsa:
-    return Evaluator(env, ground_cache).pathset(p)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-
-@dataclass(frozen=True)
-class OracleEnv:
-    """Explicit finite path sets standing in for the two snapshots."""
-
-    pre: frozenset
-    post: frozenset
-    universe: tuple[Symbol, ...]
-
-
-_MAX_ORACLE_LEN = 8
-
-
-def oracle_eval_pathset(p: PathSetExpr, env: OracleEnv,
-                        maxlen: int) -> frozenset:
-    """Evaluate a path-set expression over explicit sets, length-bounded.
-
-    Returns the denoted set restricted to paths of length <= maxlen,
-    computed without automata: unions and intersections are set ops,
-    closures iterate to a fixed point under the length bound, complements
-    materialize the bounded universe.  Relations inside Image nodes are
-    evaluated as explicit pair sets with both components bounded.
-    """
-    if maxlen > _MAX_ORACLE_LEN:
-        raise ValueError(f"oracle maxlen capped at {_MAX_ORACLE_LEN}")
-    return frozenset(_o_pathset(p, env, maxlen))
-
-
-def _bounded_universe(universe, maxlen):
-    out = {()}
-    for n in range(1, maxlen + 1):
-        out.update(itertools.product(universe, repeat=n))
-    return out
-
-
-def _o_pathset(p, env, maxlen):
-    if isinstance(p, Sym):
-        return {(p.symbol,)} if maxlen >= 1 else set()
-    if isinstance(p, SymSet):
-        return {(s,) for s in p.symbols} if maxlen >= 1 else set()
-    if isinstance(p, Zero):
-        return set()
-    if isinstance(p, One):
-        return {()}
-    if isinstance(p, PreState):
-        return {q for q in env.pre if len(q) <= maxlen}
-    if isinstance(p, PostState):
-        return {q for q in env.post if len(q) <= maxlen}
-    if isinstance(p, Union):
-        return _o_pathset(p.left, env, maxlen) | _o_pathset(p.right, env, maxlen)
-    if isinstance(p, Concat):
-        xs = _o_pathset(p.left, env, maxlen)
-        ys = _o_pathset(p.right, env, maxlen)
-        return {x + y for x in xs for y in ys if len(x) + len(y) <= maxlen}
-    if isinstance(p, Star):
-        base = _o_pathset(p.inner, env, maxlen)
-        acc = {()}
-        while True:
-            nxt = acc | {x + y for x in acc for y in base
-                         if len(x) + len(y) <= maxlen}
-            if nxt == acc:
-                return acc
-            acc = nxt
-    if isinstance(p, Intersect):
-        return _o_pathset(p.left, env, maxlen) & _o_pathset(p.right, env, maxlen)
-    if isinstance(p, Complement):
-        return _bounded_universe(env.universe, maxlen) - \
-            _o_pathset(p.inner, env, maxlen)
-    if isinstance(p, Image):
-        src = _o_pathset(p.source, env, maxlen)
-        rel = _o_rel(p.rel, env, maxlen)
-        return {q for (x, q) in rel if x in src}
-    raise TypeError(f"not a path-set expression: {p!r}")
-
-
-def _o_rel(r, env, maxlen):
-    if isinstance(r, Cross):
-        xs = _o_pathset(r.left, env, maxlen)
-        ys = _o_pathset(r.right, env, maxlen)
-        return {(x, y) for x in xs for y in ys}
-    if isinstance(r, Identity):
-        return {(x, x) for x in _o_pathset(r.source, env, maxlen)}
-    if isinstance(r, RelZero):
-        return set()
-    if isinstance(r, RelOne):
-        return {((), ())}
-    if isinstance(r, RelUnion):
-        return _o_rel(r.left, env, maxlen) | _o_rel(r.right, env, maxlen)
-    if isinstance(r, RelConcat):
-        xs = _o_rel(r.left, env, maxlen)
-        ys = _o_rel(r.right, env, maxlen)
-        return {(a + c, b + d) for (a, b) in xs for (c, d) in ys
-                if len(a) + len(c) <= maxlen and len(b) + len(d) <= maxlen}
-    if isinstance(r, RelStar):
-        base = _o_rel(r.inner, env, maxlen)
-        acc = {((), ())}
-        while True:
-            nxt = acc | {(a + c, b + d) for (a, b) in acc for (c, d) in base
-                         if len(a) + len(c) <= maxlen
-                         and len(b) + len(d) <= maxlen}
-            if nxt == acc:
-                return acc
-            acc = nxt
-    if isinstance(r, Compose):
-        xs = _o_rel(r.left, env, maxlen)
-        ys = _o_rel(r.right, env, maxlen)
-        by_mid: dict = {}
-        for (m, q) in ys:
-            by_mid.setdefault(m, []).append(q)
-        return {(x, q) for (x, m) in xs for q in by_mid.get(m, ())}
-    raise TypeError(f"not a relation expression: {r!r}")
 
 
 # ---------------------------------------------------------------------------
 # Debug rendering
 
 
-_ATOMS = (Sym, SymSet, Zero, One, PreState, PostState)
+_ATOMS = (SymSet, Zero, One, PreState, PostState)
 
 
 def _p_atom(p) -> str:
-    if isinstance(p, Sym):
-        return p.symbol.name
     if isinstance(p, SymSet):
         names = sorted(s.name for s in p.symbols)
+        if len(names) == 1:
+            return names[0]
         if len(names) > 8:
             return f"[{len(names)} locations]"
         return "(" + " | ".join(names) + ")"

@@ -261,36 +261,6 @@ def load_fecs(path: str,
 
 
 # ---------------------------------------------------------------------------
-# Canonical serialization
-
-
-def graph_to_json_dict(g: ForwardingGraph) -> dict:
-    return {
-        "nodes": [{"id": n, "loc": loc} for n, loc in zip(g.nodes, g.locs)],
-        "edges": [[u, v] for u, v in g.edges],
-        "sources": list(g.sources),
-        "sinks": list(g.sinks),
-    }
-
-
-def fec_to_json_dict(fec: Fec) -> dict:
-    traffic = {"dstPrefix": fec.traffic.dst_prefix}
-    if fec.traffic.src_prefix is not None:
-        traffic["srcPrefix"] = fec.traffic.src_prefix
-    return {
-        "id": fec.fec_id,
-        "traffic": traffic,
-        "pre": graph_to_json_dict(fec.pre),
-        "post": graph_to_json_dict(fec.post),
-    }
-
-
-def fec_to_line(fec: Fec) -> str:
-    """One canonical NDJSON line; stable field order, no extra spaces."""
-    return json.dumps(fec_to_json_dict(fec), separators=(",", ":"))
-
-
-# ---------------------------------------------------------------------------
 # Coarsening and lowering to an acceptor
 
 

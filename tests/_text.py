@@ -1,0 +1,116 @@
+"""Text forms only the tests use: standalone regexes, specs, FEC lines.
+
+`parse_regex` parses one zone regex on its own.  `program_to_text`
+inverts `rela.frontend.parse_program` up to definition inlining, and
+`fec_to_line` writes the canonical NDJSON line that
+`rela.snapshot.parse_fec` reads back.
+"""
+
+from __future__ import annotations
+
+import json
+
+from rela.frontend import (
+    Add, AnyOf, AtomicSpec, ConcatSpec, DropTraffic, ElseSpec,
+    LocationIndex, Modifier, PredAnd, PredAtom, PredNot, PredOr, PredTrue,
+    PrefixPredicate, Preserve, Program, RegexAst, Remove, Replace, SpecAst,
+    SpecSyntaxError, _Parser, regex_to_text, tokenize,
+)
+from rela.snapshot import Fec, ForwardingGraph
+
+
+def parse_regex(text: str, index: LocationIndex) -> RegexAst:
+    """Parse a standalone zone regex."""
+    p = _Parser(tokenize(text), index)
+    out = p.regex()
+    tok = p.peek()
+    if tok.kind != "EOF":
+        raise SpecSyntaxError(f"trailing input {tok.value!r}",
+                              tok.line, tok.col)
+    return out
+
+
+def modifier_to_text(m: Modifier) -> str:
+    if isinstance(m, Preserve):
+        return "preserve"
+    if isinstance(m, DropTraffic):
+        return "drop"
+    if isinstance(m, Add):
+        return f"add({regex_to_text(m.paths)})"
+    if isinstance(m, Remove):
+        return f"remove({regex_to_text(m.paths)})"
+    if isinstance(m, AnyOf):
+        return f"any({regex_to_text(m.paths)})"
+    if isinstance(m, Replace):
+        return f"replace({regex_to_text(m.old)}, {regex_to_text(m.new)})"
+    raise TypeError(f"not a modifier: {m!r}")
+
+
+def spec_to_text(s: SpecAst) -> str:
+    if isinstance(s, AtomicSpec):
+        return f"{regex_to_text(s.zone, 1)} : {modifier_to_text(s.modifier)}"
+    if isinstance(s, ConcatSpec):
+        def flat(node):
+            if isinstance(node, ConcatSpec):
+                yield from flat(node.left)
+                yield from flat(node.right)
+            else:
+                yield node
+        return "{ " + " ".join(spec_to_text(p) + ";" for p in flat(s)) + " }"
+    if isinstance(s, ElseSpec):
+        return "{ " + spec_to_text(s.first) + "; } else { " \
+            + spec_to_text(s.second) + "; }"
+    raise TypeError(f"not a spec: {s!r}")
+
+
+def predicate_to_text(p: PrefixPredicate) -> str:
+    if isinstance(p, PredTrue):
+        return "true"
+    if isinstance(p, PredAtom):
+        if p.op == "in":
+            return f"{p.fieldname} in {{{', '.join(str(c) for c in p.cidrs)}}}"
+        return f"{p.fieldname} {p.op} {p.cidrs[0]}"
+    if isinstance(p, PredAnd):
+        return f"({predicate_to_text(p.left)} and {predicate_to_text(p.right)})"
+    if isinstance(p, PredOr):
+        return f"({predicate_to_text(p.left)} or {predicate_to_text(p.right)})"
+    if isinstance(p, PredNot):
+        return f"not {predicate_to_text(p.inner)}"
+    raise TypeError(f"not a predicate: {p!r}")
+
+
+def program_to_text(program: Program) -> str:
+    """Render a program in inlined form; reparsing restores the program."""
+    lines = []
+    for g in program.guarded:
+        lines.append(f"pspec {g.name} := {predicate_to_text(g.predicate)} "
+                     f"-> {spec_to_text(g.spec)}")
+    if program.default is not None:
+        lines.append(f"spec main := {spec_to_text(program.default)}")
+    return "\n".join(lines) + "\n"
+
+
+def graph_to_json_dict(g: ForwardingGraph) -> dict:
+    return {
+        "nodes": [{"id": n, "loc": loc} for n, loc in zip(g.nodes, g.locs)],
+        "edges": [[u, v] for u, v in g.edges],
+        "sources": list(g.sources),
+        "sinks": list(g.sinks),
+    }
+
+
+def fec_to_json_dict(fec: Fec) -> dict:
+    traffic = {"dstPrefix": fec.traffic.dst_prefix}
+    if fec.traffic.src_prefix is not None:
+        traffic["srcPrefix"] = fec.traffic.src_prefix
+    return {
+        "id": fec.fec_id,
+        "traffic": traffic,
+        "pre": graph_to_json_dict(fec.pre),
+        "post": graph_to_json_dict(fec.post),
+    }
+
+
+def fec_to_line(fec: Fec) -> str:
+    """One canonical NDJSON line; stable field order, no extra spaces."""
+    return json.dumps(fec_to_json_dict(fec), separators=(",", ":"))

@@ -21,8 +21,10 @@ from rela import rir
 from rela.rir import (
     Complement, Compose, Concat, Cross, Identity, Image, Intersect, One,
     PostState, PreState, RelConcat, RelOne, RelStar, RelUnion, RelZero,
-    Sym, SymSet, Star, Union, Zero,
+    SymSet, Star, Union, Zero,
 )
+
+from _oracle import OracleEnv
 
 INF = float("inf")
 
@@ -32,7 +34,7 @@ INF = float("inf")
 
 def ps_maxlen(p, env_ml):
     """Upper bound on member lengths; INF when unbounded."""
-    if isinstance(p, (Sym, SymSet)):
+    if isinstance(p, SymSet):
         return 1
     if isinstance(p, (Zero, One)):
         return 0
@@ -57,8 +59,6 @@ def ps_maxlen(p, env_ml):
 
 def ps_minlen(p, env_ml):
     """Lower bound on member lengths (0 is always sound)."""
-    if isinstance(p, Sym):
-        return 1
     if isinstance(p, SymSet):
         return 1 if p.symbols else INF
     if isinstance(p, One):
@@ -133,7 +133,7 @@ def rel_safe(r, env_ml, bound):
 
 
 def tree_safe(p, env_ml, bound):
-    if isinstance(p, (Sym, SymSet, Zero, One, PreState, PostState)):
+    if isinstance(p, (SymSet, Zero, One, PreState, PostState)):
         return True
     if isinstance(p, (Union, Concat, Intersect)):
         return tree_safe(p.left, env_ml, bound) and \
@@ -159,7 +159,7 @@ class TreeGen:
     def leaf(self):
         r = self.rng.random()
         if r < 0.35:
-            return Sym(self.rng.choice(self.symbols))
+            return SymSet(frozenset([self.rng.choice(self.symbols)]))
         if r < 0.47:
             k = self.rng.randint(1, min(3, len(self.symbols)))
             return SymSet(frozenset(self.rng.sample(self.symbols, k)))
@@ -270,7 +270,7 @@ def make_env(rng, n_locations=2):
     post = random_paths(rng, symbols)
     env = rir.SnapshotPair(fsa_from_paths(pre, universe),
                            fsa_from_paths(post, universe))
-    oenv = rir.OracleEnv(pre, post, tuple(sorted(universe)))
+    oenv = OracleEnv(pre, post, tuple(sorted(universe)))
     env_ml = (max((len(p) for p in pre), default=0),
               max((len(p) for p in post), default=0))
     return table, symbols, env, oenv, env_ml

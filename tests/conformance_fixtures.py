@@ -98,6 +98,25 @@ CONFORMANCE = [
      ["a"], ["a"], False),
     ("else-fallback-arm", "a : drop else . : preserve",
      ["b"], ["b"], True),
+
+    # else inside a block: the chain splits the second hop, each arm
+    # masked by the zones of the arms before it
+    ("else-in-block-dropped", "{ a : preserve; b : drop else . : preserve; }",
+     ["a b"], ["a drop"], True),
+    ("else-in-block-not-dropped",
+     "{ a : preserve; b : drop else . : preserve; }",
+     ["a b"], ["a b"], False),
+    # b is claimed by the drop arm, so the add arm, whose zone also holds
+    # b, must not add a d after it
+    ("else-in-block-3-masked", "{ a : preserve; b : drop else b | c : "
+     "add(d) else . : preserve; }",
+     ["a b"], ["a drop"], True),
+    ("else-in-block-3-added", "{ a : preserve; b : drop else b | c : "
+     "add(d) else . : preserve; }",
+     ["a c"], ["a c", "a d"], True),
+    ("else-in-block-3-add-missing", "{ a : preserve; b : drop else b | c : "
+     "add(d) else . : preserve; }",
+     ["a c"], ["a c"], False),
 ]
 
 

@@ -18,11 +18,11 @@ from rela.checker import CheckOptions, check_all, check_fec, report_to_json
 from rela.cli import main
 from rela.compiler import compile_program, compile_spec
 from rela.frontend import Granularity, LocationDb, parse_program
-from rela.rir import (Evaluator, SnapshotPair, eval_pathset,
-                      oracle_eval_pathset, pretty)
+from rela.rir import Evaluator, SnapshotPair, pretty
 from rela.snapshot import fec_acceptors, graph_to_fsa, coarsen, parse_fec
 
 from _fecgen import make_index, mutate_one_edge, random_fec_dict
+from _oracle import oracle_eval_pathset
 from _treegen import TreeGen, bounded_language, fsa_from_paths, make_env
 from conformance_fixtures import CONFORMANCE, run_case
 
@@ -46,7 +46,7 @@ def test_1_oracle_equivalence():
         gen = TreeGen(rng, symbols, env_ml, bound=6)
         for _ in range(10):
             tree = gen.tree(depth=4)
-            got = bounded_language(eval_pathset(tree, env), 6)
+            got = bounded_language(Evaluator(env).pathset(tree), 6)
             want = oracle_eval_pathset(tree, oenv, 6)
             assert got == want, f"disagreement on {pretty(tree)}"
             checked += 1

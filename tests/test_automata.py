@@ -1,4 +1,4 @@
-"""Kernel tests: acceptors, transducers, and their algebra.
+"""Kernel tests: acceptors, pair-labelled transducers, and their algebra.
 
 The reference point throughout is a tiny set-semantics evaluator over the
 same constructor trees `build_fsa` consumes: it computes the denoted
@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from rela.automata import (
     substitute,
-    AlphabetError, Fsa, Fst, PathList, Symbol, SymbolTable, accepts,
+    AlphabetError, Fsa, PathList, Symbol, SymbolTable, accepts,
     apply_image, complement, determinize, enumerate_shortest, fsa_concat,
     fsa_difference, fsa_empty, fsa_equivalent, fsa_intersect, fsa_star,
     fsa_symbol, fsa_symbol_class, fsa_union, fsa_unit, fst_compose,
-    fst_cross, fst_empty, fst_identity, fst_star, fst_unit, is_empty,
-    minimize, project_input, project_output, fst_concat, fst_union,
+    fst_cross, fst_identity, is_empty, minimize, project_output,
 )
 
 
@@ -59,12 +58,14 @@ def build_fsa(expr, universe) -> Fsa:
     raise ValueError(f"unknown constructor {op!r}")
 
 
-def build_fst(expr) -> Fst:
-    """Build a transducer from a relation constructor tree.
+def build_fst(expr) -> Fsa:
+    """Build a pair-labelled transducer from a relation constructor tree.
 
     Trees are nested tuples with `Fsa` leaves: ``("cross", p1, p2)``,
     ``("identity", p)``, ``("empty",)``, ``("unit",)``, ``("union", x, y)``,
-    ``("concat", x, y)``, ``("star", x)``, ``("compose", x, y)``.
+    ``("concat", x, y)``, ``("star", x)``, ``("compose", x, y)``.  Only
+    cross, identity and compose are transducer operations; the rest are
+    the acceptor constructors, which never look inside a label.
     """
     op = expr[0]
     if op == "cross":
@@ -72,18 +73,28 @@ def build_fst(expr) -> Fst:
     if op == "identity":
         return fst_identity(expr[1])
     if op == "empty":
-        return fst_empty()
+        return fsa_empty(frozenset())
     if op == "unit":
-        return fst_unit()
+        return fsa_unit(frozenset())
     if op == "union":
-        return fst_union(build_fst(expr[1]), build_fst(expr[2]))
+        return fsa_union(build_fst(expr[1]), build_fst(expr[2]))
     if op == "concat":
-        return fst_concat(build_fst(expr[1]), build_fst(expr[2]))
+        return fsa_concat(build_fst(expr[1]), build_fst(expr[2]))
     if op == "star":
-        return fst_star(build_fst(expr[1]))
+        return fsa_star(build_fst(expr[1]))
     if op == "compose":
         return fst_compose(build_fst(expr[1]), build_fst(expr[2]))
     raise ValueError(f"unknown constructor {op!r}")
+
+
+def project_input(t: Fsa) -> Fsa:
+    """The input tape of a pair-labelled transducer, as an acceptor."""
+    arcs = tuple(tuple((label if label is None else label[0], dst)
+                       for label, dst in state_arcs)
+                 for state_arcs in t.arcs)
+    read = frozenset(label for state_arcs in arcs for label, _ in state_arcs
+                     if label is not None)
+    return Fsa(read, t.num_states, t.initial, t.accepting, arcs)
 
 
 def all_strings(syms, maxlen):
@@ -402,7 +413,7 @@ def test_relation_concat_pairs_componentwise():
     # (a x b)(c x a) relates ac to ba.
     t, a, b, c = table3()
     u = t.universe()
-    r = fst_concat(fst_cross(fsa_symbol(a, u), fsa_symbol(b, u)),
+    r = fsa_concat(fst_cross(fsa_symbol(a, u), fsa_symbol(b, u)),
                    fst_cross(fsa_symbol(c, u), fsa_symbol(a, u)))
     img = apply_image(fsa_concat(fsa_symbol(a, u), fsa_symbol(c, u)), r)
     assert enumerate_shortest(img, 5).render() == ["b a"]
@@ -414,7 +425,7 @@ def test_relation_star_iterates_pairs():
     # (a x b)* maps a^n to b^n.
     t, a, b, c = table3()
     u = t.universe()
-    r = fst_star(fst_cross(fsa_symbol(a, u), fsa_symbol(b, u)))
+    r = fsa_star(fst_cross(fsa_symbol(a, u), fsa_symbol(b, u)))
     img = apply_image(fsa_concat(fsa_symbol(a, u),
                                  fsa_concat(fsa_symbol(a, u),
                                             fsa_symbol(a, u))), r)
@@ -424,9 +435,9 @@ def test_relation_star_iterates_pairs():
 def test_unit_relation_is_identity_on_empty_path():
     t, a, b, c = table3()
     u = t.universe()
-    img = apply_image(fsa_unit(u), fst_unit())
+    img = apply_image(fsa_unit(u), fsa_unit(u))
     assert enumerate_shortest(img, 5).render() == [""]
-    assert is_empty(apply_image(fsa_symbol(a, u), fst_unit()))
+    assert is_empty(apply_image(fsa_symbol(a, u), fsa_unit(u)))
 
 
 def test_projections():

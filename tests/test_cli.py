@@ -92,17 +92,46 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_internal_error_is_three(self, tmp_path, capsys):
-        # A 900-atom concatenation zone overruns the recursion limit; that
-        # is a crash of the checker, not a verdict on the change.
-        zone = " ".join(["x1"] * 900)
-        spec_text = f"spec main := {{ {zone} : preserve; }}\n"
-        argv = write_world(tmp_path, FAILING, spec_text=spec_text)
+    def test_internal_error_is_three(self, tmp_path, capsys, monkeypatch):
+        # A crash of the checker is not a verdict on the change.
+        def crash(*args, **kwargs):
+            raise RuntimeError("checker bug")
+
+        monkeypatch.setattr("rela.cli.check_all", crash)
+        argv = write_world(tmp_path, FAILING)
         assert main(argv + ["--workers", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" in captured.err
-        assert "rela: internal error: RecursionError:" in captured.err
+        assert "rela: internal error: RuntimeError: checker bug" \
+            in captured.err
+
+
+class TestDeepZones:
+    """Zone regexes far longer than the recursion limit still check."""
+
+    @pytest.mark.parametrize("atoms", [900, 5000])
+    def test_long_concatenation(self, tmp_path, capsys, atoms):
+        # No FEC path is that long, so both FECs are outside the zone.
+        zone = " ".join(["x1"] * atoms)
+        spec_text = f"spec main := {{ {zone} : preserve; }}\n"
+        argv = write_world(tmp_path, FAILING, spec_text=spec_text)
+        assert main(argv + ["--workers", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"]["pass"] == 2
+
+    def test_wide_union(self, tmp_path, capsys):
+        # 3000 two-hop alternatives; the zone holds x1 a1 and x1 a2, so
+        # moving f2 from a1 to a2 is a violation.
+        hops = ["a1", "a2", "b1", "d1"]
+        zone = " | ".join(f"x1 {hops[i % 4]}" for i in range(3000))
+        spec_text = f"spec main := {{ {zone} : preserve; }}\n"
+        argv = write_world(tmp_path, FAILING, spec_text=spec_text)
+        assert main(argv + ["--workers", "1"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"] == {"pass": 1, "fail": 1, "unmatched": 0,
+                                 "error": 0}
+        assert doc["counterexamples"][0]["missing"]["paths"] == ["x1 a1"]
 
 
 class TestStrict:

@@ -13,8 +13,10 @@ from rela.compiler import (
     compile_program, compile_spec, lower_regex, simplify_path, simplify_rel,
 )
 from rela.frontend import (
-    Granularity, LocationDb, parse_program, parse_regex,
+    Granularity, LocationDb, parse_program,
 )
+
+from _text import parse_regex
 
 
 @pytest.fixture
@@ -23,7 +25,7 @@ def index():
 
 
 def sym(index, name):
-    return rir.Sym(index.symbol_of[name])
+    return rir.SymSet(frozenset([index.symbol_of[name]]))
 
 
 def symset(index, *names):
@@ -65,8 +67,8 @@ class TestLowerRegex:
         env = rir.SnapshotPair(empty, empty)
         plus = compiled_for(index, "a+ : preserve").subspecs[0].zone
         spelled = compiled_for(index, "a a* : preserve").subspecs[0].zone
-        assert fsa_equivalent(rir.eval_pathset(plus, env),
-                              rir.eval_pathset(spelled, env))
+        ev = rir.Evaluator(env)
+        assert fsa_equivalent(ev.pathset(plus), ev.pathset(spelled))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ class TestModifierRelations:
 
     def test_drop(self, index):
         c = compiled_for(index, "a : drop")
-        dropped = rir.Sym(index.table.drop)
+        dropped = rir.SymSet(frozenset([index.table.drop]))
         zone = rir.SymSet(frozenset(
             [index.symbol_of["a"], index.table.drop]))
         assert c.top.left.rel == rir.Cross(zone, dropped)
@@ -129,7 +131,7 @@ class TestModifierRelations:
         assert binding.symbol.kind == "marker"
         assert binding.source_text == "b"
         assert binding.pathset == b
-        mk = rir.Sym(binding.symbol)
+        mk = rir.SymSet(frozenset([binding.symbol]))
         zone = symset(index, "a", "b")
         assert c.top.left.rel == rir.Cross(zone, mk)
         assert c.top.right.rel == rir.RelUnion(
@@ -164,7 +166,7 @@ class TestElseChains:
         # mask composition folds into the cross's input side
         assert second.rpre == rir.Cross(
             rir.Intersect(rir.Complement(a), drop_zone),
-            rir.Sym(index.table.drop))
+            rir.SymSet(frozenset([index.table.drop])))
         assert second.zone == rir.Intersect(drop_zone, rir.Complement(a))
 
     def test_whole_relation_is_arm_union(self, index):

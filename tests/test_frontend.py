@@ -13,9 +13,10 @@ from rela.frontend import (
     PredAtom, PredTrue, Program, RxConcat, RxOpt, RxPlus, RxStar, RxUnion,
     Remove, Replace,
     SpecResolveError, SpecSyntaxError, match_predicate, parse_program,
-    parse_regex, program_to_text, regex_to_text, resolve_where, spec_to_text,
-    tokenize,
+    regex_to_text, resolve_where, tokenize,
 )
+
+from _text import parse_regex, program_to_text, spec_to_text
 
 
 def make_db():

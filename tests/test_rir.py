@@ -6,16 +6,26 @@ import random
 
 import pytest
 
+from _oracle import OracleEnv, oracle_eval_pathset
 from _treegen import TreeGen, bounded_language, fsa_from_paths, make_env
 from rela.automata import (
     SymbolTable, accepts, enumerate_shortest, is_empty,
 )
 from rela.rir import (
     Complement, Compose, Concat, Cross, Equal, Evaluator, Identity, Image,
-    Intersect, One, OracleEnv, PostState, PreState, RelConcat, RelOne,
-    RelStar, RelUnion, RelZero, SnapshotPair, Star, Sym, SymSet, Union,
-    Zero, eval_pathset, oracle_eval_pathset, pretty,
+    Intersect, One, PostState, PreState, RelConcat, RelOne, RelStar,
+    RelUnion, RelZero, SnapshotPair, Star, SymSet, Union, Zero, pretty,
 )
+
+
+def eval_pathset(p, env, ground_cache=None):
+    """Evaluate one expression with a fresh `Evaluator`."""
+    return Evaluator(env, ground_cache).pathset(p)
+
+
+def sym(s):
+    """The one-element location class {s}."""
+    return SymSet(frozenset([s]))
 
 
 def small_world():
@@ -39,7 +49,7 @@ def paths_of(fsa, limit=50):
 
 def test_leaves():
     t, (a, b, c), env, _ = small_world()
-    assert paths_of(eval_pathset(Sym(a), env)) == {"a"}
+    assert paths_of(eval_pathset(sym(a), env)) == {"a"}
     assert paths_of(eval_pathset(One(), env)) == {""}
     assert is_empty(eval_pathset(Zero(), env))
     assert paths_of(eval_pathset(PreState(), env)) == {"a", "a b"}
@@ -52,15 +62,15 @@ def test_symbol_class_leaf():
     assert paths_of(eval_pathset(expr, env)) == {"a", "c"}
     assert oracle_eval_pathset(expr, oenv, 2) == {(a,), (c,)}
     # one leaf, same language as the union of its members
-    assert paths_of(eval_pathset(Union(Sym(a), Sym(c)), env)) == \
+    assert paths_of(eval_pathset(Union(sym(a), sym(c)), env)) == \
         paths_of(eval_pathset(expr, env))
 
 
 def test_union_concat_star():
     t, (a, b, c), env, _ = small_world()
-    m = eval_pathset(Union(Sym(a), Concat(Sym(b), Sym(c))), env)
+    m = eval_pathset(Union(sym(a), Concat(sym(b), sym(c))), env)
     assert paths_of(m) == {"a", "b c"}
-    s = eval_pathset(Star(Sym(a)), env)
+    s = eval_pathset(Star(sym(a)), env)
     assert accepts(s, ()) and accepts(s, (a, a, a))
     assert not accepts(s, (b,))
 
@@ -68,7 +78,7 @@ def test_union_concat_star():
 def test_intersect_with_complement_of_one():
     # a* with the empty path removed: the non-empty runs of a.
     t, (a, b, c), env, _ = small_world()
-    m = eval_pathset(Intersect(Star(Sym(a)), Complement(One())), env)
+    m = eval_pathset(Intersect(Star(sym(a)), Complement(One())), env)
     got = enumerate_shortest(m, 3)
     assert got.render() == ["a", "a a", "a a a"]
     assert got.truncated
@@ -77,35 +87,35 @@ def test_intersect_with_complement_of_one():
 def test_image_of_cross():
     # Image(PreState, D x P): pre holds a D-path, so the image is all of P.
     t, (a, b, c), env, _ = small_world()
-    d = Sym(a)
-    p = Union(Sym(b), Sym(c))
+    d = sym(a)
+    p = Union(sym(b), sym(c))
     img = eval_pathset(Image(PreState(), Cross(d, p)), env)
     assert paths_of(img) == {"b", "c"}
     # No pre-path lies in the domain: empty image.
-    img2 = eval_pathset(Image(PreState(), Cross(Sym(c), p)), env)
+    img2 = eval_pathset(Image(PreState(), Cross(sym(c), p)), env)
     assert is_empty(img2)
 
 
 def test_image_of_identity_filters():
     t, (a, b, c), env, _ = small_world()
-    img = eval_pathset(Image(PreState(), Identity(Sym(a))), env)
+    img = eval_pathset(Image(PreState(), Identity(sym(a))), env)
     assert paths_of(img) == {"a"}
 
 
 def test_compose_and_relstar():
     t, (a, b, c), env, _ = small_world()
-    swap = Compose(Cross(Sym(a), Sym(b)), Cross(Sym(b), Sym(c)))
-    img = eval_pathset(Image(Sym(a), swap), env)
+    swap = Compose(Cross(sym(a), sym(b)), Cross(sym(b), sym(c)))
+    img = eval_pathset(Image(sym(a), swap), env)
     assert paths_of(img) == {"c"}
-    stretch = RelStar(Cross(Sym(a), Sym(b)))
-    img2 = eval_pathset(Image(Concat(Sym(a), Sym(a)), stretch), env)
+    stretch = RelStar(Cross(sym(a), sym(b)))
+    img2 = eval_pathset(Image(Concat(sym(a), sym(a)), stretch), env)
     assert paths_of(img2) == {"b b"}
 
 
 def test_relconcat_pairs_componentwise():
     t, (a, b, c), env, _ = small_world()
-    r = RelConcat(Cross(Sym(a), Sym(b)), Identity(Sym(c)))
-    img = eval_pathset(Image(Concat(Sym(a), Sym(c)), r), env)
+    r = RelConcat(Cross(sym(a), sym(b)), Identity(sym(c)))
+    img = eval_pathset(Image(Concat(sym(a), sym(c)), r), env)
     assert paths_of(img) == {"b c"}
 
 
@@ -125,7 +135,7 @@ def test_complement_excludes_markers_from_universe():
 def test_ground_cache_shared_across_envs():
     t, (a, b, c), env, oenv = small_world()
     cache: dict = {}
-    expr = Star(Union(Sym(a), Sym(b)))
+    expr = Star(Union(sym(a), sym(b)))
     first = eval_pathset(expr, env, cache)
     pre2 = fsa_from_paths(frozenset({(c,)}), env.universe)
     env2 = SnapshotPair(pre2, pre2)
@@ -135,7 +145,7 @@ def test_ground_cache_shared_across_envs():
 
 def test_snapshot_expressions_not_ground():
     assert not PreState().ground
-    assert not Union(Sym(SymbolTable().location("x")), PostState()).ground
+    assert not Union(sym(SymbolTable().location("x")), PostState()).ground
     assert Star(One()).ground
     assert not Image(One(), Cross(PreState(), One())).ground
 
@@ -143,8 +153,8 @@ def test_snapshot_expressions_not_ground():
 def test_structurally_equal_subtrees_evaluate_once():
     t, (a, b, c), env, _ = small_world()
     ev = Evaluator(env)
-    e1 = Union(Sym(a), Sym(b))
-    e2 = Union(Sym(a), Sym(b))
+    e1 = Union(sym(a), sym(b))
+    e2 = Union(sym(a), sym(b))
     assert ev.pathset(e1) is ev.pathset(e2)
 
 
@@ -165,7 +175,7 @@ def test_snapshot_pair_rejects_mismatched_universes():
 
 def test_oracle_simple_sets():
     t, (a, b, c), env, oenv = small_world()
-    got = oracle_eval_pathset(Union(PreState(), Sym(c)), oenv, 4)
+    got = oracle_eval_pathset(Union(PreState(), sym(c)), oenv, 4)
     assert got == {(a,), (a, b), (c,)}
 
 
@@ -182,17 +192,17 @@ def test_oracle_complement_is_bounded_universe_difference():
 def test_oracle_image():
     t, (a, b, c), env, oenv = small_world()
     got = oracle_eval_pathset(
-        Image(PreState(), Cross(Sym(a), Union(Sym(b), Sym(c)))), oenv, 4)
+        Image(PreState(), Cross(sym(a), Union(sym(b), sym(c)))), oenv, 4)
     assert got == {(b,), (c,)}
 
 
 def test_oracle_relstar_and_compose():
     t, (a, b, c), env, oenv = small_world()
-    expr = Image(Star(Sym(a)), RelStar(Cross(Sym(a), Sym(b))))
+    expr = Image(Star(sym(a)), RelStar(Cross(sym(a), sym(b))))
     got = oracle_eval_pathset(expr, oenv, 3)
     assert got == {(), (b,), (b, b), (b, b, b)}
-    expr2 = Image(Sym(a), Compose(Cross(Sym(a), Sym(b)),
-                                  Cross(Sym(b), Sym(c))))
+    expr2 = Image(sym(a), Compose(Cross(sym(a), sym(b)),
+                                  Cross(sym(b), sym(c))))
     assert oracle_eval_pathset(expr2, oenv, 3) == {(c,)}
 
 
@@ -221,10 +231,10 @@ def test_randomized_oracle_agreement_small():
 def test_pretty_pathsets():
     t = SymbolTable()
     a, b = t.location("a"), t.location("b")
-    assert pretty(Union(Sym(a), Union(Sym(b), One()))) == "(a | b | 1)"
-    assert pretty(Concat(Sym(a), Star(Sym(b)))) == "a b*"
-    assert pretty(Complement(Union(Sym(a), Sym(b)))) == "~((a | b))"
-    assert pretty(Image(PreState(), Identity(Sym(a)))) == "(PreState ▷ I(a))"
+    assert pretty(Union(sym(a), Union(sym(b), One()))) == "(a | b | 1)"
+    assert pretty(Concat(sym(a), Star(sym(b)))) == "a b*"
+    assert pretty(Complement(Union(sym(a), sym(b)))) == "~((a | b))"
+    assert pretty(Image(PreState(), Identity(sym(a)))) == "(PreState ▷ I(a))"
     assert pretty(SymSet(frozenset({a, b}))) == "(a | b)"
     wide = SymSet(frozenset(t.location(f"r{i}") for i in range(9)))
     assert pretty(wide) == "[9 locations]"
@@ -233,10 +243,10 @@ def test_pretty_pathsets():
 def test_pretty_relations_and_specs():
     t = SymbolTable()
     a, b = t.location("a"), t.location("b")
-    r = RelUnion(Identity(Sym(a)), Cross(Sym(a), Sym(b)))
+    r = RelUnion(Identity(sym(a)), Cross(sym(a), sym(b)))
     assert pretty(r) == "(I(a) | (a × b))"
-    assert pretty(RelConcat(Identity(Sym(a)), RelStar(Cross(Sym(a), Sym(b))))) \
+    assert pretty(RelConcat(Identity(sym(a)), RelStar(Cross(sym(a), sym(b))))) \
         == "I(a) (a × b)*"
-    s = Equal(PreState(), Image(PostState(), Identity(Sym(a))))
+    s = Equal(PreState(), Image(PostState(), Identity(sym(a))))
     assert pretty(s) == "PreState = (PostState ▷ I(a))"
     assert pretty(Compose(RelOne(), RelZero())) == "(1 ∘ 0)"

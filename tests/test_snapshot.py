@@ -9,8 +9,10 @@ from rela.automata import enumerate_shortest
 from rela.frontend import Granularity, LocationDb
 from rela.snapshot import (
     Fec, FecError, ForwardingGraph, SnapshotError, TrafficClass, coarsen,
-    fec_acceptors, fec_to_line, graph_to_fsa, iter_fec_lines, parse_fec,
+    fec_acceptors, graph_to_fsa, iter_fec_lines, parse_fec,
 )
+
+from _text import fec_to_line
 
 DEVICES = [("x1", "X"), ("a1", "A"), ("a2", "A"), ("b1", "B"),
            ("d1", "D"), ("y1", "Y")]
