@@ -157,8 +157,8 @@ def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
     """Localize a failed equation `left == right` and list its paths.
 
     `missing` and `unexpected` are the two directed differences.  They
-    are taken before markers are rewritten back, so an `any` family that
-    moved as one block stays a single agreement, not a diff.
+    are taken before markers are replaced by their path sets, so an `any`
+    family that moved as one block stays a single agreement, not a diff.
     """
     marker_langs = {b.symbol: ev.pathset(b.pathset) for b in c.markers}
 

@@ -1,5 +1,6 @@
 """Lowering parsed change specs to relational path-set expressions.
 
+Zones and modifier arguments arrive from the parser as `rir` path sets.
 Each spec statement becomes a pair of relations: one applied to the
 pre-change paths and one to the post-change paths.  The check itself is
 a single equation, image(pre, rpre) == image(post, rpost).  Modifier
@@ -7,11 +8,12 @@ arguments are folded into the relations so that both images describe
 the same intended outcome; a `#n` marker symbol stands for "some
 member of a path family" where the spec allows freedom (`any`).
 
-Statement concatenation becomes pairwise relation concatenation.  Every
-`else` chain, at the top or inside a block, is the union of the arms
-`_Lowerer.arms` masks, each guarded by the complement of every earlier
-arm's claim zone.  The compiled form keeps the top-level arm list so a
-failed check can be blamed on the first arm whose images disagree.
+The statements of a block become a balanced pairwise relation
+concatenation.  Every `else` chain, at the top or inside a block, is
+the union of the arms `_Lowerer.arms` masks, each guarded by the
+complement of every earlier arm's claim zone.  The compiled form keeps
+the top-level arm list so a failed check can be blamed on the first arm
+whose images disagree.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import rir
-from .automata import LOCATION, Symbol
+from .automata import Symbol
 from .frontend import (
-    Add, AnyOf, AtomicSpec, ConcatSpec, Dot, DropTraffic, ElseSpec, Loc,
-    LocationIndex, Modifier, Preserve, PrefixPredicate, Program, RegexAst,
-    Remove, Replace, RxConcat, RxOpt, RxPlus, RxStar, RxUnion, SpecAst,
-    regex_to_text,
+    Add, AnyOf, AtomicSpec, ConcatSpec, DropTraffic, ElseSpec, LocationIndex,
+    Preserve, PrefixPredicate, Program, Remove, Replace, SpecAst,
 )
 
 
@@ -34,7 +34,6 @@ class MarkerBinding:
     """One `any()` occurrence: its marker and the family it ranges over."""
 
     symbol: Symbol
-    source_text: str
     pathset: rir.PathSetExpr
 
 
@@ -73,48 +72,6 @@ class CompiledGuard:
 class CompiledProgram:
     guards: tuple
     default: Optional[CompiledSpec]
-
-
-def _fold(parts, join):
-    """Balanced fold, deterministic and shallow for wide unions."""
-    while len(parts) > 1:
-        parts = [join(parts[i], parts[i + 1]) if i + 1 < len(parts)
-                 else parts[i] for i in range(0, len(parts), 2)]
-    return parts[0]
-
-
-def _chain(r, cls) -> list:
-    """The operands of a chain of `cls` nodes, left to right, iteratively."""
-    out, stack = [], [r]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, cls):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            out.append(node)
-    return out
-
-
-def lower_regex(r: RegexAst, index: LocationIndex) -> rir.PathSetExpr:
-    """Lower a regex; concatenation and union chains become balanced trees."""
-    if isinstance(r, Loc):
-        return rir.SymSet(r.symbols)
-    if isinstance(r, Dot):
-        return rir.SymSet(frozenset(
-            s for s in index.universe if s.kind == LOCATION))
-    if isinstance(r, (RxUnion, RxConcat)):
-        join = rir.Union if isinstance(r, RxUnion) else rir.Concat
-        return _fold([lower_regex(x, index) for x in _chain(r, type(r))],
-                     join)
-    if isinstance(r, RxStar):
-        return rir.Star(lower_regex(r.inner, index))
-    if isinstance(r, RxPlus):
-        inner = lower_regex(r.inner, index)
-        return rir.Concat(inner, rir.Star(inner))
-    if isinstance(r, RxOpt):
-        return rir.Union(lower_regex(r.inner, index), rir.One())
-    raise TypeError(f"not a regex: {r!r}")
 
 
 def _minus(x: rir.PathSetExpr, y: rir.PathSetExpr) -> rir.PathSetExpr:
@@ -252,15 +209,15 @@ class _Lowerer:
         if isinstance(s, AtomicSpec):
             return self.atomic(s)
         if isinstance(s, ConcatSpec):
-            lpre, lpost, lzone = self.spec(s.left)
-            rpre, rpost, rzone = self.spec(s.right)
-            return (rir.RelConcat(lpre, rpre), rir.RelConcat(lpost, rpost),
-                    rir.Concat(lzone, rzone))
+            parts = [self.spec(p) for p in s.parts]
+            return (rir.fold([p[0] for p in parts], rir.RelConcat),
+                    rir.fold([p[1] for p in parts], rir.RelConcat),
+                    rir.fold([p[2] for p in parts], rir.Concat))
         if isinstance(s, ElseSpec):
             arms = self.arms(s)
-            return (_fold([a.rpre for a in arms], rir.RelUnion),
-                    _fold([a.rpost for a in arms], rir.RelUnion),
-                    _fold([a.zone for a in arms], rir.Union))
+            return (rir.fold([a.rpre for a in arms], rir.RelUnion),
+                    rir.fold([a.rpost for a in arms], rir.RelUnion),
+                    rir.fold([a.zone for a in arms], rir.Union))
         raise TypeError(f"not a spec: {s!r}")
 
     def arms(self, s: SpecAst) -> list[SubSpec]:
@@ -269,17 +226,13 @@ class _Lowerer:
         Arm i's zone and relations are restricted to the complement of
         the union of the earlier arms' zones.
         """
-        nodes = []
-        while isinstance(s, ElseSpec):
-            nodes.append(s.first)
-            s = s.second
-        nodes.append(s)
+        nodes = s.arms if isinstance(s, ElseSpec) else (s,)
         out = []
         prior = None  # union of the zones of the arms so far
         for i, arm in enumerate(nodes):
             rpre, rpost, zone = self.spec(arm)
             zone = simplify_path(zone)
-            label = _arm_label(arm, i + 1)
+            label = arm.name or f"#{i + 1}"
             if prior is None:
                 out.append(SubSpec(label, zone, rpre, rpost))
                 prior = zone
@@ -294,22 +247,21 @@ class _Lowerer:
         return out
 
     def atomic(self, s: AtomicSpec):
-        d = lower_regex(s.zone, self.index)
+        d = s.zone
         m = s.modifier
         if isinstance(m, Preserve):
             ident = rir.Identity(d)
             return ident, ident, d
         if isinstance(m, Add):
-            p = lower_regex(m.paths, self.index)
+            p = m.paths
             zone = rir.Union(d, p)
             return (rir.RelUnion(rir.Identity(zone), rir.Cross(d, p)),
                     rir.Identity(zone), zone)
         if isinstance(m, Remove):
-            p = lower_regex(m.paths, self.index)
+            p = m.paths
             return rir.Identity(_minus(d, p)), rir.Identity(d), d
         if isinstance(m, Replace):
-            old = lower_regex(m.old, self.index)
-            new = lower_regex(m.new, self.index)
+            old, new = m.old, m.new
             zone = rir.Union(d, new)
             return (rir.RelUnion(rir.Identity(_minus(zone, old)),
                                  rir.Cross(rir.Intersect(d, old), new)),
@@ -319,10 +271,9 @@ class _Lowerer:
             zone = rir.Union(d, dropped)
             return rir.Cross(zone, dropped), rir.Identity(zone), zone
         if isinstance(m, AnyOf):
-            p = lower_regex(m.paths, self.index)
+            p = m.paths
             marker = self.index.table.fresh_marker()
-            self.markers.append(MarkerBinding(
-                marker, regex_to_text(m.paths), p))
+            self.markers.append(MarkerBinding(marker, p))
             mk = rir.SymSet(frozenset([marker]))
             zone = rir.Union(d, p)
             return (rir.Cross(zone, mk),
@@ -332,11 +283,6 @@ class _Lowerer:
         raise TypeError(f"not a modifier: {m!r}")
 
 
-def _arm_label(arm: SpecAst, position: int) -> str:
-    name = getattr(arm, "name", None)
-    return name if name else f"#{position}"
-
-
 def compile_spec(spec: SpecAst, index: LocationIndex) -> CompiledSpec:
     """Compile one spec tree into its check equation and arm list."""
     lower = _Lowerer(index)
@@ -344,8 +290,8 @@ def compile_spec(spec: SpecAst, index: LocationIndex) -> CompiledSpec:
                         simplify_rel(a.rpost))
                 for a in lower.arms(spec)]
 
-    rpre = simplify_rel(_fold([s.rpre for s in subspecs], rir.RelUnion))
-    rpost = simplify_rel(_fold([s.rpost for s in subspecs], rir.RelUnion))
+    rpre = simplify_rel(rir.fold([s.rpre for s in subspecs], rir.RelUnion))
+    rpost = simplify_rel(rir.fold([s.rpost for s in subspecs], rir.RelUnion))
     top = rir.Equal(rir.Image(rir.PreState(), rpre),
                     rir.Image(rir.PostState(), rpost))
     return CompiledSpec(top, tuple(subspecs), tuple(lower.markers),

@@ -15,8 +15,9 @@ is `zone : modifier`; statements concatenate, and `else` composes
 alternatives with falling priority.  `pspec` definitions attach traffic
 guards; guards are tried in file order and the first match wins.
 
-Named definitions are resolved eagerly by inlining, so forward
-references and cycles are impossible by construction.
+Zone regexes parse straight to balanced `rela.rir` path sets.  Named
+definitions are resolved eagerly by inlining, so forward references and
+cycles are impossible by construction.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
-from .automata import Symbol, SymbolTable
+from . import rir
+from .automata import LOCATION, Symbol, SymbolTable
 
 
 class SpecError(Exception):
@@ -171,58 +173,6 @@ class LocationIndex:
 
 
 @dataclass(frozen=True)
-class RegexAst:
-    pass
-
-
-@dataclass(frozen=True)
-class Loc(RegexAst):
-    """A set of location symbols; matches any one of them."""
-
-    symbols: frozenset
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise ValueError("Loc with an empty symbol set")
-
-
-@dataclass(frozen=True)
-class Dot(RegexAst):
-    """Any single location; never matches drop."""
-
-
-@dataclass(frozen=True)
-class RxUnion(RegexAst):
-    left: RegexAst
-    right: RegexAst
-
-
-@dataclass(frozen=True)
-class RxConcat(RegexAst):
-    left: RegexAst
-    right: RegexAst
-
-
-@dataclass(frozen=True)
-class RxStar(RegexAst):
-    inner: RegexAst
-
-
-@dataclass(frozen=True)
-class RxPlus(RegexAst):
-    """One or more repetitions: `x+` means `x x*`."""
-
-    inner: RegexAst
-
-
-@dataclass(frozen=True)
-class RxOpt(RegexAst):
-    """`x?`: the paths of `x`, or the empty path."""
-
-    inner: RegexAst
-
-
-@dataclass(frozen=True)
 class Modifier:
     pass
 
@@ -234,18 +184,18 @@ class Preserve(Modifier):
 
 @dataclass(frozen=True)
 class Add(Modifier):
-    paths: RegexAst
+    paths: rir.PathSetExpr
 
 
 @dataclass(frozen=True)
 class Remove(Modifier):
-    paths: RegexAst
+    paths: rir.PathSetExpr
 
 
 @dataclass(frozen=True)
 class Replace(Modifier):
-    old: RegexAst
-    new: RegexAst
+    old: rir.PathSetExpr
+    new: rir.PathSetExpr
 
 
 @dataclass(frozen=True)
@@ -257,7 +207,7 @@ class DropTraffic(Modifier):
 class AnyOf(Modifier):
     """Accept any post-change path set within `paths` (loose preserve)."""
 
-    paths: RegexAst
+    paths: rir.PathSetExpr
 
 
 @dataclass(frozen=True)
@@ -267,29 +217,25 @@ class SpecAst:
 
 @dataclass(frozen=True)
 class AtomicSpec(SpecAst):
-    zone: RegexAst
+    zone: rir.PathSetExpr
     modifier: Modifier
     name: Optional[str] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class ConcatSpec(SpecAst):
-    left: SpecAst
-    right: SpecAst
+    """Statements in sequence: the paths split into one piece per part."""
+
+    parts: tuple
     name: Optional[str] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class ElseSpec(SpecAst):
-    """Apply `left` in its zone; traffic outside it falls to `right`."""
+    """Arms in falling priority: each applies where no earlier one does."""
 
-    first: SpecAst
-    second: SpecAst
+    arms: tuple
     name: Optional[str] = field(default=None, compare=False)
-
-
-def _named(spec: SpecAst, name: str) -> SpecAst:
-    return _dc_replace(spec, name=name)
 
 
 # --- traffic predicates ------------------------------------------------------
@@ -527,7 +473,10 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.index = index
-        self.regex_defs: dict[str, RegexAst] = {}
+        # `.`: any single location, never drop
+        self.dot = rir.SymSet(frozenset(
+            s for s in index.universe if s.kind == LOCATION))
+        self.regex_defs: dict[str, rir.PathSetExpr] = {}
         self.spec_defs: dict[str, SpecAst] = {}
         self.def_names: set[str] = set()
         self.referenced: set[str] = set()
@@ -572,7 +521,7 @@ class _Parser:
                 self.next()
                 name = self.def_name()
                 self.expect(":=")
-                self.spec_defs[name] = _named(self.spec_expr(), name)
+                self.spec_defs[name] = replace(self.spec_expr(), name=name)
                 order.append(name)
             elif self.at_keyword("pspec"):
                 self.next()
@@ -607,27 +556,23 @@ class _Parser:
     # -- specs
 
     def spec_expr(self) -> SpecAst:
-        left = self.spec_seq()
-        if self.at_keyword("else"):
+        arms = [self.spec_seq()]
+        while self.at_keyword("else"):
             self.next()
-            return ElseSpec(left, self.spec_expr())
-        return left
-
-    _SPEC_UNIT_START = {"NAME", "STRING", "(", ".", "{"}
+            arms.append(self.spec_seq())
+        if len(arms) == 1:
+            return arms[0]
+        # A chain that ends in a named chain goes on with that chain's
+        # arms; a named chain anywhere else stays one arm.
+        if isinstance(arms[-1], ElseSpec):
+            arms[-1:] = arms[-1].arms
+        return ElseSpec(tuple(arms))
 
     def spec_seq(self) -> SpecAst:
         units = [self.spec_unit()]
-        while True:
-            t = self.peek()
-            if t.kind in self._SPEC_UNIT_START or \
-                    (t.kind == "KEYWORD" and t.value in ("where", "drop")):
-                units.append(self.spec_unit())
-            else:
-                break
-        out = units[0]
-        for unit in units[1:]:
-            out = ConcatSpec(out, unit)
-        return out
+        while self.at_atom("{"):
+            units.append(self.spec_unit())
+        return units[0] if len(units) == 1 else ConcatSpec(tuple(units))
 
     def spec_unit(self) -> SpecAst:
         t = self.peek()
@@ -656,10 +601,7 @@ class _Parser:
         if not stmts:
             t = self.peek()
             raise SpecSyntaxError("empty spec block", t.line, t.col)
-        out = stmts[0]
-        for s in stmts[1:]:
-            out = ConcatSpec(out, s)
-        return out
+        return stmts[0] if len(stmts) == 1 else ConcatSpec(tuple(stmts))
 
     def modifier(self) -> Modifier:
         t = self.next()
@@ -685,65 +627,77 @@ class _Parser:
 
     # -- regexes
 
-    _ATOM_START = {"NAME", "STRING", "(", "."}
+    def at_atom(self, *kinds: str) -> bool:
+        """Whether the next token starts a regex atom, or is in `kinds`."""
+        t = self.peek()
+        return t.kind in ("NAME", "STRING", "(", ".", *kinds) or \
+            (t.kind == "KEYWORD" and t.value in ("where", "drop"))
 
-    def regex(self) -> RegexAst:
-        return self.rx_alt()
-
-    def rx_alt(self) -> RegexAst:
-        left = self.rx_cat()
+    def regex(self) -> rir.PathSetExpr:
+        arms = [self.rx_cat()]
         while self.peek().kind == "|":
             self.next()
-            right = self.rx_cat()
-            # unions of plain location sets collapse into one set, so
-            # where() filters and explicit alternations parse alike
-            if isinstance(left, Loc) and isinstance(right, Loc):
-                left = Loc(left.symbols | right.symbols)
-            else:
-                left = RxUnion(left, right)
-        return left
+            arms.append(self.rx_cat())
+        return self.chain(arms, rir.Union)
 
-    def rx_cat(self) -> RegexAst:
+    def rx_cat(self) -> rir.PathSetExpr:
         parts = [self.rx_rep()]
-        while True:
-            t = self.peek()
-            if t.kind in self._ATOM_START or \
-                    (t.kind == "KEYWORD" and t.value in ("where", "drop")):
-                parts.append(self.rx_rep())
-            else:
-                break
-        out = parts[0]
-        for p in parts[1:]:
-            out = RxConcat(out, p)
-        return out
+        while self.at_atom():
+            parts.append(self.rx_rep())
+        return self.chain(parts, rir.Concat)
 
-    _POSTFIX = {"*": RxStar, "+": RxPlus, "?": RxOpt}
+    def chain(self, parts: list, join) -> rir.PathSetExpr:
+        """Fold the operands of a `|` or concatenation chain balanced.
 
-    def rx_rep(self) -> RegexAst:
+        An operand that is itself a `join` node (a group, a definition,
+        `x+` or `x?`) splices in its operands, so nesting never deepens
+        the tree.  A leading run of location sets in a `|` chain merges
+        into one set, so `a1 | a2` and a where() naming both parse alike.
+        """
+        flat = []
+        for part in parts:
+            for x in rir.flatten(part, join):
+                if join is rir.Union and len(flat) == 1 and \
+                        isinstance(flat[0], rir.SymSet) and \
+                        isinstance(x, rir.SymSet):
+                    flat[0] = rir.SymSet(flat[0].symbols | x.symbols)
+                else:
+                    flat.append(x)
+        return rir.fold(flat, join)
+
+    def rx_rep(self) -> rir.PathSetExpr:
         atom = self.rx_atom()
-        while self.peek().kind in self._POSTFIX:
-            atom = self._POSTFIX[self.next().kind](atom)
+        while self.peek().kind in ("*", "+", "?"):
+            op = self.next().kind
+            # x** is x*, so a run of stars stays one node deep
+            star = atom if isinstance(atom, rir.Star) else rir.Star(atom)
+            if op == "*":
+                atom = star
+            elif op == "+":  # x x*
+                atom = self.chain([atom, star], rir.Concat)
+            else:  # x or the empty path
+                atom = self.chain([atom, rir.One()], rir.Union)
         return atom
 
-    def rx_atom(self) -> RegexAst:
+    def rx_atom(self) -> rir.PathSetExpr:
         t = self.next()
         if t.kind == "(":
-            inner = self.rx_alt()
+            inner = self.regex()
             self.expect(")")
             return inner
         if t.kind == ".":
-            return Dot()
+            return self.dot
         if t.kind == "KEYWORD" and t.value == "drop":
-            return Loc(frozenset([self.index.table.drop]))
+            return rir.SymSet(frozenset([self.index.table.drop]))
         if t.kind == "KEYWORD" and t.value == "where":
             self.expect("(")
             filt = self.where_or()
-            close = self.expect(")")
+            self.expect(")")
             symbols = resolve_where(filt, self.index)
             if not symbols:
                 raise SpecResolveError("where() matches no locations",
                                        t.line, t.col)
-            return Loc(symbols)
+            return rir.SymSet(symbols)
         if t.kind in ("NAME", "STRING"):
             if t.kind == "NAME" and t.value in self.regex_defs:
                 return self.regex_defs[t.value]
@@ -755,7 +709,7 @@ class _Parser:
                 raise SpecResolveError(
                     f"undefined name {t.value!r}: not a regex definition "
                     f"or a known location", t.line, t.col)
-            return Loc(frozenset([sym]))
+            return rir.SymSet(frozenset([sym]))
         raise SpecSyntaxError(f"unexpected {t.value or 'end of input'!r} "
                               "in a regex", t.line, t.col)
 
@@ -855,44 +809,11 @@ class _Parser:
 
 
 def parse_program(text: str, index: LocationIndex) -> Program:
-    """Parse a spec file against a location index."""
-    return _Parser(tokenize(text), index).program()
+    """Parse a spec file against a location index.
 
-
-# ---------------------------------------------------------------------------
-# Regex rendering (the compiler names `any` families with it)
-
-_BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*$")
-
-
-def _loc_name(sym: Symbol) -> str:
-    if sym.kind == "drop":
-        return "drop"
-    if _BARE_NAME.match(sym.name) and sym.name not in _KEYWORDS:
-        return sym.name
-    return f'"{sym.name}"'
-
-
-def regex_to_text(r: RegexAst, prec: int = 0) -> str:
-    """Render a regex so that parsing the text gives back `r`."""
-    if isinstance(r, Loc):
-        if len(r.symbols) == 1:
-            (sym,) = r.symbols
-            return _loc_name(sym)
-        inner = " | ".join(_loc_name(s) for s in sorted(r.symbols))
-        return f"({inner})" if prec > 0 else inner
-    if isinstance(r, Dot):
-        return "."
-    if isinstance(r, RxUnion):
-        text = f"{regex_to_text(r.left, 0)} | {regex_to_text(r.right, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(r, RxConcat):
-        text = f"{regex_to_text(r.left, 1)} {regex_to_text(r.right, 1)}"
-        return f"({text})" if prec > 1 else text
-    if isinstance(r, RxStar):
-        return f"{regex_to_text(r.inner, 2)}*"
-    if isinstance(r, RxPlus):
-        return f"{regex_to_text(r.inner, 2)}+"
-    if isinstance(r, RxOpt):
-        return f"{regex_to_text(r.inner, 2)}?"
-    raise TypeError(f"not a regex: {r!r}")
+    Nesting past the interpreter's recursion limit is a syntax error.
+    """
+    try:
+        return _Parser(tokenize(text), index).program()
+    except RecursionError:
+        raise SpecSyntaxError("the spec nests too deeply") from None

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .automata import (
-    Fsa, MARKER, Symbol, accepts, apply_image, complement, fsa_concat,
+    Fsa, Symbol, accepts, apply_image, complement, fsa_concat,
     fsa_empty, fsa_intersect, fsa_star, fsa_symbol_class, fsa_union,
     fsa_unit, fst_compose, fst_cross, fst_identity, is_empty,
 )
@@ -207,6 +207,22 @@ class Equal(SpecExpr):
     right: PathSetExpr
 
 
+def fold(parts, join):
+    """Join operands left to right as a balanced tree, log2(n) deep."""
+    while len(parts) > 1:
+        parts = [join(parts[i], parts[i + 1]) if i + 1 < len(parts)
+                 else parts[i] for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+def flatten(node, join):
+    """The operands of a tree of `join` nodes, left to right."""
+    if isinstance(node, join):
+        yield from flatten(node.left, join)
+        yield from flatten(node.right, join)
+    else:
+        yield node
+
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -215,8 +231,10 @@ class Equal(SpecExpr):
 class SnapshotPair:
     """The two forwarding path sets a spec is judged against.
 
-    Both acceptors must share one universe alphabet and must not mention
-    marker symbols; markers belong to compiled relations only.
+    Both acceptors must share one universe alphabet.  They carry no
+    marker symbols (markers belong to compiled relations only), which
+    holds because `rela.snapshot.graph_to_fsa` labels arcs with location
+    and drop symbols alone.
     """
 
     __slots__ = ("pre", "post")
@@ -224,11 +242,6 @@ class SnapshotPair:
     def __init__(self, pre: Fsa, post: Fsa):
         if pre.alphabet != post.alphabet:
             raise ValueError("snapshot acceptors must share a universe")
-        for m in (pre, post):
-            for state_arcs in m.arcs:
-                for label, _ in state_arcs:
-                    if label is not None and label.kind == MARKER:
-                        raise ValueError("snapshots must not carry markers")
         self.pre = pre
         self.post = post
 
@@ -376,28 +389,20 @@ def _p_atom(p) -> str:
     return "(" + pretty(p) + ")"
 
 
-def _flat(node, cls):
-    if isinstance(node, cls):
-        yield from _flat(node.left, cls)
-        yield from _flat(node.right, cls)
-    else:
-        yield node
-
-
 def pretty(expr) -> str:
     """Render an expression tree in compact relational notation."""
     # path sets
     if isinstance(expr, _ATOMS):
         return _p_atom(expr)
     if isinstance(expr, Union):
-        return "(" + " | ".join(pretty(t) for t in _flat(expr, Union)) + ")"
+        return "(" + " | ".join(pretty(t) for t in flatten(expr, Union)) + ")"
     if isinstance(expr, Concat):
         return " ".join(_p_atom(t) if not isinstance(t, (Star, Concat))
-                        else pretty(t) for t in _flat(expr, Concat))
+                        else pretty(t) for t in flatten(expr, Concat))
     if isinstance(expr, Star):
         return _p_atom(expr.inner) + "*"
     if isinstance(expr, Intersect):
-        return ("(" + " ∩ ".join(pretty(t) for t in _flat(expr, Intersect))
+        return ("(" + " ∩ ".join(pretty(t) for t in flatten(expr, Intersect))
                 + ")")
     if isinstance(expr, Complement):
         return "~" + _p_atom(expr.inner)
@@ -413,17 +418,18 @@ def pretty(expr) -> str:
     if isinstance(expr, RelOne):
         return "1"
     if isinstance(expr, RelUnion):
-        return ("(" + " | ".join(pretty(t) for t in _flat(expr, RelUnion))
+        return ("(" + " | ".join(pretty(t) for t in flatten(expr, RelUnion))
                 + ")")
     if isinstance(expr, RelConcat):
-        return " ".join(pretty(t) for t in _flat(expr, RelConcat))
+        return " ".join(pretty(t) for t in flatten(expr, RelConcat))
     if isinstance(expr, RelStar):
         inner = pretty(expr.inner)
         if not isinstance(expr.inner, (RelZero, RelOne, Identity, Cross)):
             inner = "(" + inner + ")"
         return inner + "*"
     if isinstance(expr, Compose):
-        return "(" + " ∘ ".join(pretty(t) for t in _flat(expr, Compose)) + ")"
+        return ("(" + " ∘ ".join(pretty(t) for t in flatten(expr, Compose))
+                + ")")
     # specs
     if isinstance(expr, Equal):
         return pretty(expr.left) + " = " + pretty(expr.right)

@@ -136,7 +136,7 @@ def _parse_graph(raw, side: str, fec_id: str,
             raise _err(fec_id, f"{side} graph edges must be [src, dst] pairs")
         u, v = pair
         for n in (u, v):
-            if n not in loc_by_id:
+            if not isinstance(n, str) or n not in loc_by_id:
                 raise _err(fec_id, f"{side} graph edge references unknown "
                                    f"node {n!r}")
         out_edges[u].append(v)
@@ -146,7 +146,7 @@ def _parse_graph(raw, side: str, fec_id: str,
         if not raw[key]:
             raise _err(fec_id, f"{side} graph has no {key}")
         for n in raw[key]:
-            if n not in loc_by_id:
+            if not isinstance(n, str) or n not in loc_by_id:
                 raise _err(fec_id, f"{side} graph lists unknown node {n!r} "
                                    f"in {key}")
     sources = tuple(raw["sources"])

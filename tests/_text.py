@@ -1,25 +1,28 @@
 """Text forms only the tests use: standalone regexes, specs, FEC lines.
 
-`parse_regex` parses one zone regex on its own.  `program_to_text`
-inverts `rela.frontend.parse_program` up to definition inlining, and
-`fec_to_line` writes the canonical NDJSON line that
-`rela.snapshot.parse_fec` reads back.
+`parse_regex` parses one zone regex on its own and `regex_to_text`
+inverts it.  `program_to_text` inverts `rela.frontend.parse_program` up
+to definition inlining, and `fec_to_line` writes the canonical NDJSON
+line that `rela.snapshot.parse_fec` reads back.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
+from rela import rir
+from rela.automata import Symbol
 from rela.frontend import (
-    Add, AnyOf, AtomicSpec, ConcatSpec, DropTraffic, ElseSpec,
+    _KEYWORDS, Add, AnyOf, AtomicSpec, ConcatSpec, DropTraffic, ElseSpec,
     LocationIndex, Modifier, PredAnd, PredAtom, PredNot, PredOr, PredTrue,
-    PrefixPredicate, Preserve, Program, RegexAst, Remove, Replace, SpecAst,
-    SpecSyntaxError, _Parser, regex_to_text, tokenize,
+    PrefixPredicate, Preserve, Program, Remove, Replace, SpecAst,
+    SpecSyntaxError, _Parser, tokenize,
 )
 from rela.snapshot import Fec, ForwardingGraph
 
 
-def parse_regex(text: str, index: LocationIndex) -> RegexAst:
+def parse_regex(text: str, index: LocationIndex) -> rir.PathSetExpr:
     """Parse a standalone zone regex."""
     p = _Parser(tokenize(text), index)
     out = p.regex()
@@ -28,6 +31,47 @@ def parse_regex(text: str, index: LocationIndex) -> RegexAst:
         raise SpecSyntaxError(f"trailing input {tok.value!r}",
                               tok.line, tok.col)
     return out
+
+
+_BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*$")
+
+
+def _loc_name(sym: Symbol) -> str:
+    if sym.kind == "drop":
+        return "drop"
+    if _BARE_NAME.match(sym.name) and sym.name not in _KEYWORDS:
+        return sym.name
+    return f'"{sym.name}"'
+
+
+def regex_to_text(p: rir.PathSetExpr, prec: int = 0) -> str:
+    """Render a parsed regex so that parsing the text gives back `p`.
+
+    `x?` parses to `Union(x, One())` and the parser splices that into
+    an enclosing `|` chain, so a `One` among a chain's operands renders
+    as a `?` on the operand before it.  `x+` has already become `x x*`.
+    """
+    if isinstance(p, rir.SymSet):
+        names = [_loc_name(s) for s in sorted(p.symbols)]
+        text = " | ".join(names)
+        return f"({text})" if prec > 0 and len(names) > 1 else text
+    if isinstance(p, rir.Union):
+        arms = []  # [operand, "?" per One after it]
+        for x in rir.flatten(p, rir.Union):
+            if isinstance(x, rir.One):
+                arms[-1][1] += "?"
+            else:
+                arms.append([x, ""])
+        text = " | ".join(regex_to_text(x, 2 if q else 1) + q
+                          for x, q in arms)
+        return f"({text})" if prec > 0 and len(arms) > 1 else text
+    if isinstance(p, rir.Concat):
+        text = " ".join(regex_to_text(x, 1)
+                        for x in rir.flatten(p, rir.Concat))
+        return f"({text})" if prec > 1 else text
+    if isinstance(p, rir.Star):
+        return f"{regex_to_text(p.inner, 2)}*"
+    raise TypeError(f"not a parsed regex: {p!r}")
 
 
 def modifier_to_text(m: Modifier) -> str:
@@ -50,16 +94,9 @@ def spec_to_text(s: SpecAst) -> str:
     if isinstance(s, AtomicSpec):
         return f"{regex_to_text(s.zone, 1)} : {modifier_to_text(s.modifier)}"
     if isinstance(s, ConcatSpec):
-        def flat(node):
-            if isinstance(node, ConcatSpec):
-                yield from flat(node.left)
-                yield from flat(node.right)
-            else:
-                yield node
-        return "{ " + " ".join(spec_to_text(p) + ";" for p in flat(s)) + " }"
+        return "{ " + " ".join(spec_to_text(p) + ";" for p in s.parts) + " }"
     if isinstance(s, ElseSpec):
-        return "{ " + spec_to_text(s.first) + "; } else { " \
-            + spec_to_text(s.second) + "; }"
+        return " else ".join("{ " + spec_to_text(a) + "; }" for a in s.arms)
     raise TypeError(f"not a spec: {s!r}")
 
 

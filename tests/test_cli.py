@@ -1,10 +1,17 @@
 """End-to-end command tests, run in process through main()."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from rela.cli import main
+
+TESTS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TESTS.parent / "bench"))
+
+import corpus  # noqa: E402
 
 DEVICES = [("x1", "X"), ("a1", "A"), ("a2", "A"), ("b1", "B"), ("d1", "D")]
 
@@ -134,6 +141,113 @@ class TestDeepZones:
         assert doc["counterexamples"][0]["missing"]["paths"] == ["x1 a1"]
 
 
+class TestLargeSpecs:
+    """Spec size is limited by memory, not by the recursion limit."""
+
+    def test_long_block(self, tmp_path, capsys):
+        # Statement i matches paths of exactly i hops, so neither FEC's
+        # two-hop path is in the zone of the whole block.
+        stmts = " ".join(f"x1 : preserve;" for _ in range(4500))
+        spec_text = f"spec main := {{ {stmts} }}\n"
+        argv = write_world(tmp_path, FAILING, spec_text=spec_text)
+        assert main(argv + ["--workers", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"]["pass"] == 2
+
+    def test_long_star_run(self, tmp_path, capsys):
+        spec_text = "spec main := { x1" + "*" * 3000 + " . : preserve; }\n"
+        argv = write_world(tmp_path, FAILING, spec_text=spec_text)
+        assert main(argv + ["--workers", "1"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"]["fail"] == 1
+
+    def test_long_any_family(self, tmp_path, capsys):
+        family = " ".join(["x1"] * 1500)
+        spec_text = ("spec main := { x1 . : any(x1 a1 | " + family
+                     + "); }\n")
+        argv = write_world(tmp_path, FAILING, spec_text=spec_text)
+        # f2 moved from x1 a1 to x1 a2, outside the family
+        assert main(argv + ["--workers", "1"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"] == {"pass": 1, "fail": 1, "unmatched": 0,
+                                 "error": 0}
+
+    def test_long_else_chain(self, tmp_path, capsys):
+        # Arm i preserves the one-hop path at device i mod 5; a one-hop
+        # FEC that moves from a1 to a2 violates arm #2, the a1 arm.
+        devices = [d for d, _ in DEVICES]
+        arms = " else ".join(f"{devices[i % len(devices)]} : preserve"
+                             for i in range(1100))
+        lines = [fec_line("f1", ("x1",), ("x1",)),
+                 fec_line("f2", ("a1",), ("a2",))]
+        argv = write_world(tmp_path, lines,
+                           spec_text=f"spec main := {arms}\n")
+        assert main(argv + ["--workers", "1"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["per_subspec"] == {"main/#2": 1}
+
+
+class TestDeepNesting:
+    """Nesting past the recursion limit is a spec error, exit 2."""
+
+    @pytest.mark.parametrize("spec_text", [
+        "spec main := { " + "(" * 600 + "x1" + ")" * 600 + " : preserve; }",
+        "spec main := { " + "(" * 3000 + "x1" + ")" * 3000 + " : preserve; }",
+        "spec main := " + "{ " * 800 + ".* : preserve" + " }" * 800,
+        ("spec main := { where(" + "(" * 800 + 'group == "A"' + ")" * 800
+         + ") : preserve; }"),
+        ("spec main := { .* : preserve; }\npspec g := "
+         + "not " * 2000 + "true -> main"),
+    ], ids=["parens-600", "parens-3000", "blocks-800", "where-800",
+            "not-2000"])
+    def test_too_deep_is_two(self, tmp_path, capsys, spec_text):
+        argv = write_world(tmp_path, PASSING, spec_text=spec_text + "\n")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the spec nests too deeply" in captured.err
+
+    def test_moderate_nesting_checks(self, tmp_path, capsys):
+        zone = "(" * 200 + "x1 ." + ")" * 200
+        argv = write_world(tmp_path, FAILING,
+                           spec_text=f"spec main := {zone} : preserve\n")
+        assert main(argv + ["--workers", "1"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"]["fail"] == 1
+
+
+class TestMalformedNodeIds:
+    """A non-string node reference is an input error of its own FEC."""
+
+    BAD = [
+        {"edges": [[["n0"], "n1"]]},
+        {"sources": [{"a": 1}]},
+        {"sinks": [["n1"]]},
+    ]
+
+    def lines(self):
+        out = list(PASSING)
+        for i, patch in enumerate(self.BAD):
+            obj = json.loads(fec_line(f"bad{i}", ("x1", "a1"), ("x1", "a1")))
+            obj["post"].update(patch)
+            out.append(json.dumps(obj))
+        return out
+
+    def test_each_is_an_error_entry(self, tmp_path, capsys):
+        argv = write_world(tmp_path, self.lines())
+        assert main(argv + ["--workers", "1"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"] == {"pass": 1, "fail": 0, "unmatched": 0,
+                                 "error": 3}
+
+    def test_strict_aborts(self, tmp_path, capsys):
+        argv = write_world(tmp_path, self.lines()) + ["--strict"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "FEC bad0" in captured.err and "unknown node" in captured.err
+
+
 class TestStrict:
     def test_strict_aborts(self, tmp_path, capsys):
         lines = ["garbage"] + PASSING
@@ -194,6 +308,39 @@ class TestOutputs:
         assert len(doc["counterexamples"]) == 2
         assert doc["counterexamples_truncated"] is True
         assert doc["per_subspec"] == {"main/main": 4}
+
+
+class TestEmitRirGoldens:
+    """`--emit-rir` prints what the compiler built, unchanged over time.
+
+    The goldens in tests/data/emit_rir hold an earlier version's output;
+    regenerate one only for a deliberate change to the compiled form.
+    """
+
+    def emitted(self, capsys, spec, locations, fecs):
+        main(["check", "--spec", str(spec), "--locations", str(locations),
+              "--fecs", str(fecs), "--workers", "1", "--emit-rir"])
+        err = capsys.readouterr().err
+        return "".join(line for line in err.splitlines(True)
+                       if not line.startswith("rela: "))
+
+    @pytest.mark.parametrize("workload", ["preserve-scale",
+                                          "reroute-explain"])
+    def test_bench_spec(self, tmp_path, capsys, workload):
+        corpus.write_corpus(workload, 1, str(tmp_path), 0.05)
+        got = self.emitted(capsys, tmp_path / "change.spec",
+                           tmp_path / "locations.json",
+                           tmp_path / "fecs.ndjson")
+        golden = TESTS / "data" / "emit_rir" / f"{workload}.txt"
+        assert got == golden.read_text(encoding="utf-8")
+
+    def test_scenario_spec(self, capsys):
+        scenario = TESTS / "data" / "scenario"
+        got = self.emitted(capsys, scenario / "change.spec",
+                           scenario / "locations.json",
+                           scenario / "fecs_v2.ndjson")
+        golden = TESTS / "data" / "emit_rir" / "scenario.txt"
+        assert got == golden.read_text(encoding="utf-8")
 
 
 class TestGranularity:

@@ -10,7 +10,7 @@ from conformance_fixtures import CONFORMANCE, conformance_world, run_case
 from rela import rir
 from rela.automata import fsa_empty, fsa_equivalent
 from rela.compiler import (
-    compile_program, compile_spec, lower_regex, simplify_path, simplify_rel,
+    compile_program, compile_spec, simplify_path, simplify_rel,
 )
 from rela.frontend import (
     Granularity, LocationDb, parse_program,
@@ -33,34 +33,30 @@ def symset(index, *names):
 
 
 # ---------------------------------------------------------------------------
-# regex lowering
+# regex lowering: the parser builds the rir path sets the compiler uses
 
 
 class TestLowerRegex:
     def test_single_location(self, index):
-        r = parse_regex("a", index)
-        assert lower_regex(r, index) == sym(index, "a")
+        assert parse_regex("a", index) == sym(index, "a")
 
     def test_location_set_lowers_to_one_class(self, index):
-        r = parse_regex("b | a", index)
-        assert lower_regex(r, index) == symset(index, "a", "b")
+        assert parse_regex("b | a", index) == symset(index, "a", "b")
 
     def test_dot_excludes_drop(self, index):
-        r = parse_regex(".", index)
-        assert lower_regex(r, index) == symset(index, "a", "b", "c", "d")
+        assert parse_regex(".", index) == symset(index, "a", "b", "c", "d")
 
     def test_star_concat(self, index):
-        r = parse_regex("a b*", index)
-        assert lower_regex(r, index) == \
+        assert parse_regex("a b*", index) == \
             rir.Concat(sym(index, "a"), rir.Star(sym(index, "b")))
 
     def test_deterministic(self, index):
-        r = parse_regex("(a | b | c) d", index)
-        assert lower_regex(r, index) == lower_regex(r, index)
+        text = "(a | b | c) d"
+        assert parse_regex(text, index) == parse_regex(text, index)
 
     def test_optional_lowers_to_union_with_empty_path(self, index):
-        r = parse_regex("a?", index)
-        assert lower_regex(r, index) == rir.Union(sym(index, "a"), rir.One())
+        assert parse_regex("a?", index) == \
+            rir.Union(sym(index, "a"), rir.One())
 
     def test_plus_compiles_like_its_expansion(self, index):
         empty = fsa_empty(index.universe)
@@ -129,7 +125,6 @@ class TestModifierRelations:
         assert len(c.markers) == 1
         binding = c.markers[0]
         assert binding.symbol.kind == "marker"
-        assert binding.source_text == "b"
         assert binding.pathset == b
         mk = rir.SymSet(frozenset([binding.symbol]))
         zone = symset(index, "a", "b")
@@ -196,6 +191,23 @@ class TestElseChains:
         program = parse_program(text, index)
         c = compile_spec(program.default, index)
         assert [s.label for s in c.subspecs] == ["strict", "loose"]
+
+    def test_named_chains_keep_the_labels_of_their_arms(self, index):
+        # A chain ending in a named chain goes on with that chain's arms;
+        # a named chain before the last arm is one arm, under its name.
+        text = """
+        spec p := b : preserve
+        spec q := c : preserve
+        spec inner := p else q
+        spec outer := a : preserve else inner
+        pspec g := (true) -> inner else d : preserve
+        """
+        program = parse_program(text, index)
+        labels = [s.label for s in compile_spec(program.default,
+                                                index).subspecs]
+        assert labels == ["#1", "p", "q"]
+        guarded = compile_spec(program.guarded[0].spec, index)
+        assert [s.label for s in guarded.subspecs] == ["inner", "#2"]
 
     def test_nested_else_inside_concat_not_an_arm(self, index):
         c = compiled_for(index, "{ a : preserve; b : drop else c : drop; }")

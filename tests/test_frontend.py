@@ -7,16 +7,15 @@ from typing import Optional
 
 import pytest
 
+from rela import rir
 from rela.frontend import (
-    Add, AnyOf, AtomicSpec, AttrTest, ConcatSpec, Dot, DropTraffic, ElseSpec,
-    Granularity, GuardedSpec, Loc, LocationDb, LocationDbError, Preserve,
-    PredAtom, PredTrue, Program, RxConcat, RxOpt, RxPlus, RxStar, RxUnion,
-    Remove, Replace,
-    SpecResolveError, SpecSyntaxError, match_predicate, parse_program,
-    regex_to_text, resolve_where, tokenize,
+    Add, AnyOf, AtomicSpec, AttrTest, DropTraffic, ElseSpec, Granularity,
+    LocationDb, LocationDbError, Preserve, PredAtom, PredTrue, Remove,
+    Replace, SpecResolveError, SpecSyntaxError, match_predicate,
+    parse_program, resolve_where, tokenize,
 )
 
-from _text import parse_regex, program_to_text, spec_to_text
+from _text import parse_regex, program_to_text, regex_to_text, spec_to_text
 
 
 def make_db():
@@ -51,6 +50,11 @@ def sym(index, name):
     s = index.symbol_of[name]
     assert s is not None
     return s
+
+
+def loc(index, *names):
+    """The path set of one-location paths over `names`."""
+    return rir.SymSet(frozenset(sym(index, n) for n in names))
 
 
 # ---------------------------------------------------------------------------
@@ -177,61 +181,88 @@ class TestTokenizer:
 
 
 # ---------------------------------------------------------------------------
-# regex parsing and where()
+# regex parsing and where(): regexes parse straight to rir path sets
 
 
 class TestRegexParsing:
     def test_single_location(self, index):
-        assert parse_regex("a1", index) == Loc(frozenset([sym(index, "a1")]))
+        assert parse_regex("a1", index) == loc(index, "a1")
 
     def test_quoted_interface_resolves_to_device(self, index):
-        assert parse_regex('"a1:eth0"', index) == \
-            Loc(frozenset([sym(index, "a1")]))
+        assert parse_regex('"a1:eth0"', index) == loc(index, "a1")
 
     def test_dot_and_star(self, index):
-        assert parse_regex(".*", index) == RxStar(Dot())
+        # `.` is every location of the index, never drop
+        devices = ("x1", "a1", "a2", "a3", "b1", "b2", "b3", "d1", "y1")
+        assert parse_regex(".*", index) == rir.Star(loc(index, *devices))
 
     def test_drop_keyword(self, index):
         assert parse_regex("drop", index) == \
-            Loc(frozenset([index.table.drop]))
+            rir.SymSet(frozenset([index.table.drop]))
 
     def test_precedence_union_lowest(self, index):
-        a, b, d = (Loc(frozenset([sym(index, n)])) for n in ("a1", "b1", "d1"))
-        assert parse_regex("a1 b1 | d1", index) == RxUnion(RxConcat(a, b), d)
+        a, b, d = (loc(index, n) for n in ("a1", "b1", "d1"))
+        assert parse_regex("a1 b1 | d1", index) == \
+            rir.Union(rir.Concat(a, b), d)
         assert parse_regex("a1 (b1 | d1)", index) == \
-            RxConcat(a, Loc(frozenset([sym(index, "b1"), sym(index, "d1")])))
-        assert parse_regex("a1 b1*", index) == RxConcat(a, RxStar(b))
+            rir.Concat(a, loc(index, "b1", "d1"))
+        assert parse_regex("a1 b1*", index) == rir.Concat(a, rir.Star(b))
 
     def test_location_unions_collapse(self, index):
         assert parse_regex("a1 | a2 | a3", index) == \
             parse_regex('where(group=="A")', index)
 
     def test_double_star(self, index):
-        a = Loc(frozenset([sym(index, "a1")]))
-        assert parse_regex("a1**", index) == RxStar(RxStar(a))
+        a = loc(index, "a1")
+        assert parse_regex("a1**", index) == rir.Star(a)
 
     def test_plus_and_optional_bind_like_star(self, index):
-        a, b = (Loc(frozenset([sym(index, n)])) for n in ("a1", "b1"))
-        assert parse_regex("a1 b1+", index) == RxConcat(a, RxPlus(b))
-        assert parse_regex("a1 b1?", index) == RxConcat(a, RxOpt(b))
-        assert parse_regex("(a1 b1)+", index) == RxPlus(RxConcat(a, b))
-        assert parse_regex("a1 | b1?", index) == RxUnion(a, RxOpt(b))
-        assert parse_regex("a1*+?", index) == RxOpt(RxPlus(RxStar(a)))
+        # `x+` is `x x*` and `x?` is `x | ()`, spliced into the chain
+        a, b = loc(index, "a1"), loc(index, "b1")
+        ab = rir.Concat(a, b)
+        assert parse_regex("a1 b1+", index) == \
+            rir.Concat(ab, rir.Star(b))
+        assert parse_regex("a1 b1?", index) == \
+            rir.Concat(a, rir.Union(b, rir.One()))
+        assert parse_regex("(a1 b1)+", index) == \
+            rir.Concat(ab, rir.Star(ab))
+        assert parse_regex("a1 | b1?", index) == \
+            rir.Union(loc(index, "a1", "b1"), rir.One())
+        assert parse_regex("a1*+?", index) == rir.Union(
+            rir.Concat(rir.Star(a), rir.Star(a)), rir.One())
+
+    def test_groups_and_definitions_splice_into_chains(self, index):
+        a, b, d, x = (loc(index, n) for n in ("a1", "b1", "d1", "x1"))
+        flat = rir.Concat(rir.Concat(a, b), rir.Concat(d, x))
+        assert parse_regex("a1 (b1 d1) x1", index) == flat
+        assert parse_regex("((a1 b1) d1) x1", index) == flat
+        p = parse_program("regex r := b1 d1\nspec s := a1 r x1 : preserve",
+                          index)
+        assert p.default.zone == flat
+
+    def test_long_chains_fold_balanced(self, index):
+        def depth(p):
+            if isinstance(p, (rir.Union, rir.Concat)):
+                return 1 + max(depth(p.left), depth(p.right))
+            return 0
+
+        assert depth(parse_regex(" ".join(["a1"] * 1024), index)) == 10
+        wide = " | ".join(["a1 b1"] * 1024)
+        assert depth(parse_regex(wide, index)) == 11
 
     def test_where_by_group(self, index):
         r = parse_regex('where(group == "A")', index)
-        assert r == Loc(frozenset(sym(index, n) for n in ("a1", "a2", "a3")))
+        assert r == loc(index, "a1", "a2", "a3")
 
     def test_where_and_or(self, index):
         r = parse_regex('where(group=="A" or group=="D")', index)
         assert len(r.symbols) == 5
         r2 = parse_regex('where(group=="A" and device=="a2")', index)
-        assert r2 == Loc(frozenset([sym(index, "a2")]))
+        assert r2 == loc(index, "a2")
 
     def test_where_extra_attribute(self, index):
         r = parse_regex('where(vendor=="blue")', index)
-        assert r == Loc(frozenset(sym(index, n)
-                                  for n in ("x1", "d1", "y1")))
+        assert r == loc(index, "x1", "d1", "y1")
 
     def test_where_negation(self, index):
         r = parse_regex('where(vendor!="blue")', index)
@@ -269,8 +300,7 @@ class TestResolveWhere:
 class TestSpecParsing:
     def test_atomic(self, index):
         p = parse_program("spec s := a1 : preserve", index)
-        assert p.default == AtomicSpec(
-            Loc(frozenset([sym(index, "a1")])), Preserve())
+        assert p.default == AtomicSpec(loc(index, "a1"), Preserve())
         assert p.default.name == "s"
         assert p.guarded == ()
 
@@ -285,13 +315,8 @@ class TestSpecParsing:
         }
         """
         p = parse_program(text, index)
-        mods = []
-        node = p.default
-        while isinstance(node, ConcatSpec):
-            mods.append(node.right.modifier)
-            node = node.left
-        mods.append(node.modifier)
-        mods.reverse()
+        mods = [part.modifier for part in p.default.parts]
+        assert len(mods) == 5
         assert isinstance(mods[0], Add)
         assert isinstance(mods[1], Remove)
         assert isinstance(mods[2], Replace)
@@ -304,12 +329,32 @@ class TestSpecParsing:
         assert a.default == b.default
 
     def test_else_is_right_associative(self, index):
+        # a else b else c is a else (b else c): one flat list of arms in
+        # falling priority
         p = parse_program(
             "spec s := a1 : preserve else a2 : preserve else a3 : preserve",
             index)
         assert isinstance(p.default, ElseSpec)
-        assert isinstance(p.default.second, ElseSpec)
-        assert isinstance(p.default.first, AtomicSpec)
+        assert [arm.zone for arm in p.default.arms] == \
+            [loc(index, n) for n in ("a1", "a2", "a3")]
+
+    def test_trailing_named_chain_continues_the_chain(self, index):
+        text = """
+        spec inner := b1 : preserve else d1 : preserve
+        spec outer := x1 : preserve else inner
+        """
+        p = parse_program(text, index)
+        assert [arm.zone for arm in p.default.arms] == \
+            [loc(index, n) for n in ("x1", "b1", "d1")]
+
+    def test_named_chain_before_the_last_arm_stays_one_arm(self, index):
+        text = """
+        spec inner := b1 : preserve else d1 : preserve
+        spec outer := x1 : preserve else inner else a1 : preserve
+        """
+        arms = parse_program(text, index).default.arms
+        assert len(arms) == 3
+        assert arms[1].name == "inner" and len(arms[1].arms) == 2
 
     def test_inlining_attaches_names(self, index):
         text = """
@@ -318,10 +363,9 @@ class TestSpecParsing:
         """
         p = parse_program(text, index)
         assert p.default.name == "outer"
-        assert p.default.first.name == "inner"
+        assert p.default.arms[0].name == "inner"
         # names are presentation only
-        assert p.default.first == AtomicSpec(
-            Loc(frozenset([sym(index, "a1")])), Preserve())
+        assert p.default.arms[0] == AtomicSpec(loc(index, "a1"), Preserve())
 
     def test_regex_definitions_inline(self, index):
         text = """
@@ -330,8 +374,8 @@ class TestSpecParsing:
         """
         p = parse_program(text, index)
         zone = p.default.zone
-        a = Loc(frozenset(sym(index, n) for n in ("a1", "a2", "a3")))
-        assert zone == RxConcat(a, RxStar(a))
+        a = loc(index, "a1", "a2", "a3")
+        assert zone == rir.Concat(a, rir.Star(a))
 
     def test_forward_reference_rejected(self, index):
         text = """
@@ -385,9 +429,10 @@ class TestSpecParsing:
         p = parse_program(text, index)
         assert isinstance(p.default, ElseSpec)
         assert p.default.name == "change"
-        assert p.default.first.name == "e2e"
-        assert p.default.second.name == "nochange"
-        shift = p.default.first.left.right
+        e2e, nochange = p.default.arms
+        assert e2e.name == "e2e"
+        assert nochange.name == "nochange"
+        shift = e2e.parts[1]
         assert shift.name == "pathShift"
         assert isinstance(shift.modifier, AnyOf)
 
@@ -520,13 +565,17 @@ class TestRendering:
         for text in ["a1", "a1 b1 | d1*", "(a1 | b1) d1", ". .*",
                      'where(group=="A")', "drop", "a1**", "a1+", "a1?",
                      "(a1 b1)+ d1?", "(a1 | b1)? d1+", "(a1 | b1 d1)+",
-                     "a1+? | .?", "a1*+?"]:
+                     "a1+? | .?", "a1*+?", "a1 | (b1 | d1 x1)",
+                     "(a1 b1 | d1 x1 | y1 b2)?", "a1 b1 | d1?? | x1 y1",
+                     'a1 | b1 d1 | (a2 | a3) | "x1:eth0"']:
             r = parse_regex(text, index)
             assert parse_regex(regex_to_text(r), index) == r
 
-    def test_postfix_forms_render_as_written(self, index):
+    def test_postfix_forms_render_expanded(self, index):
+        # `+` and `?` do not survive parsing: `x+` is `x x*`, and `x?`
+        # renders from the union with the empty path
         assert regex_to_text(parse_regex("(a1 b1)+ d1?", index)) == \
-            "(a1 b1)+ d1?"
+            "a1 b1 (a1 b1)* d1?"
 
     def test_multi_symbol_loc_renders_sorted(self, index):
         r = parse_regex('where(group=="A")', index)

@@ -12,6 +12,7 @@ from rela.snapshot import (
     fec_acceptors, graph_to_fsa, iter_fec_lines, parse_fec,
 )
 
+from _fecgen import make_index, random_fec_dict
 from _text import fec_to_line
 
 DEVICES = [("x1", "X"), ("a1", "A"), ("a2", "A"), ("b1", "B"),
@@ -107,6 +108,16 @@ class TestParseFec:
         bad = graph([("n0", "x1:eth0")], [], ["n9"], ["n0"])
         with pytest.raises(SnapshotError, match="unknown node 'n9'.*sources"):
             parse_fec(fec_obj(pre=bad), index)
+
+    @pytest.mark.parametrize("side,key,value", [
+        ("pre", "edges", [[["n0"], "n1"]]),
+        ("post", "sources", [{"a": 1}]),
+        ("pre", "sinks", [["n1"]]),
+    ])
+    def test_node_reference_must_be_a_string(self, index, side, key, value):
+        bad = dict(chain_graph("x1:eth0", "a1:eth0"), **{key: value})
+        with pytest.raises(SnapshotError, match=f"{side} graph .*unknown"):
+            parse_fec(fec_obj(**{side: bad}), index)
 
     def test_cycle(self, index):
         bad = graph([("n0", "x1:eth0"), ("n1", "a1:eth0")],
@@ -277,6 +288,25 @@ class TestGraphToFsa:
         pre, post = fec_acceptors(fec, index)
         assert language(pre) == {"x1 a1"}
         assert language(post) == {"x1 drop"}
+
+
+def test_acceptors_read_only_universe_symbols():
+    # rir.SnapshotPair relies on this instead of scanning every arc for
+    # marker symbols: graph_to_fsa labels arcs with locations and drop.
+    rng = random.Random(11)
+    index = make_index(30, ports=2)
+    devices = [f"d{i:04d}" for i in range(30)]
+    for i in range(60):
+        obj = random_fec_dict(rng, f"f{i}", devices)
+        if i % 2:
+            g = obj["post"]
+            obj["post"] = dict(
+                g, nodes=g["nodes"] + [{"id": "nd", "loc": "drop"}],
+                edges=g["edges"] + [["n0", "nd"]],
+                sinks=g["sinks"] + ["nd"])
+        for fsa in fec_acceptors(parse_fec(obj, index), index):
+            labels = {label for arcs in fsa.arcs for label, _ in arcs}
+            assert labels - {None} <= index.universe
 
 
 # ---------------------------------------------------------------------------
