@@ -12,7 +12,7 @@ from rela import rir
 from rela.automata import (Fsa, SymbolTable, enumerate_shortest,
                            fsa_difference, fsa_equivalent)
 from rela.rir import (
-    Compose, Concat, Cross, Identity, Image, PostState, PreState, RelUnion,
+    Compose, Concat, Cross, Identity, Image, PostState, PreState, Union,
     SnapshotPair, Star, SymSet,
 )
 
@@ -68,7 +68,7 @@ masked = Compose(Identity(Star(locs(a, b, c, d))), reroute)
 show("the same cross behind a full mask:", Image(PreState(), masked))
 
 # Union covers alternatives: paths may stay put or take the reroute.
-either = RelUnion(Identity(no_c), reroute)
+either = Union(Identity(no_c), reroute)
 show("union relation (keep or reroute):", Image(PreState(), either))
 
 # The check itself is one equation between two images.  This spec says

@@ -8,12 +8,14 @@ arguments are folded into the relations so that both images describe
 the same intended outcome; a `#n` marker symbol stands for "some
 member of a path family" where the spec allows freedom (`any`).
 
-The statements of a block become a balanced pairwise relation
-concatenation.  Every `else` chain, at the top or inside a block, is
-the union of the arms `_Lowerer.arms` masks, each guarded by the
-complement of every earlier arm's claim zone.  The compiled form keeps
-the top-level arm list so a failed check can be blamed on the first arm
-whose images disagree.
+The statements of a block become a balanced relation concatenation
+(`rir.Concat`, pairwise on relations), and the arms of a chain a
+relation union (`rir.Union`): relations are built from the same regular
+operators as path sets, so one `simplify` cleans up both.  Every `else`
+chain, at the top or inside a block, is the union of the arms
+`_Lowerer.arms` masks, each guarded by the complement of every earlier
+arm's claim zone.  The compiled form keeps the top-level arm list so a
+failed check can be blamed on the first arm whose images disagree.
 """
 
 from __future__ import annotations
@@ -78,124 +80,94 @@ def _minus(x: rir.PathSetExpr, y: rir.PathSetExpr) -> rir.PathSetExpr:
     return rir.Intersect(x, rir.Complement(y))
 
 
-def simplify_path(p: rir.PathSetExpr) -> rir.PathSetExpr:
-    """Bottom-up algebraic cleanup of a path-set expression.
+def simplify(e):
+    """Bottom-up algebraic cleanup of a path-set or relation expression.
 
-    Only language-preserving rewrites: unit and zero elimination, merging
-    unions of location classes into one class, and collapsing nested or
-    trivial stars.
+    Only language-preserving rewrites, and the same ones for both sorts:
+    unit and zero elimination, and collapsing nested or trivial stars.
+    Unions of location classes merge into one class.  Relation structure
+    is pushed down to plain path sets wherever the relational operators
+    act pointwise: identities absorb composition, union, concatenation
+    and star of identities, and a composition against a cross constrains
+    the cross's input side.  The payoff is that checks against
+    identity-only specs evaluate as single acceptor intersections
+    instead of per-arm products.
     """
-    if isinstance(p, rir.SymSet) and not p.symbols:
+    if isinstance(e, rir.SymSet) and not e.symbols:
         return rir.Zero()
-    if isinstance(p, rir.Union):
-        left, right = simplify_path(p.left), simplify_path(p.right)
+    if isinstance(e, rir.Union):
+        left, right = simplify(e.left), simplify(e.right)
         if isinstance(left, rir.Zero):
             return right
         if isinstance(right, rir.Zero):
             return left
         if isinstance(left, rir.SymSet) and isinstance(right, rir.SymSet):
             return rir.SymSet(left.symbols | right.symbols)
+        if isinstance(left, rir.Identity) and isinstance(right, rir.Identity):
+            return rir.Identity(simplify(rir.Union(left.source, right.source)))
         return rir.Union(left, right)
-    if isinstance(p, rir.Concat):
-        left, right = simplify_path(p.left), simplify_path(p.right)
+    if isinstance(e, rir.Concat):
+        left, right = simplify(e.left), simplify(e.right)
         if isinstance(left, rir.Zero) or isinstance(right, rir.Zero):
             return rir.Zero()
         if isinstance(left, rir.One):
             return right
         if isinstance(right, rir.One):
             return left
+        if isinstance(left, rir.Identity) and isinstance(right, rir.Identity):
+            return rir.Identity(
+                simplify(rir.Concat(left.source, right.source)))
         return rir.Concat(left, right)
-    if isinstance(p, rir.Star):
-        inner = simplify_path(p.inner)
+    if isinstance(e, rir.Star):
+        inner = simplify(e.inner)
         if isinstance(inner, (rir.Zero, rir.One)):
             return rir.One()
         if isinstance(inner, rir.Star):
             return inner
-        return rir.Star(inner)
-    if isinstance(p, rir.Intersect):
-        return rir.Intersect(simplify_path(p.left), simplify_path(p.right))
-    if isinstance(p, rir.Complement):
-        return rir.Complement(simplify_path(p.inner))
-    return p
-
-
-def simplify_rel(r: rir.RelExpr) -> rir.RelExpr:
-    """Bottom-up algebraic cleanup of a relation expression.
-
-    Pushes relation structure down to plain path sets wherever the
-    relational operators act pointwise: identities absorb composition,
-    union, concatenation and star of identities, and a composition
-    against a cross constrains the cross's input side.  The payoff is
-    that checks against identity-only specs evaluate as single acceptor
-    intersections instead of per-arm products.
-    """
-    if isinstance(r, rir.Identity):
-        source = simplify_path(r.source)
-        if isinstance(source, rir.Zero):
-            return rir.RelZero()
-        if isinstance(source, rir.One):
-            return rir.RelOne()
-        return rir.Identity(source)
-    if isinstance(r, rir.Cross):
-        left, right = simplify_path(r.left), simplify_path(r.right)
-        if isinstance(left, rir.Zero) or isinstance(right, rir.Zero):
-            return rir.RelZero()
-        return rir.Cross(left, right)
-    if isinstance(r, rir.RelUnion):
-        left, right = simplify_rel(r.left), simplify_rel(r.right)
-        if isinstance(left, rir.RelZero):
-            return right
-        if isinstance(right, rir.RelZero):
-            return left
-        if isinstance(left, rir.Identity) and isinstance(right, rir.Identity):
-            return rir.Identity(
-                simplify_path(rir.Union(left.source, right.source)))
-        return rir.RelUnion(left, right)
-    if isinstance(r, rir.RelConcat):
-        left, right = simplify_rel(r.left), simplify_rel(r.right)
-        if isinstance(left, rir.RelZero) or isinstance(right, rir.RelZero):
-            return rir.RelZero()
-        if isinstance(left, rir.RelOne):
-            return right
-        if isinstance(right, rir.RelOne):
-            return left
-        if isinstance(left, rir.Identity) and isinstance(right, rir.Identity):
-            return rir.Identity(
-                simplify_path(rir.Concat(left.source, right.source)))
-        return rir.RelConcat(left, right)
-    if isinstance(r, rir.RelStar):
-        inner = simplify_rel(r.inner)
-        if isinstance(inner, (rir.RelZero, rir.RelOne)):
-            return rir.RelOne()
         if isinstance(inner, rir.Identity):
-            return rir.Identity(simplify_path(rir.Star(inner.source)))
-        return rir.RelStar(inner)
-    if isinstance(r, rir.Compose):
-        return _simplify_compose(simplify_rel(r.left), simplify_rel(r.right))
-    return r
+            return rir.Identity(simplify(rir.Star(inner.source)))
+        return rir.Star(inner)
+    if isinstance(e, rir.Intersect):
+        return rir.Intersect(simplify(e.left), simplify(e.right))
+    if isinstance(e, rir.Complement):
+        return rir.Complement(simplify(e.inner))
+    if isinstance(e, rir.Identity):
+        source = simplify(e.source)
+        # I(0) is the empty relation and I(1) relates () to itself alone
+        if isinstance(source, (rir.Zero, rir.One)):
+            return source
+        return rir.Identity(source)
+    if isinstance(e, rir.Cross):
+        left, right = simplify(e.left), simplify(e.right)
+        if isinstance(left, rir.Zero) or isinstance(right, rir.Zero):
+            return rir.Zero()
+        return rir.Cross(left, right)
+    if isinstance(e, rir.Compose):
+        return _simplify_compose(simplify(e.left), simplify(e.right))
+    return e
 
 
 def _simplify_compose(left: rir.RelExpr, right: rir.RelExpr) -> rir.RelExpr:
     """Simplify a composition of two already-simplified relations."""
-    if isinstance(left, rir.RelZero) or isinstance(right, rir.RelZero):
-        return rir.RelZero()
+    if isinstance(left, rir.Zero) or isinstance(right, rir.Zero):
+        return rir.Zero()
     if isinstance(left, rir.Identity) and isinstance(right, rir.Identity):
         return rir.Identity(
-            simplify_path(rir.Intersect(left.source, right.source)))
+            simplify(rir.Intersect(left.source, right.source)))
     if isinstance(left, rir.Identity) and isinstance(right, rir.Cross):
-        return simplify_rel(rir.Cross(
+        return simplify(rir.Cross(
             rir.Intersect(left.source, right.left), right.right))
     if isinstance(left, rir.Cross) and isinstance(right, rir.Identity):
-        return simplify_rel(rir.Cross(
+        return simplify(rir.Cross(
             left.left, rir.Intersect(left.right, right.source)))
     # Composition distributes over union on either side; distributing
     # lets the identity and cross rules above fire per branch.
-    if isinstance(right, rir.RelUnion):
-        return simplify_rel(rir.RelUnion(rir.Compose(left, right.left),
-                                         rir.Compose(left, right.right)))
-    if isinstance(left, rir.RelUnion):
-        return simplify_rel(rir.RelUnion(rir.Compose(left.left, right),
-                                         rir.Compose(left.right, right)))
+    if isinstance(right, rir.Union):
+        return simplify(rir.Union(rir.Compose(left, right.left),
+                                  rir.Compose(left, right.right)))
+    if isinstance(left, rir.Union):
+        return simplify(rir.Union(rir.Compose(left.left, right),
+                                  rir.Compose(left.right, right)))
     return rir.Compose(left, right)
 
 
@@ -210,13 +182,13 @@ class _Lowerer:
             return self.atomic(s)
         if isinstance(s, ConcatSpec):
             parts = [self.spec(p) for p in s.parts]
-            return (rir.fold([p[0] for p in parts], rir.RelConcat),
-                    rir.fold([p[1] for p in parts], rir.RelConcat),
+            return (rir.fold([p[0] for p in parts], rir.Concat),
+                    rir.fold([p[1] for p in parts], rir.Concat),
                     rir.fold([p[2] for p in parts], rir.Concat))
         if isinstance(s, ElseSpec):
             arms = self.arms(s)
-            return (rir.fold([a.rpre for a in arms], rir.RelUnion),
-                    rir.fold([a.rpost for a in arms], rir.RelUnion),
+            return (rir.fold([a.rpre for a in arms], rir.Union),
+                    rir.fold([a.rpost for a in arms], rir.Union),
                     rir.fold([a.zone for a in arms], rir.Union))
         raise TypeError(f"not a spec: {s!r}")
 
@@ -231,7 +203,7 @@ class _Lowerer:
         prior = None  # union of the zones of the arms so far
         for i, arm in enumerate(nodes):
             rpre, rpost, zone = self.spec(arm)
-            zone = simplify_path(zone)
+            zone = simplify(zone)
             label = arm.name or f"#{i + 1}"
             if prior is None:
                 out.append(SubSpec(label, zone, rpre, rpost))
@@ -243,7 +215,7 @@ class _Lowerer:
                                rir.Compose(mask, rpre),
                                rir.Compose(mask, rpost)))
             if i + 1 < len(nodes):
-                prior = simplify_path(rir.Union(prior, zone))
+                prior = simplify(rir.Union(prior, zone))
         return out
 
     def atomic(self, s: AtomicSpec):
@@ -255,7 +227,7 @@ class _Lowerer:
         if isinstance(m, Add):
             p = m.paths
             zone = rir.Union(d, p)
-            return (rir.RelUnion(rir.Identity(zone), rir.Cross(d, p)),
+            return (rir.Union(rir.Identity(zone), rir.Cross(d, p)),
                     rir.Identity(zone), zone)
         if isinstance(m, Remove):
             p = m.paths
@@ -263,7 +235,7 @@ class _Lowerer:
         if isinstance(m, Replace):
             old, new = m.old, m.new
             zone = rir.Union(d, new)
-            return (rir.RelUnion(rir.Identity(_minus(zone, old)),
+            return (rir.Union(rir.Identity(_minus(zone, old)),
                                  rir.Cross(rir.Intersect(d, old), new)),
                     rir.Identity(zone), zone)
         if isinstance(m, DropTraffic):
@@ -277,7 +249,7 @@ class _Lowerer:
             mk = rir.SymSet(frozenset([marker]))
             zone = rir.Union(d, p)
             return (rir.Cross(zone, mk),
-                    rir.RelUnion(rir.Cross(p, mk),
+                    rir.Union(rir.Cross(p, mk),
                                  rir.Identity(_minus(d, p))),
                     zone)
         raise TypeError(f"not a modifier: {m!r}")
@@ -286,12 +258,12 @@ class _Lowerer:
 def compile_spec(spec: SpecAst, index: LocationIndex) -> CompiledSpec:
     """Compile one spec tree into its check equation and arm list."""
     lower = _Lowerer(index)
-    subspecs = [SubSpec(a.label, simplify_path(a.zone), simplify_rel(a.rpre),
-                        simplify_rel(a.rpost))
+    subspecs = [SubSpec(a.label, simplify(a.zone), simplify(a.rpre),
+                        simplify(a.rpost))
                 for a in lower.arms(spec)]
 
-    rpre = simplify_rel(rir.fold([s.rpre for s in subspecs], rir.RelUnion))
-    rpost = simplify_rel(rir.fold([s.rpost for s in subspecs], rir.RelUnion))
+    rpre = simplify(rir.fold([s.rpre for s in subspecs], rir.Union))
+    rpost = simplify(rir.fold([s.rpost for s in subspecs], rir.Union))
     top = rir.Equal(rir.Image(rir.PreState(), rpre),
                     rir.Image(rir.PostState(), rpost))
     return CompiledSpec(top, tuple(subspecs), tuple(lower.markers),

@@ -269,14 +269,12 @@ class PredAtom(PrefixPredicate):
 
 @dataclass(frozen=True)
 class PredAnd(PrefixPredicate):
-    left: PrefixPredicate
-    right: PrefixPredicate
+    operands: tuple  # of PrefixPredicate, two or more
 
 
 @dataclass(frozen=True)
 class PredOr(PrefixPredicate):
-    left: PrefixPredicate
-    right: PrefixPredicate
+    operands: tuple  # of PrefixPredicate, two or more
 
 
 @dataclass(frozen=True)
@@ -306,11 +304,9 @@ def match_predicate(pred: PrefixPredicate, traffic) -> bool:
         inside = any(_contained(value, c) for c in pred.cidrs)
         return not inside if pred.op == "!=" else inside
     if isinstance(pred, PredAnd):
-        return match_predicate(pred.left, traffic) and \
-            match_predicate(pred.right, traffic)
+        return all(match_predicate(p, traffic) for p in pred.operands)
     if isinstance(pred, PredOr):
-        return match_predicate(pred.left, traffic) or \
-            match_predicate(pred.right, traffic)
+        return any(match_predicate(p, traffic) for p in pred.operands)
     if isinstance(pred, PredNot):
         return not match_predicate(pred.inner, traffic)
     raise TypeError(f"not a predicate: {pred!r}")
@@ -421,14 +417,12 @@ class AttrTest(AttrFilter):
 
 @dataclass(frozen=True)
 class AttrAnd(AttrFilter):
-    left: AttrFilter
-    right: AttrFilter
+    operands: tuple  # of AttrFilter, two or more
 
 
 @dataclass(frozen=True)
 class AttrOr(AttrFilter):
-    left: AttrFilter
-    right: AttrFilter
+    operands: tuple  # of AttrFilter, two or more
 
 
 def resolve_where(filt: AttrFilter, index: LocationIndex) -> frozenset:
@@ -438,8 +432,8 @@ def resolve_where(filt: AttrFilter, index: LocationIndex) -> frozenset:
         if isinstance(node, AttrTest):
             yield node.attr
         else:
-            yield from attrs_of(node.left)
-            yield from attrs_of(node.right)
+            for operand in node.operands:
+                yield from attrs_of(operand)
 
     for attr in attrs_of(filt):
         if attr not in index.db.attributes:
@@ -452,9 +446,9 @@ def resolve_where(filt: AttrFilter, index: LocationIndex) -> frozenset:
                 return value == node.value
             return value is not None and value != node.value
         if isinstance(node, AttrAnd):
-            return matches(node.left, record) and matches(node.right, record)
+            return all(matches(n, record) for n in node.operands)
         if isinstance(node, AttrOr):
-            return matches(node.left, record) or matches(node.right, record)
+            return any(matches(n, record) for n in node.operands)
         raise TypeError(node)
 
     out = set()
@@ -504,6 +498,14 @@ class _Parser:
     def at_keyword(self, word: str) -> bool:
         t = self.peek()
         return t.kind == "KEYWORD" and t.value == word
+
+    def flat_chain(self, keyword: str, operand, join):
+        """Operands separated by `keyword`, as one flat `join` node."""
+        operands = [operand()]
+        while self.at_keyword(keyword):
+            self.next()
+            operands.append(operand())
+        return operands[0] if len(operands) == 1 else join(tuple(operands))
 
     # -- program structure
 
@@ -666,18 +668,23 @@ class _Parser:
         return rir.fold(flat, join)
 
     def rx_rep(self) -> rir.PathSetExpr:
+        """An atom and its run of postfix operators, as one operator.
+
+        The run collapses exactly: x** = x*, (x+)+ = x+, (x?)? = x? and
+        (x+)? = (x?)+ = x*.
+        """
         atom = self.rx_atom()
+        ops = set()
         while self.peek().kind in ("*", "+", "?"):
-            op = self.next().kind
-            # x** is x*, so a run of stars stays one node deep
-            star = atom if isinstance(atom, rir.Star) else rir.Star(atom)
-            if op == "*":
-                atom = star
-            elif op == "+":  # x x*
-                atom = self.chain([atom, star], rir.Concat)
-            else:  # x or the empty path
-                atom = self.chain([atom, rir.One()], rir.Union)
-        return atom
+            ops.add(self.next().kind)
+        if not ops:
+            return atom
+        star = atom if isinstance(atom, rir.Star) else rir.Star(atom)
+        if "*" in ops or ops == {"+", "?"}:
+            return star
+        if "+" in ops:  # x x*
+            return self.chain([atom, star], rir.Concat)
+        return self.chain([atom, rir.One()], rir.Union)  # x or ()
 
     def rx_atom(self) -> rir.PathSetExpr:
         t = self.next()
@@ -716,18 +723,10 @@ class _Parser:
     # -- where() filters
 
     def where_or(self) -> AttrFilter:
-        left = self.where_and()
-        while self.at_keyword("or"):
-            self.next()
-            left = AttrOr(left, self.where_and())
-        return left
+        return self.flat_chain("or", self.where_and, AttrOr)
 
     def where_and(self) -> AttrFilter:
-        left = self.where_atom()
-        while self.at_keyword("and"):
-            self.next()
-            left = AttrAnd(left, self.where_atom())
-        return left
+        return self.flat_chain("and", self.where_atom, AttrAnd)
 
     def where_atom(self) -> AttrFilter:
         t = self.peek()
@@ -752,18 +751,10 @@ class _Parser:
     # -- traffic predicates
 
     def pred_or(self) -> PrefixPredicate:
-        left = self.pred_and()
-        while self.at_keyword("or"):
-            self.next()
-            left = PredOr(left, self.pred_and())
-        return left
+        return self.flat_chain("or", self.pred_and, PredOr)
 
     def pred_and(self) -> PrefixPredicate:
-        left = self.pred_not()
-        while self.at_keyword("and"):
-            self.next()
-            left = PredAnd(left, self.pred_not())
-        return left
+        return self.flat_chain("and", self.pred_not, PredAnd)
 
     def pred_not(self) -> PrefixPredicate:
         if self.at_keyword("not"):

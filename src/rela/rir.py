@@ -1,19 +1,25 @@
 """Intermediate representation for relational change specifications.
 
-Three expression sublanguages, each a small tree of frozen dataclasses:
+Two sorts of expression share one set of regular operators:
 
-* path sets   -- regular expressions over locations, extended with the two
-  snapshot references `PreState` / `PostState` and the image operator
-  `Image(P, R)`; the one leaf over locations is `SymSet`, a set of
-  length-one paths (a single location is a one-element set);
-* relations   -- regular expressions over *pairs* of paths, built from
-  `Cross`, `Identity` and the usual closure operators plus `Compose`;
-* specs       -- the check equation `Equal(left, right)` between two path
-  sets, the one form the compiler emits.
+* path sets   -- sets of location paths, denoted by acceptors;
+* relations   -- sets of *pairs* of paths, denoted by pair-labelled
+  transducers.
 
-`Evaluator` lowers path sets to acceptors and relations to pair-labelled
-transducers, both `Fsa`s from :mod:`rela.automata`; deciding and
-explaining an equation is left to :mod:`rela.checker`.
+`Union`, `Concat`, `Star`, `Zero` and `One` serve both sorts, and a
+node's sort is fixed by its position: an `Image`'s `rel` and the
+operands of `Compose` are relations, while the operands of `Identity`
+and `Cross` (and of every other operator) are path sets.  The leaves of
+path sets are `SymSet`, a set of length-one paths (a single location is
+a one-element set), and the snapshot references `PreState` /
+`PostState`; `Intersect`, `Complement` and `Image(P, R)` are path sets
+only, `Cross`, `Identity` and `Compose` relations only.  A spec is the
+check equation `Equal(left, right)` between two path sets, the one form
+the compiler emits.
+
+`Evaluator` lowers either sort to an `Fsa` from :mod:`rela.automata`
+with the same constructors; deciding and explaining an equation is left
+to :mod:`rela.checker`.
 """
 
 from __future__ import annotations
@@ -67,6 +73,38 @@ class SpecExpr(_Node):
     pass
 
 
+# --- both sorts --------------------------------------------------------------
+
+
+@_node
+class Zero(PathSetExpr, RelExpr):
+    """The empty set of paths, or of pairs."""
+
+
+@_node
+class One(PathSetExpr, RelExpr):
+    """The empty path alone, or the pair of empty paths alone."""
+
+
+@_node
+class Union(PathSetExpr, RelExpr):
+    left: PathSetExpr | RelExpr
+    right: PathSetExpr | RelExpr
+
+
+@_node
+class Concat(PathSetExpr, RelExpr):
+    """Concatenation; on relations it pairs p1 p2 with q1 q2."""
+
+    left: PathSetExpr | RelExpr
+    right: PathSetExpr | RelExpr
+
+
+@_node
+class Star(PathSetExpr, RelExpr):
+    inner: PathSetExpr | RelExpr
+
+
 # --- path sets --------------------------------------------------------------
 
 
@@ -79,16 +117,6 @@ class SymSet(PathSetExpr):
     """
 
     symbols: frozenset[Symbol]
-
-
-@_node
-class Zero(PathSetExpr):
-    """The empty path set."""
-
-
-@_node
-class One(PathSetExpr):
-    """The set holding only the empty path."""
 
 
 class PreState(PathSetExpr):
@@ -107,23 +135,6 @@ class PostState(PathSetExpr):
 
 PreState = _node(PreState)
 PostState = _node(PostState)
-
-
-@_node
-class Union(PathSetExpr):
-    left: PathSetExpr
-    right: PathSetExpr
-
-
-@_node
-class Concat(PathSetExpr):
-    left: PathSetExpr
-    right: PathSetExpr
-
-
-@_node
-class Star(PathSetExpr):
-    inner: PathSetExpr
 
 
 @_node
@@ -161,35 +172,6 @@ class Cross(RelExpr):
 @_node
 class Identity(RelExpr):
     source: PathSetExpr
-
-
-@_node
-class RelZero(RelExpr):
-    """The empty relation."""
-
-
-@_node
-class RelOne(RelExpr):
-    """The relation relating the empty path to itself."""
-
-
-@_node
-class RelUnion(RelExpr):
-    left: RelExpr
-    right: RelExpr
-
-
-@_node
-class RelConcat(RelExpr):
-    """Pairwise concatenation: relates p1 p2 to q1 q2 component-wise."""
-
-    left: RelExpr
-    right: RelExpr
-
-
-@_node
-class RelStar(RelExpr):
-    inner: RelExpr
 
 
 @_node
@@ -266,15 +248,21 @@ class Evaluator:
         self._ground = ground_cache if ground_cache is not None else {}
         self._local: dict = {}
 
-    def pathset(self, p: PathSetExpr) -> Fsa:
+    def pathset(self, p: _Node) -> Fsa:
+        """The automaton of `p`: an acceptor for a path set, a
+        pair-labelled transducer for a relation (see rela.automata).
+
+        The regular operators build both sorts alike, so one node's
+        automaton does not depend on its sort.
+        """
         cache = self._ground if p.ground else self._local
         got = cache.get(p)
         if got is None:
-            got = self._pathset(p)
+            got = self._evaluate(p)
             cache[p] = got
         return got
 
-    def _pathset(self, p: PathSetExpr) -> Fsa:
+    def _evaluate(self, p: _Node) -> Fsa:
         u = self.universe
         if isinstance(p, SymSet):
             return fsa_symbol_class(p.symbols, u)
@@ -298,7 +286,13 @@ class Evaluator:
             return complement(self.pathset(p.inner), u)
         if isinstance(p, Image):
             return self._image(self.pathset(p.source), p.rel)
-        raise TypeError(f"not a path-set expression: {p!r}")
+        if isinstance(p, Cross):
+            return fst_cross(self.pathset(p.left), self.pathset(p.right))
+        if isinstance(p, Identity):
+            return fst_identity(self.pathset(p.source))
+        if isinstance(p, Compose):
+            return fst_compose(self.pathset(p.left), self.pathset(p.right))
+        raise TypeError(f"not an expression: {p!r}")
 
     def _image(self, source: Fsa, r: RelExpr) -> Fsa:
         """Image of a concrete path set under a relation expression.
@@ -321,116 +315,89 @@ class Evaluator:
             if is_empty(fsa_intersect(source, self.pathset(r.left))):
                 return fsa_empty(self.universe)
             return self.pathset(r.right)
-        if isinstance(r, RelZero):
+        if isinstance(r, Zero):
             return fsa_empty(self.universe)
-        if isinstance(r, RelOne):
+        if isinstance(r, One):
             if accepts(source, ()):
                 return fsa_unit(self.universe)
             return fsa_empty(self.universe)
-        if isinstance(r, RelUnion):
+        if isinstance(r, Union):
             return fsa_union(self._image(source, r.left),
                              self._image(source, r.right))
         if isinstance(r, Compose):
             return self._image(self._image(source, r.left), r.right)
-        return apply_image(source, self.rel(r))
-
-    def rel(self, r: RelExpr) -> Fsa:
-        cache = self._ground if r.ground else self._local
-        got = cache.get(r)
-        if got is None:
-            got = self._rel(r)
-            cache[r] = got
-        return got
-
-    def _rel(self, r: RelExpr) -> Fsa:
-        """A relation as a pair-labelled transducer (see rela.automata)."""
-        if isinstance(r, Cross):
-            return fst_cross(self.pathset(r.left), self.pathset(r.right))
-        if isinstance(r, Identity):
-            return fst_identity(self.pathset(r.source))
-        if isinstance(r, RelZero):
-            return fsa_empty(self.universe)
-        if isinstance(r, RelOne):
-            return fsa_unit(self.universe)
-        if isinstance(r, RelUnion):
-            return fsa_union(self.rel(r.left), self.rel(r.right))
-        if isinstance(r, RelConcat):
-            return fsa_concat(self.rel(r.left), self.rel(r.right))
-        if isinstance(r, RelStar):
-            return fsa_star(self.rel(r.inner))
-        if isinstance(r, Compose):
-            return fst_compose(self.rel(r.left), self.rel(r.right))
-        raise TypeError(f"not a relation expression: {r!r}")
+        return apply_image(source, self.pathset(r))
 
 
 # ---------------------------------------------------------------------------
 # Debug rendering
 
 
-_ATOMS = (SymSet, Zero, One, PreState, PostState)
+# Nodes that need no brackets as an operand of `*`, `~` or a path-set
+# concatenation: atoms, and the relation forms that bracket themselves.
+_BARE = (SymSet, Zero, One, PreState, PostState, Identity, Cross)
 
 
-def _p_atom(p) -> str:
-    if isinstance(p, SymSet):
-        names = sorted(s.name for s in p.symbols)
+def pretty(expr) -> str:
+    """Render an expression tree in compact relational notation.
+
+    Unions inside a path-set concatenation get an extra pair of brackets
+    and those inside a relation concatenation do not, so the renderer
+    follows each node's sort down from its position; a bare union,
+    concatenation or star takes the sort of its leftmost leaf.
+    """
+    leaf = expr
+    while isinstance(leaf, (Union, Concat, Star)):
+        leaf = leaf.inner if isinstance(leaf, Star) else leaf.left
+    return _show(expr, isinstance(leaf, (Identity, Cross, Compose)))
+
+
+def _operand(p, rel: bool) -> str:
+    text = _show(p, rel)
+    return text if isinstance(p, _BARE) else "(" + text + ")"
+
+
+def _show(expr, rel: bool) -> str:
+    """`expr` rendered as a relation when `rel`, else as a path set."""
+    if isinstance(expr, SymSet):
+        names = sorted(s.name for s in expr.symbols)
         if len(names) == 1:
             return names[0]
         if len(names) > 8:
             return f"[{len(names)} locations]"
         return "(" + " | ".join(names) + ")"
-    if isinstance(p, Zero):
+    if isinstance(expr, Zero):
         return "0"
-    if isinstance(p, One):
+    if isinstance(expr, One):
         return "1"
-    if isinstance(p, PreState):
+    if isinstance(expr, PreState):
         return "PreState"
-    if isinstance(p, PostState):
+    if isinstance(expr, PostState):
         return "PostState"
-    return "(" + pretty(p) + ")"
-
-
-def pretty(expr) -> str:
-    """Render an expression tree in compact relational notation."""
-    # path sets
-    if isinstance(expr, _ATOMS):
-        return _p_atom(expr)
     if isinstance(expr, Union):
-        return "(" + " | ".join(pretty(t) for t in flatten(expr, Union)) + ")"
+        return ("(" + " | ".join(_show(t, rel) for t in flatten(expr, Union))
+                + ")")
     if isinstance(expr, Concat):
-        return " ".join(_p_atom(t) if not isinstance(t, (Star, Concat))
-                        else pretty(t) for t in flatten(expr, Concat))
+        return " ".join(_show(t, rel) if rel or isinstance(t, (Star, Concat))
+                        else _operand(t, rel) for t in flatten(expr, Concat))
     if isinstance(expr, Star):
-        return _p_atom(expr.inner) + "*"
+        return _operand(expr.inner, rel) + "*"
     if isinstance(expr, Intersect):
-        return ("(" + " ∩ ".join(pretty(t) for t in flatten(expr, Intersect))
-                + ")")
+        return ("(" + " ∩ ".join(_show(t, False)
+                                 for t in flatten(expr, Intersect)) + ")")
     if isinstance(expr, Complement):
-        return "~" + _p_atom(expr.inner)
+        return "~" + _operand(expr.inner, False)
     if isinstance(expr, Image):
-        return "(" + pretty(expr.source) + " ▷ " + pretty(expr.rel) + ")"
-    # relations
+        return ("(" + _show(expr.source, False) + " ▷ "
+                + _show(expr.rel, True) + ")")
     if isinstance(expr, Cross):
-        return "(" + pretty(expr.left) + " × " + pretty(expr.right) + ")"
+        return ("(" + _show(expr.left, False) + " × "
+                + _show(expr.right, False) + ")")
     if isinstance(expr, Identity):
-        return "I(" + pretty(expr.source) + ")"
-    if isinstance(expr, RelZero):
-        return "0"
-    if isinstance(expr, RelOne):
-        return "1"
-    if isinstance(expr, RelUnion):
-        return ("(" + " | ".join(pretty(t) for t in flatten(expr, RelUnion))
-                + ")")
-    if isinstance(expr, RelConcat):
-        return " ".join(pretty(t) for t in flatten(expr, RelConcat))
-    if isinstance(expr, RelStar):
-        inner = pretty(expr.inner)
-        if not isinstance(expr.inner, (RelZero, RelOne, Identity, Cross)):
-            inner = "(" + inner + ")"
-        return inner + "*"
+        return "I(" + _show(expr.source, False) + ")"
     if isinstance(expr, Compose):
-        return ("(" + " ∘ ".join(pretty(t) for t in flatten(expr, Compose))
-                + ")")
-    # specs
+        return ("(" + " ∘ ".join(_show(t, True)
+                                 for t in flatten(expr, Compose)) + ")")
     if isinstance(expr, Equal):
-        return pretty(expr.left) + " = " + pretty(expr.right)
+        return _show(expr.left, False) + " = " + _show(expr.right, False)
     raise TypeError(f"not an expression: {expr!r}")

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from rela.automata import Symbol
 from rela.rir import (
     Complement, Compose, Concat, Cross, Identity, Image, Intersect, One,
-    PathSetExpr, PostState, PreState, RelConcat, RelOne, RelStar, RelUnion,
-    RelZero, Star, SymSet, Union, Zero,
+    PathSetExpr, PostState, PreState, Star, SymSet, Union, Zero,
 )
 
 
@@ -97,18 +96,18 @@ def _o_rel(r, env, maxlen):
         return {(x, y) for x in xs for y in ys}
     if isinstance(r, Identity):
         return {(x, x) for x in _o_pathset(r.source, env, maxlen)}
-    if isinstance(r, RelZero):
+    if isinstance(r, Zero):
         return set()
-    if isinstance(r, RelOne):
+    if isinstance(r, One):
         return {((), ())}
-    if isinstance(r, RelUnion):
+    if isinstance(r, Union):
         return _o_rel(r.left, env, maxlen) | _o_rel(r.right, env, maxlen)
-    if isinstance(r, RelConcat):
+    if isinstance(r, Concat):
         xs = _o_rel(r.left, env, maxlen)
         ys = _o_rel(r.right, env, maxlen)
         return {(a + c, b + d) for (a, b) in xs for (c, d) in ys
                 if len(a) + len(c) <= maxlen and len(b) + len(d) <= maxlen}
-    if isinstance(r, RelStar):
+    if isinstance(r, Star):
         base = _o_rel(r.inner, env, maxlen)
         acc = {((), ())}
         while True:

@@ -107,10 +107,9 @@ def predicate_to_text(p: PrefixPredicate) -> str:
         if p.op == "in":
             return f"{p.fieldname} in {{{', '.join(str(c) for c in p.cidrs)}}}"
         return f"{p.fieldname} {p.op} {p.cidrs[0]}"
-    if isinstance(p, PredAnd):
-        return f"({predicate_to_text(p.left)} and {predicate_to_text(p.right)})"
-    if isinstance(p, PredOr):
-        return f"({predicate_to_text(p.left)} or {predicate_to_text(p.right)})"
+    if isinstance(p, (PredAnd, PredOr)):
+        word = " and " if isinstance(p, PredAnd) else " or "
+        return "(" + word.join(predicate_to_text(q) for q in p.operands) + ")"
     if isinstance(p, PredNot):
         return f"not {predicate_to_text(p.inner)}"
     raise TypeError(f"not a predicate: {p!r}")

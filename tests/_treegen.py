@@ -20,8 +20,7 @@ from rela.automata import Fsa, SymbolTable, determinize, trim
 from rela import rir
 from rela.rir import (
     Complement, Compose, Concat, Cross, Identity, Image, Intersect, One,
-    PostState, PreState, RelConcat, RelOne, RelStar, RelUnion, RelZero,
-    SymSet, Star, Union, Zero,
+    PostState, PreState, Star, SymSet, Union, Zero,
 )
 
 from _oracle import OracleEnv
@@ -94,17 +93,17 @@ def rel_tapes(r, env_ml):
     if isinstance(r, Identity):
         m = ps_maxlen(r.source, env_ml)
         return m, m, 0
-    if isinstance(r, (RelZero, RelOne)):
+    if isinstance(r, (Zero, One)):
         return 0, 0, 0
-    if isinstance(r, RelUnion):
+    if isinstance(r, Union):
         l1, r1, s1 = rel_tapes(r.left, env_ml)
         l2, r2, s2 = rel_tapes(r.right, env_ml)
         return max(l1, l2), max(r1, r2), max(s1, s2)
-    if isinstance(r, RelConcat):
+    if isinstance(r, Concat):
         l1, r1, s1 = rel_tapes(r.left, env_ml)
         l2, r2, s2 = rel_tapes(r.right, env_ml)
         return l1 + l2, r1 + r2, s1 + s2
-    if isinstance(r, RelStar):
+    if isinstance(r, Star):
         l, rm, s = rel_tapes(r.inner, env_ml)
         if l == 0 and rm == 0:
             return 0, 0, 0
@@ -125,9 +124,9 @@ def rel_safe(r, env_ml, bound):
         left, _, slack = rel_tapes(node, env_ml)
         if not (left <= bound or slack <= 0):
             return False
-        if isinstance(node, (RelUnion, RelConcat, Compose)):
+        if isinstance(node, (Union, Concat, Compose)):
             stack.extend((node.left, node.right))
-        elif isinstance(node, RelStar):
+        elif isinstance(node, Star):
             stack.append(node.inner)
     return True
 
@@ -192,7 +191,7 @@ class TreeGen:
 
     def rel(self, depth):
         if depth <= 0:
-            return self.rng.choice([RelOne(), RelZero(),
+            return self.rng.choice([One(), Zero(),
                                     Identity(self.leaf()),
                                     Cross(self.leaf(), self.leaf())])
         r = self.rng.random()
@@ -201,14 +200,14 @@ class TreeGen:
         if r < 0.45:
             return Identity(self.pathset(depth - 1))
         if r < 0.60:
-            return RelUnion(self.rel(depth - 1), self.rel(depth - 1))
+            return Union(self.rel(depth - 1), self.rel(depth - 1))
         if r < 0.75:
-            return RelConcat(self.rel(depth - 1), self.rel(depth - 1))
+            return Concat(self.rel(depth - 1), self.rel(depth - 1))
         if r < 0.85:
-            return RelStar(self.rel(depth - 1))
+            return Star(self.rel(depth - 1))
         if r < 0.95:
             return Compose(self.rel(depth - 1), self.rel(depth - 1))
-        return RelOne()
+        return One()
 
     def tree(self, depth=4, tries=60):
         for _ in range(tries):

@@ -12,6 +12,8 @@ covers this too but also gates on timing.)
 import sys
 from pathlib import Path
 
+import pytest
+
 import rela.checker
 from rela import CheckOptions, check_all, report_to_json
 
@@ -39,3 +41,16 @@ def test_traced_check_all_hooks_every_layer(tmp_path):
     assert rela.checker._process_item is process
     assert report_to_json(report) == report_to_json(plain)
     assert LAYERS <= {span[2] for span in tracer.spans[root:]}
+
+
+@pytest.mark.parametrize("workload,nodes", [("preserve-scale", 103),
+                                            ("reroute-explain", 69),
+                                            ("else-chain", 8691)])
+def test_tree_size_counts_every_node(tmp_path, workload, nodes):
+    # `compiler.rir_nodes` walks the compiled trees through the node
+    # classes `traced._children` knows; a node kind it stops counting
+    # would shrink the metric without any change to the trees.
+    corpus.write_corpus(workload, 1, str(tmp_path), 0.05)
+    _, _, program, _ = traced.load_stage(str(tmp_path), traced.Tracer())
+    assert sum(traced.tree_size(c.top)
+               for c in traced._compiled_specs(program)) == nodes

@@ -187,6 +187,29 @@ class TestLargeSpecs:
         assert doc["per_subspec"] == {"main/#2": 1}
 
 
+class TestLongBooleanChains:
+    """`and`/`or` chains are flat, so their length is not a nesting depth."""
+
+    def test_long_guard(self, tmp_path, capsys):
+        atoms = " or ".join(["dstPrefix == 10.0.0.0/8"] * 2000)
+        spec_text = (PRESERVE_ALL.replace("main", "keep")
+                     + f"pspec g := {atoms} -> keep\n")
+        argv = write_world(tmp_path, FAILING, spec_text=spec_text)
+        assert main(argv + ["--workers", "1"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"] == {"pass": 1, "fail": 1, "unmatched": 0,
+                                 "error": 0}
+
+    def test_long_where(self, tmp_path, capsys):
+        terms = " or ".join(['group == "A"'] * 1999 + ['device == "x1"'])
+        spec_text = f"spec main := {{ where({terms}) . : preserve; }}\n"
+        argv = write_world(tmp_path, FAILING, spec_text=spec_text)
+        # the zone holds x1 a1 and x1 a2, so f2's move is a violation
+        assert main(argv + ["--workers", "1"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"]["fail"] == 1
+
+
 class TestDeepNesting:
     """Nesting past the recursion limit is a spec error, exit 2."""
 
@@ -340,6 +363,17 @@ class TestEmitRirGoldens:
                            scenario / "locations.json",
                            scenario / "fecs_v2.ndjson")
         golden = TESTS / "data" / "emit_rir" / "scenario.txt"
+        assert got == golden.read_text(encoding="utf-8")
+
+    def test_every_modifier_spec(self, capsys):
+        # Every modifier, a multi-statement block as a later else arm and
+        # an else inside a block, over the scenario's locations.
+        scenario = TESTS / "data" / "scenario"
+        goldens = TESTS / "data" / "emit_rir"
+        got = self.emitted(capsys, goldens / "every-modifier.spec",
+                           scenario / "locations.json",
+                           scenario / "fecs_v2.ndjson")
+        golden = goldens / "every-modifier.txt"
         assert got == golden.read_text(encoding="utf-8")
 
 

@@ -9,9 +9,7 @@ from _treegen import TreeGen, make_env
 from conformance_fixtures import CONFORMANCE, conformance_world, run_case
 from rela import rir
 from rela.automata import fsa_empty, fsa_equivalent
-from rela.compiler import (
-    compile_program, compile_spec, simplify_path, simplify_rel,
-)
+from rela.compiler import compile_program, compile_spec, simplify
 from rela.frontend import (
     Granularity, LocationDb, parse_program,
 )
@@ -88,8 +86,8 @@ class TestModifierRelations:
         c = compiled_for(index, "a : add(b)")
         a, b = sym(index, "a"), sym(index, "b")
         zone = symset(index, "a", "b")
-        assert c.top.left.rel == rir.RelUnion(rir.Identity(zone),
-                                              rir.Cross(a, b))
+        assert c.top.left.rel == rir.Union(rir.Identity(zone),
+                                           rir.Cross(a, b))
         assert c.top.right.rel == rir.Identity(zone)
         assert c.subspecs[0].zone == zone
 
@@ -105,7 +103,7 @@ class TestModifierRelations:
         c = compiled_for(index, "a : replace(b, c)")
         a, b, cc = sym(index, "a"), sym(index, "b"), sym(index, "c")
         zone = symset(index, "a", "c")
-        assert c.top.left.rel == rir.RelUnion(
+        assert c.top.left.rel == rir.Union(
             rir.Identity(rir.Intersect(zone, rir.Complement(b))),
             rir.Cross(rir.Intersect(a, b), cc))
         assert c.top.right.rel == rir.Identity(zone)
@@ -129,7 +127,7 @@ class TestModifierRelations:
         mk = rir.SymSet(frozenset([binding.symbol]))
         zone = symset(index, "a", "b")
         assert c.top.left.rel == rir.Cross(zone, mk)
-        assert c.top.right.rel == rir.RelUnion(
+        assert c.top.right.rel == rir.Union(
             rir.Cross(b, mk),
             rir.Identity(rir.Intersect(a, rir.Complement(b))))
 
@@ -166,8 +164,8 @@ class TestElseChains:
 
     def test_whole_relation_is_arm_union(self, index):
         c = compiled_for(index, "a : preserve else b : drop")
-        assert c.top.left.rel == rir.RelUnion(c.subspecs[0].rpre,
-                                              c.subspecs[1].rpre)
+        assert c.top.left.rel == rir.Union(c.subspecs[0].rpre,
+                                           c.subspecs[1].rpre)
         # both arms' post relations are identities, so they merge
         a = sym(index, "a")
         masked = rir.Intersect(
@@ -260,7 +258,7 @@ def test_simplify_preserves_languages_randomized():
         r = gen.rel(3)
         ev = rir.Evaluator(env)
         plain = ev.pathset(rir.Image(p, r))
-        slim = ev.pathset(rir.Image(simplify_path(p), simplify_rel(r)))
+        slim = ev.pathset(rir.Image(simplify(p), simplify(r)))
         assert fsa_equivalent(plain, slim)
 
 
@@ -268,9 +266,9 @@ def test_simplify_compose_distributes_over_union():
     t = conformance_world()
     a, b = sym(t, "a"), sym(t, "b")
     mask = rir.Identity(rir.Complement(a))
-    r = rir.Compose(mask, rir.RelUnion(rir.Cross(a, b), rir.Identity(b)))
-    got = simplify_rel(r)
-    assert got == rir.RelUnion(
+    r = rir.Compose(mask, rir.Union(rir.Cross(a, b), rir.Identity(b)))
+    got = simplify(r)
+    assert got == rir.Union(
         rir.Cross(rir.Intersect(rir.Complement(a), a), b),
         rir.Identity(rir.Intersect(rir.Complement(a), b)))
 

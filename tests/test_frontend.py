@@ -228,8 +228,19 @@ class TestRegexParsing:
             rir.Concat(ab, rir.Star(ab))
         assert parse_regex("a1 | b1?", index) == \
             rir.Union(loc(index, "a1", "b1"), rir.One())
-        assert parse_regex("a1*+?", index) == rir.Union(
-            rir.Concat(rir.Star(a), rir.Star(a)), rir.One())
+        assert parse_regex("a1*+?", index) == rir.Star(a)
+
+    def test_postfix_run_is_one_operator(self, index):
+        # (x+)+ = x+, (x?)? = x?, and (x+)? = (x?)+ = x*
+        a, d = loc(index, "a1"), loc(index, "d1")
+        # compared outside the assert: a failure would print both trees,
+        # and nesting each `+` around the last makes that exponential
+        same = parse_regex("x1" + "+" * 40, index) == parse_regex("x1+", index)
+        assert same
+        assert parse_regex("a1+?", index) == rir.Star(a)
+        assert parse_regex("a1?+", index) == rir.Star(a)
+        assert parse_regex("d1??", index) == parse_regex("d1?", index)
+        assert parse_regex("d1?", index) == rir.Union(d, rir.One())
 
     def test_groups_and_definitions_splice_into_chains(self, index):
         a, b, d, x = (loc(index, n) for n in ("a1", "b1", "d1", "x1"))

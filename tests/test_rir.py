@@ -13,8 +13,8 @@ from rela.automata import (
 )
 from rela.rir import (
     Complement, Compose, Concat, Cross, Equal, Evaluator, Identity, Image,
-    Intersect, One, PostState, PreState, RelConcat, RelOne, RelStar,
-    RelUnion, RelZero, SnapshotPair, Star, SymSet, Union, Zero, pretty,
+    Intersect, One, PostState, PreState, SnapshotPair, Star, SymSet, Union,
+    Zero, pretty,
 )
 
 
@@ -107,14 +107,14 @@ def test_compose_and_relstar():
     swap = Compose(Cross(sym(a), sym(b)), Cross(sym(b), sym(c)))
     img = eval_pathset(Image(sym(a), swap), env)
     assert paths_of(img) == {"c"}
-    stretch = RelStar(Cross(sym(a), sym(b)))
+    stretch = Star(Cross(sym(a), sym(b)))
     img2 = eval_pathset(Image(Concat(sym(a), sym(a)), stretch), env)
     assert paths_of(img2) == {"b b"}
 
 
 def test_relconcat_pairs_componentwise():
     t, (a, b, c), env, _ = small_world()
-    r = RelConcat(Cross(sym(a), sym(b)), Identity(sym(c)))
+    r = Concat(Cross(sym(a), sym(b)), Identity(sym(c)))
     img = eval_pathset(Image(Concat(sym(a), sym(c)), r), env)
     assert paths_of(img) == {"b c"}
 
@@ -198,7 +198,7 @@ def test_oracle_image():
 
 def test_oracle_relstar_and_compose():
     t, (a, b, c), env, oenv = small_world()
-    expr = Image(Star(sym(a)), RelStar(Cross(sym(a), sym(b))))
+    expr = Image(Star(sym(a)), Star(Cross(sym(a), sym(b))))
     got = oracle_eval_pathset(expr, oenv, 3)
     assert got == {(), (b,), (b, b), (b, b, b)}
     expr2 = Image(sym(a), Compose(Cross(sym(a), sym(b)),
@@ -243,10 +243,10 @@ def test_pretty_pathsets():
 def test_pretty_relations_and_specs():
     t = SymbolTable()
     a, b = t.location("a"), t.location("b")
-    r = RelUnion(Identity(sym(a)), Cross(sym(a), sym(b)))
+    r = Union(Identity(sym(a)), Cross(sym(a), sym(b)))
     assert pretty(r) == "(I(a) | (a × b))"
-    assert pretty(RelConcat(Identity(sym(a)), RelStar(Cross(sym(a), sym(b))))) \
+    assert pretty(Concat(Identity(sym(a)), Star(Cross(sym(a), sym(b))))) \
         == "I(a) (a × b)*"
     s = Equal(PreState(), Image(PostState(), Identity(sym(a))))
     assert pretty(s) == "PreState = (PostState ▷ I(a))"
-    assert pretty(Compose(RelOne(), RelZero())) == "(1 ∘ 0)"
+    assert pretty(Compose(One(), Zero())) == "(1 ∘ 0)"
