@@ -12,9 +12,11 @@ process pool, and aggregates a deterministic report.
 
 from __future__ import annotations
 
+import bisect
 import json
 import multiprocessing
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from . import rir
@@ -253,8 +255,10 @@ def check_all(program: CompiledProgram, index: LocationIndex,
     raises StrictInputError at the first one.
     """
     options = options if options is not None else CheckOptions()
+    cap = max(options.max_counterexamples, 0)
     totals = {PASS: 0, FAIL: 0, UNMATCHED: 0, ERROR: 0}
-    counterexamples = []
+    per_subspec: dict = {}
+    kept = []           # the `cap` smallest fec ids seen so far, sorted
     errors = []
 
     def take(out):
@@ -267,7 +271,11 @@ def check_all(program: CompiledProgram, index: LocationIndex,
         verdict, cx = out
         totals[verdict.status] += 1
         if cx is not None:
-            counterexamples.append(cx)
+            key = f"{cx.guard}/{cx.violated_subspec}"
+            per_subspec[key] = per_subspec.get(key, 0) + 1
+            bisect.insort(kept, cx, key=attrgetter("fec_id"))
+            if len(kept) > cap:
+                kept.pop()
 
     if options.workers > 1:
         with multiprocessing.Pool(options.workers,
@@ -280,16 +288,8 @@ def check_all(program: CompiledProgram, index: LocationIndex,
         for item in items:
             take(_process_item(program, index, item, options, cache))
 
-    counterexamples.sort(key=lambda cx: cx.fec_id)
-    errors.sort(key=lambda e: e.fec_id)
-
-    per_subspec: dict = {}
-    for cx in counterexamples:
-        key = f"{cx.guard}/{cx.violated_subspec}"
-        per_subspec[key] = per_subspec.get(key, 0) + 1
-
-    kept = counterexamples[:max(options.max_counterexamples, 0)]
-    truncated = len(kept) < len(counterexamples)
+    errors.sort(key=attrgetter("fec_id"))
+    truncated = totals[FAIL] > len(kept)
 
     if totals[FAIL]:
         verdict = FAIL

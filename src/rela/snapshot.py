@@ -10,16 +10,16 @@ per line::
               "sources": ["n0"], "sinks": ["n2"]},
      "post": {...}}
 
-Node locations are interface names from the location database, except
-the reserved location "drop", which marks a black-holed endpoint and
-may only appear on sinks.  Both graphs must be acyclic, every node
-reachable from a source and able to reach a sink; a path of the FEC is
-the location sequence of a source-to-sink walk, starting with the
-source's own location.
+Node locations are interface names from the location database or
+coarse names at the run's granularity, plus the reserved location
+"drop", which marks a black-holed endpoint and may only appear on
+sinks.  Both graphs must be acyclic, every node reachable from a source
+and able to reach a sink; a path of the FEC is the location sequence of
+a source-to-sink walk, starting with the source's own location.
 
-Graphs arrive at interface level and are coarsened to the granularity
-the run checks at, merging every vertex of the same device (or group)
-into one.
+Graphs are coarsened to the granularity the run checks at, merging
+every vertex of the same device (or group) into one, as they are
+lowered to acceptors.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
-from .automata import Fsa, Symbol
+from .automata import Fsa
 from .frontend import LocationIndex
 
 
@@ -244,8 +244,8 @@ def iter_fec_lines(lines: Iterable[str],
             fec = parse_fec(obj, index, fallback)
         except SnapshotError as e:
             raw_id = obj.get("id") if isinstance(obj, dict) else None
-            yield FecError(raw_id if isinstance(raw_id, str) else fallback,
-                           str(e))
+            yield FecError(raw_id if isinstance(raw_id, str) and raw_id
+                           else fallback, str(e))
             continue
         if fec.fec_id in seen:
             yield FecError(fec.fec_id, f"FEC {fec.fec_id}: duplicate id")
@@ -264,102 +264,54 @@ def load_fecs(path: str,
 # Coarsening and lowering to an acceptor
 
 
-def coarse_location(loc: str, index: LocationIndex) -> str:
-    if loc == "drop":
-        return "drop"
-    got = index.coarse_of.get(loc)
-    if got is not None:
-        return got
-    if loc in index.symbol_of:
-        return loc
-    raise KeyError(loc)
+def graph_to_fsa(g: ForwardingGraph, index: LocationIndex,
+                 fec_id: str = "?", side: str = "") -> Fsa:
+    """Coarsen a forwarding DAG to the run's granularity and lower it to
+    an acceptor of its paths, in one walk.
 
-
-def coarsen(g: ForwardingGraph, index: LocationIndex,
-            fec_id: str = "?", side: str = "") -> ForwardingGraph:
-    """Merge every vertex of one coarse entity into a single vertex.
-
-    The merged node's id is the coarse location name.  Self edges
-    vanish and duplicate edges keep their first occurrence, so repeated
-    interface hops inside one device become a single visit.  A merge
-    that creates a cycle is reported as an error: the forwarding walk
-    would revisit a device, which run granularity cannot express.
+    Every vertex of one coarse entity (device or group) becomes one
+    state, numbered from 1 in order of first appearance; state 0 is a
+    fresh start state.  Entering a state reads its coarse location, so a
+    path spells the full location sequence, source included, and sinks
+    accept.  Self edges vanish and repeated arcs keep their first
+    occurrence, so repeated interface hops inside one device become a
+    single visit.  Each state stands for one symbol, so the acceptor is
+    deterministic.  A merge that creates a cycle is reported as an
+    error: the forwarding walk would revisit a device, which run
+    granularity cannot express.
     """
-    cnames = []
-    seen = set()
-    mapping = {}
+    coarse_of, symbol_of = index.coarse_of, index.symbol_of
+    state_of = {}       # symbol -> state
+    labels = [None]     # symbol read on entering each state
+    state = {}          # node id -> state
     for nid, loc in zip(g.nodes, g.locs):
-        cname = coarse_location(loc, index)
-        mapping[nid] = cname
-        if cname not in seen:
-            seen.add(cname)
-            cnames.append(cname)
+        sym = symbol_of["drop" if loc == "drop" else coarse_of.get(loc, loc)]
+        s = state_of.get(sym)
+        if s is None:
+            s = state_of[sym] = len(labels)
+            labels.append(sym)
+        state[nid] = s
 
-    edges = []
-    edge_seen = set()
-    out_edges = {c: [] for c in cnames}
-    for u, v in g.edges:
-        cu, cv = mapping[u], mapping[v]
-        if cu == cv or (cu, cv) in edge_seen:
-            continue
-        edge_seen.add((cu, cv))
-        edges.append((cu, cv))
-        out_edges[cu].append(cv)
+    arcs: list[list] = [[] for _ in labels]
+    succ: list[list] = [[] for _ in labels]
+    seen = set()
+    pairs = [(0, state[n]) for n in g.sources]
+    pairs += [(state[u], state[v]) for u, v in g.edges]
+    for su, sv in pairs:
+        if su != sv and (su, sv) not in seen:
+            seen.add((su, sv))
+            arcs[su].append((labels[sv], sv))
+            succ[su].append(sv)
 
-    def thin(names):
-        out, got = [], set()
-        for n in names:
-            c = mapping[n]
-            if c not in got:
-                got.add(c)
-                out.append(c)
-        return tuple(out)
-
-    _check_acyclic(cnames, out_edges, fec_id, side,
+    _check_acyclic(range(len(labels)), succ, fec_id, side,
                    what=f"graph coarsened to {index.granularity.value} "
                         "granularity")
-    return ForwardingGraph(tuple(cnames), tuple(cnames), tuple(edges),
-                           thin(g.sources), thin(g.sinks))
-
-
-def graph_to_fsa(g: ForwardingGraph, index: LocationIndex) -> Fsa:
-    """Lower a forwarding DAG to an acceptor of its paths.
-
-    State 0 is a fresh start state; entering any node reads that node's
-    location, so a path spells the full location sequence, source
-    included.  Sinks accept.
-    """
-    def sym_of(loc: str) -> Symbol:
-        got = index.symbol_of.get(loc)
-        if got is None:
-            got = index.lookup(loc)
-        if got is None:
-            raise KeyError(loc)
-        return got
-
-    loc_by_id = dict(zip(g.nodes, g.locs))
-    state = {nid: i + 1 for i, nid in enumerate(g.nodes)}
-    arcs: list[list] = [[] for _ in range(len(g.nodes) + 1)]
-    for s in g.sources:
-        arcs[0].append((sym_of(loc_by_id[s]), state[s]))
-    for u, v in g.edges:
-        arcs[state[u]].append((sym_of(loc_by_id[v]), state[v]))
-
-    deterministic = True
-    for state_arcs in arcs:
-        labels = [label for label, _ in state_arcs]
-        if len(labels) != len(set(labels)):
-            deterministic = False
-            break
-
-    return Fsa(index.universe, len(g.nodes) + 1, 0,
-               frozenset(state[s] for s in g.sinks),
-               tuple(tuple(a) for a in arcs),
-               deterministic=deterministic)
+    return Fsa(index.universe, len(labels), 0,
+               frozenset(state[n] for n in g.sinks),
+               tuple(tuple(a) for a in arcs), deterministic=True)
 
 
 def fec_acceptors(fec: Fec, index: LocationIndex):
-    """Coarsen both sides and lower them; returns (pre, post) acceptors."""
-    pre = graph_to_fsa(coarsen(fec.pre, index, fec.fec_id, "pre"), index)
-    post = graph_to_fsa(coarsen(fec.post, index, fec.fec_id, "post"), index)
-    return pre, post
+    """Coarsen and lower both sides; returns (pre, post) acceptors."""
+    return (graph_to_fsa(fec.pre, index, fec.fec_id, "pre"),
+            graph_to_fsa(fec.post, index, fec.fec_id, "post"))

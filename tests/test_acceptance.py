@@ -19,7 +19,7 @@ from rela.cli import main
 from rela.compiler import compile_program, compile_spec
 from rela.frontend import Granularity, LocationDb, parse_program
 from rela.rir import Evaluator, SnapshotPair, pretty
-from rela.snapshot import fec_acceptors, graph_to_fsa, coarsen, parse_fec
+from rela.snapshot import fec_acceptors, parse_fec
 
 from _fecgen import make_index, mutate_one_edge, random_fec_dict
 from _oracle import oracle_eval_pathset

@@ -300,11 +300,17 @@ class TestCheckAll:
 
     def test_results_sorted_by_fec_id(self, index):
         program = compile_text(index, PRESERVE_ALL)
-        items = [make_fec(index, fid, ("a1",), ("a2",))
-                 for fid in ("f9", "f1", "f5")]
-        report = check_all(program, index, items)
-        assert [cx.fec_id for cx in report.counterexamples] == \
-            ["f1", "f5", "f9"]
+        for arrival, cap, listed in [
+                (("f9", "f1", "f5"), 100, ["f1", "f5", "f9"]),
+                (("f9", "f5", "f1"), 0, []),
+                (("f9", "f5", "f1"), 2, ["f1", "f5"])]:
+            items = [make_fec(index, fid, ("a1",), ("a2",))
+                     for fid in arrival]
+            report = check_all(program, index, items,
+                               CheckOptions(max_counterexamples=cap))
+            assert [cx.fec_id for cx in report.counterexamples] == listed
+            assert report.counterexamples_truncated == (len(listed) < 3)
+            assert report.per_subspec == {"main/main": 3}
 
     def test_global_counterexample_cap(self, index):
         program = compile_text(index, PRESERVE_ALL)
@@ -350,7 +356,8 @@ class TestCheckAll:
         report = check_all(program, index, [fec])
         assert report.verdict == "error"
         assert report.errors[0].fec_id == "f1"
-        assert "cycle" in report.errors[0].message
+        assert report.errors[0].message == \
+            "FEC f1: pre graph coarsened to device granularity has a cycle"
 
     def test_stream_of_lines(self, index):
         program = compile_text(index, PRESERVE_ALL)

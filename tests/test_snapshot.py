@@ -8,7 +8,7 @@ import pytest
 from rela.automata import enumerate_shortest
 from rela.frontend import Granularity, LocationDb
 from rela.snapshot import (
-    Fec, FecError, ForwardingGraph, SnapshotError, TrafficClass, coarsen,
+    Fec, FecError, ForwardingGraph, SnapshotError, TrafficClass,
     fec_acceptors, graph_to_fsa, iter_fec_lines, parse_fec,
 )
 
@@ -166,14 +166,16 @@ class TestIterFecLines:
             json.dumps(fec_obj("ok-1")),  # duplicate
             json.dumps({"id": "bad-graph", "traffic": {"dstPrefix": "10.0.0.0/8"},
                         "pre": {}, "post": {}}),
+            json.dumps(fec_obj("")),  # empty id
         ]
         out = list(iter_fec_lines(lines, index))
         assert [type(x).__name__ for x in out] == \
-            ["Fec", "FecError", "Fec", "FecError", "FecError"]
+            ["Fec", "FecError", "Fec", "FecError", "FecError", "FecError"]
         assert out[1].fec_id == "line 3"
         assert out[3].fec_id == "ok-1"
         assert "duplicate" in out[3].message
         assert out[4].fec_id == "bad-graph"
+        assert out[5].fec_id == "line 7"
 
 
 class TestCanonicalForm:
@@ -203,16 +205,23 @@ def parse_graph_dict(raw, index, side="pre"):
     return parse_fec(obj, index).pre
 
 
+def fields(fsa):
+    return (fsa.num_states, fsa.initial, fsa.accepting, fsa.arcs,
+            fsa.deterministic)
+
+
 class TestCoarsen:
     def test_merges_interfaces_of_one_device(self, index):
         g = parse_graph_dict(
             chain_graph("x1:eth0", "x1:eth1", "a1:eth0", "a1:eth1",
                         "d1:eth0"), index)
-        c = coarsen(g, index)
-        assert c.nodes == ("x1", "a1", "d1")
-        assert c.edges == (("x1", "a1"), ("a1", "d1"))
-        assert c.sources == ("x1",)
-        assert c.sinks == ("d1",)
+        fsa = graph_to_fsa(g, index)
+        sym = index.symbol_of
+        assert fsa.num_states == 4
+        assert fsa.arcs == (((sym["x1"], 1),), ((sym["a1"], 2),),
+                            ((sym["d1"], 3),), ())
+        assert fsa.accepting == frozenset({3})
+        assert language(fsa) == {"x1 a1 d1"}
 
     def test_duplicate_edges_collapse(self, index):
         g = parse_graph_dict(graph(
@@ -220,29 +229,41 @@ class TestCoarsen:
              ("t", "d1:eth0")],
             [["i", "o1"], ["i", "o2"], ["o1", "t"], ["o2", "t"]],
             ["i"], ["t"]), index)
-        c = coarsen(g, index)
-        assert c.edges == (("x1", "a1"), ("a1", "d1"))
+        fsa = graph_to_fsa(g, index)
+        sym = index.symbol_of
+        assert fsa.num_states == 4
+        assert fsa.arcs == (((sym["x1"], 1),), ((sym["a1"], 2),),
+                            ((sym["d1"], 3),), ())
+        assert fsa.accepting == frozenset({3})
+        assert language(fsa) == {"x1 a1 d1"}
 
     def test_group_granularity(self):
         gi = make_db().build_index(Granularity.GROUP)
         g = parse_graph_dict(
             chain_graph("x1:eth0", "a1:eth1", "a2:eth0", "d1:eth0"), gi)
-        c = coarsen(g, gi)
-        assert c.nodes == ("X", "A", "D")
+        fsa = graph_to_fsa(g, gi)
+        assert fsa.num_states == 4
+        assert fsa.accepting == frozenset({3})
+        assert language(fsa) == {"X A D"}
 
     def test_device_revisit_is_an_error(self, index):
         g = parse_graph_dict(
             chain_graph("x1:eth0", "a1:eth0", "b1:eth0", "a1:eth1",
                         "d1:eth0"), index)
-        with pytest.raises(SnapshotError, match="cycle"):
-            coarsen(g, index, "f9", "pre")
+        with pytest.raises(SnapshotError) as got:
+            graph_to_fsa(g, index, "f9", "pre")
+        assert str(got.value) == \
+            "FEC f9: pre graph coarsened to device granularity has a cycle"
 
     def test_drop_survives(self, index):
         g = parse_graph_dict(chain_graph("x1:eth0", "x1:eth1", "drop"),
                              index)
-        c = coarsen(g, index)
-        assert c.nodes == ("x1", "drop")
-        assert c.sinks == ("drop",)
+        fsa = graph_to_fsa(g, index)
+        sym = index.symbol_of
+        assert fsa.num_states == 3
+        assert fsa.arcs == (((sym["x1"], 1),), ((sym["drop"], 2),), ())
+        assert fsa.accepting == frozenset({2})
+        assert language(fsa) == {"x1 drop"}
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +273,7 @@ class TestCoarsen:
 class TestGraphToFsa:
     def test_chain_language(self, index):
         g = parse_graph_dict(chain_graph("x1:eth0", "a1:eth0"), index)
-        fsa = graph_to_fsa(coarsen(g, index), index)
+        fsa = graph_to_fsa(g, index)
         assert language(fsa) == {"x1 a1"}
 
     def test_diamond_language(self, index):
@@ -261,25 +282,15 @@ class TestGraphToFsa:
              ("t", "d1:eth0")],
             [["s", "l"], ["s", "r"], ["l", "t"], ["r", "t"]],
             ["s"], ["t"]), index)
-        fsa = graph_to_fsa(coarsen(g, index), index)
+        fsa = graph_to_fsa(g, index)
         assert language(fsa) == {"x1 a1 d1", "x1 b1 d1"}
         assert fsa.deterministic
 
     def test_dropped_path_language(self, index):
         g = parse_graph_dict(chain_graph("x1:eth0", "a1:eth0", "drop"),
                              index)
-        fsa = graph_to_fsa(coarsen(g, index), index)
+        fsa = graph_to_fsa(g, index)
         assert language(fsa) == {"x1 a1 drop"}
-
-    def test_interface_graph_may_be_nondeterministic(self, index):
-        g = parse_graph_dict(graph(
-            [("s", "x1:eth0"), ("p", "a1:eth0"), ("q", "a1:eth1"),
-             ("t", "d1:eth0")],
-            [["s", "p"], ["s", "q"], ["p", "t"], ["q", "t"]],
-            ["s"], ["t"]), index)
-        fsa = graph_to_fsa(g, index)  # not coarsened: two arcs read a1
-        assert not fsa.deterministic
-        assert language(fsa) == {"x1 a1 d1"}
 
     def test_fec_acceptors(self, index):
         obj = fec_obj(pre=chain_graph("x1:eth0", "x1:eth1", "a1:eth0"),
@@ -340,7 +351,7 @@ def random_device_dag(rng):
 
 def expand_to_interfaces(g, rng):
     """Replace each device node with an in/out interface pair (or a
-    single interface), keeping edge order.  Inverse of coarsen."""
+    single interface), keeping edge order.  Coarsening inverts it."""
     nodes, locs, edges = [], [], []
     inp, outp = {}, {}
     for device in g.nodes:
@@ -370,15 +381,21 @@ def test_coarsen_inverts_interface_expansion(index):
     for _ in range(200):
         device_graph = random_device_dag(rng)
         expanded = expand_to_interfaces(device_graph, rng)
-        back = coarsen(expanded, index)
-        assert back == device_graph
+        fsa = graph_to_fsa(expanded, index)
+        assert fields(fsa) == fields(graph_to_fsa(device_graph, index))
+        # determinize trusts the flag, so it must hold arc by arc
+        assert fsa.deterministic
+        for arcs in fsa.arcs:
+            labels = [label for label, _ in arcs]
+            assert len(labels) == len(set(labels))
 
 
 def test_sink_expansion_uses_inbound_interface(index):
     # a sink's walk ends where traffic arrives; expansion must not strand
     # the out interface, so expand_to_interfaces marks the out port as
-    # the sink and coarsen maps it back
+    # the sink and coarsening maps it back
     rng = random.Random(7)
     g = random_device_dag(rng)
     expanded = expand_to_interfaces(g, rng)
-    assert coarsen(expanded, index).sinks == g.sinks
+    assert fields(graph_to_fsa(expanded, index)) == \
+        fields(graph_to_fsa(g, index))
