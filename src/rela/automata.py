@@ -8,6 +8,12 @@ whose `alphabet` is its output alphabet; `fsa_union`, `fsa_concat` and
 `fsa_star` build both kinds.  Machines are immutable once constructed;
 every operation returns a fresh one.
 
+Intersection, difference, equivalence and `intersects` are clients of
+one walk over pairs of determinized states, `_product`; it builds the
+product machine or, for a yes/no question, stops at the first pair that
+decides it.  `fst_identity`, `fst_cross` and `project_output` relabel
+arcs through one copy, `_relabel`.
+
 Symbols are interned through a `SymbolTable`.  Three kinds exist:
 
 * ``location`` -- a network location at the active granularity,
@@ -23,6 +29,7 @@ transducers too (one label that moves neither tape).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -467,127 +474,89 @@ def complement(fsa: Fsa, universe: frozenset[Symbol]) -> Fsa:
                b.frozen_arcs(), deterministic=True)
 
 
-def fsa_intersect(x: Fsa, y: Fsa) -> Fsa:
-    """Product construction on the determinized operands.
+_DEAD = -1  # the implicit rejecting sink of a partial DFA
 
-    Each product state scans whichever operand has the smaller fan-out
-    and looks the labels up in the other side's transition map, so
-    intersecting against a complete machine over a wide alphabet stays
-    proportional to the smaller machine.
+
+def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
+    """Walk the reachable pairs of states of the determinized operands.
+
+    `follow` picks the symbols a pair moves on: ``"both"`` (symbols both
+    sides read), ``"left"`` (symbols x reads) or ``"either"`` (symbols
+    either side reads).  A side with no arc for a followed symbol moves
+    to `_DEAD`, which never accepts, so complements stay implicit.  Under
+    ``"both"`` each pair scans whichever side has the smaller fan-out
+    and looks the labels up in the other side's map, so a product with a
+    complete machine over a wide alphabet stays proportional to the
+    smaller one.  A pair accepts when ``accept(x_accepts, y_accepts)``.
+
+    With `build` the walk returns the product as a deterministic `Fsa`;
+    without it, whether an accepting pair is reachable, stopping at the
+    first one.
     """
     dx, dy = determinize(x), determinize(y)
     xmaps, ymaps = _state_maps(dx), _state_maps(dy)
-    index = {(dx.initial, dy.initial): 0}
+    xacc, yacc = dx.accepting, dy.accepting
+    start = (dx.initial, dy.initial)
+    index = {start: 0}
+    work = deque([start])
     b = _Builder()
     b.state()
-    work = deque([(dx.initial, dy.initial)])
     accepting = set()
     while work:
         qx, qy = pair = work.popleft()
         sid = index[pair]
-        if qx in dx.accepting and qy in dy.accepting:
+        if accept(qx in xacc, qy in yacc):
+            if not build:
+                return True
             accepting.add(sid)
-        xarcs, yarcs = dx.arcs[qx], dy.arcs[qy]
-        if len(xarcs) <= len(yarcs):
-            ymap = ymaps[qy]
-            matched = ((label, dst_x, ymap.get(label))
-                       for label, dst_x in xarcs)
+        xmap = {} if qx == _DEAD else xmaps[qx]
+        ymap = {} if qy == _DEAD else ymaps[qy]
+        if follow == "both":
+            if len(xmap) <= len(ymap):
+                moves = [(label, (dst, ymap[label]))
+                         for label, dst in xmap.items() if label in ymap]
+            else:
+                moves = [(label, (xmap[label], dst))
+                         for label, dst in ymap.items() if label in xmap]
         else:
-            xmap = xmaps[qx]
-            matched = ((label, xmap.get(label), dst_y)
-                       for label, dst_y in yarcs)
-        for label, dst_x, dst_y in matched:
-            if dst_x is None or dst_y is None:
-                continue
-            target = (dst_x, dst_y)
+            moves = [(label, (dst, ymap.get(label, _DEAD)))
+                     for label, dst in xmap.items()]
+            if follow == "either":
+                moves += [(label, (_DEAD, dst))
+                          for label, dst in ymap.items() if label not in xmap]
+        for label, target in moves:
             tid = index.get(target)
             if tid is None:
-                tid = len(index)
-                index[target] = tid
-                b.state()
+                tid = index[target] = len(index)
                 work.append(target)
-            b.arc(sid, label, tid)
+                if build:
+                    b.state()
+            if build:
+                b.arc(sid, label, tid)
+    if not build:
+        return False
     return Fsa(x.alphabet | y.alphabet, len(b.arcs), 0, frozenset(accepting),
                b.frozen_arcs(), deterministic=True)
 
 
-_DEAD = -1
+def fsa_intersect(x: Fsa, y: Fsa) -> Fsa:
+    """L(x) and L(y), as a deterministic product."""
+    return _product(x, y, "both", operator.and_)
+
+
+def intersects(x: Fsa, y: Fsa) -> bool:
+    """True when L(x) and L(y) share a member."""
+    return _product(x, y, "both", operator.and_, build=False)
 
 
 def fsa_difference(x: Fsa, y: Fsa) -> Fsa:
-    """L(x) minus L(y): the product of x with the complement of y.
-
-    The complement is kept implicit: a missing y-transition is treated as
-    the (rejecting) dead state, so the machine never materializes a full
-    transition table over the alphabet.
-    """
-    dx, dy = determinize(x), determinize(y)
-    ymaps = _state_maps(dy)
-    index = {(dx.initial, dy.initial): 0}
-    b = _Builder()
-    b.state()
-    work = deque([(dx.initial, dy.initial)])
-    accepting = set()
-    while work:
-        qx, qy = pair = work.popleft()
-        sid = index[pair]
-        if qx in dx.accepting and (qy == _DEAD or qy not in dy.accepting):
-            accepting.add(sid)
-        ymap = {} if qy == _DEAD else ymaps[qy]
-        for label, dst_x in dx.arcs[qx]:
-            target = (dst_x, ymap.get(label, _DEAD))
-            tid = index.get(target)
-            if tid is None:
-                tid = len(index)
-                index[target] = tid
-                b.state()
-                work.append(target)
-            b.arc(sid, label, tid)
-    return Fsa(x.alphabet | y.alphabet, len(b.arcs), 0, frozenset(accepting),
-               b.frozen_arcs(), deterministic=True)
-
-
-def is_empty(fsa: Fsa) -> bool:
-    """True when the language is empty (no accepting state reachable)."""
-    seen = {fsa.initial}
-    stack = [fsa.initial]
-    while stack:
-        q = stack.pop()
-        if q in fsa.accepting:
-            return False
-        for _, dst in fsa.arcs[q]:
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return True
+    """L(x) minus L(y), with y's complement kept implicit."""
+    return _product(x, y, "left", lambda ax, ay: ax and not ay)
 
 
 def fsa_equivalent(x: Fsa, y: Fsa) -> bool:
-    """Language equality, decided by emptiness of both directed differences.
-
-    Runs as one synchronized product walk over the determinized machines
-    (missing transitions stand for the dead state); any state where the
-    acceptance bits disagree witnesses one of the two differences.
-    """
-    dx, dy = determinize(x), determinize(y)
-    xmaps, ymaps = _state_maps(dx), _state_maps(dy)
-    start = (dx.initial, dy.initial)
-    seen = {start}
-    work = deque([start])
-    while work:
-        qx, qy = work.popleft()
-        ax = qx != _DEAD and qx in dx.accepting
-        ay = qy != _DEAD and qy in dy.accepting
-        if ax != ay:
-            return False
-        xmap = {} if qx == _DEAD else xmaps[qx]
-        ymap = {} if qy == _DEAD else ymaps[qy]
-        for label in sorted(set(xmap) | set(ymap), key=lambda s: s.id):
-            target = (xmap.get(label, _DEAD), ymap.get(label, _DEAD))
-            if target not in seen:
-                seen.add(target)
-                work.append(target)
-    return True
+    """Language equality: no reachable pair where exactly one side accepts."""
+    return not _product(x, y, "either", operator.ne, build=False)
 
 
 def accepts(fsa: Fsa, path: Sequence[Symbol]) -> bool:
@@ -709,13 +678,18 @@ def substitute(fsa: Fsa, mapping: dict) -> Fsa:
 # Transducers
 
 
+def _relabel(fsa: Fsa, label_of, alphabet: frozenset[Symbol]) -> Fsa:
+    """`fsa` with each non-epsilon arc label replaced by ``label_of(label)``."""
+    arcs = tuple(
+        tuple((label if label is EPSILON else label_of(label), dst)
+              for label, dst in state_arcs)
+        for state_arcs in fsa.arcs)
+    return Fsa(alphabet, fsa.num_states, fsa.initial, fsa.accepting, arcs)
+
+
 def fst_identity(p: Fsa) -> Fsa:
     """The identity relation restricted to L(p)."""
-    arcs = tuple(
-        tuple((label if label is EPSILON else (label, label), dst)
-              for label, dst in state_arcs)
-        for state_arcs in p.arcs)
-    return Fsa(p.alphabet, p.num_states, p.initial, p.accepting, arcs)
+    return _relabel(p, lambda sym: (sym, sym), p.alphabet)
 
 
 def fst_cross(p1: Fsa, p2: Fsa) -> Fsa:
@@ -724,26 +698,8 @@ def fst_cross(p1: Fsa, p2: Fsa) -> Fsa:
     Reads any member of p1 while writing nothing, then writes any member
     of p2 while reading nothing.
     """
-    b = _Builder()
-    off1 = _copy_into_fst(b, p1, "in")
-    off2 = _copy_into_fst(b, p2, "out")
-    for q in sorted(p1.accepting):
-        b.arc(q + off1, EPSILON, p2.initial + off2)
-    accepting = frozenset(q + off2 for q in p2.accepting)
-    return Fsa(p2.alphabet, len(b.arcs), p1.initial + off1, accepting,
-               b.frozen_arcs())
-
-
-def _copy_into_fst(b: _Builder, p: Fsa, tape: str) -> int:
-    offset = len(b.arcs)
-    for _ in range(p.num_states):
-        b.state()
-    for q in range(p.num_states):
-        for label, dst in p.arcs[q]:
-            if label is not EPSILON:
-                label = (label, EPSILON) if tape == "in" else (EPSILON, label)
-            b.arc(q + offset, label, dst + offset)
-    return offset
+    return fsa_concat(_relabel(p1, lambda sym: (sym, EPSILON), frozenset()),
+                      _relabel(p2, lambda sym: (EPSILON, sym), p2.alphabet))
 
 
 _STILL = (EPSILON, EPSILON)  # the tapes of a joint-epsilon (None) label
@@ -813,11 +769,7 @@ def fst_compose(x: Fsa, y: Fsa) -> Fsa:
 
 def project_output(t: Fsa) -> Fsa:
     """The output tape of transducer `t`, as an acceptor."""
-    arcs = tuple(
-        tuple((label if label is EPSILON else label[1], dst)
-              for label, dst in state_arcs)
-        for state_arcs in t.arcs)
-    return Fsa(t.alphabet, t.num_states, t.initial, t.accepting, arcs)
+    return _relabel(t, operator.itemgetter(1), t.alphabet)
 
 
 def apply_image(p: Fsa, r: Fsa) -> Fsa:

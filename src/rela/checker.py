@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Union
 
 from . import rir
 from .automata import (PathList, enumerate_shortest, fsa_difference,
-                       fsa_equivalent, fsa_intersect, is_empty, substitute)
+                       fsa_equivalent, intersects, substitute)
 from .compiler import CompiledProgram, CompiledSpec
 from .frontend import LocationIndex, match_predicate
 from .snapshot import (Fec, FecError, SnapshotError, TrafficClass,
@@ -179,7 +179,7 @@ def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
     for snapshot in (env.pre, env.post):
         for sub in c.subspecs:
             zone = ev.pathset(sub.zone)
-            if is_empty(fsa_intersect(snapshot, zone)):
+            if not intersects(snapshot, zone):
                 continue
             exp = ev.pathset(rir.Image(rir.PreState(), sub.rpre))
             obs = ev.pathset(rir.Image(rir.PostState(), sub.rpost))

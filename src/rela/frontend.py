@@ -139,6 +139,11 @@ class LocationDb:
                     "location name 'drop' is reserved for dropped traffic")
             coarse_of[r.name] = cname
             coarse_names.add(cname)
+        for name, cname in coarse_of.items():
+            if name != cname and name in coarse_names:
+                raise LocationDbError(
+                    f"location name {name!r} is also a {granularity.value} "
+                    "name, so it would name two locations")
         table = SymbolTable()
         symbol_of = {"drop": table.drop}
         for cname in sorted(coarse_names):
@@ -159,7 +164,12 @@ class LocationIndex:
     symbol_of: dict  # coarse name -> Symbol (plus "drop")
 
     def lookup(self, name: str) -> Optional[Symbol]:
-        """Resolve a location token: coarse name, or interface name."""
+        """Resolve a location token: coarse name, or interface name.
+
+        Spec atoms and FEC node locations both resolve here.  The order
+        of the two tries never matters, because `build_index` rejects an
+        interface name that is another entity's coarse name.
+        """
         sym = self.symbol_of.get(name)
         if sym is None:
             cname = self.coarse_of.get(name)

@@ -30,7 +30,7 @@ from typing import Optional
 from .automata import (
     Fsa, Symbol, accepts, apply_image, complement, fsa_concat,
     fsa_empty, fsa_intersect, fsa_star, fsa_symbol_class, fsa_union,
-    fsa_unit, fst_compose, fst_cross, fst_identity, is_empty,
+    fsa_unit, fst_compose, fst_cross, fst_identity, intersects,
 )
 
 
@@ -312,7 +312,7 @@ class Evaluator:
         if isinstance(r, Identity):
             return fsa_intersect(source, self.pathset(r.source))
         if isinstance(r, Cross):
-            if is_empty(fsa_intersect(source, self.pathset(r.left))):
+            if not intersects(source, self.pathset(r.left)):
                 return fsa_empty(self.universe)
             return self.pathset(r.right)
         if isinstance(r, Zero):

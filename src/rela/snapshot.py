@@ -120,7 +120,7 @@ def _parse_graph(raw, side: str, fec_id: str,
         nid, loc = item["id"], item["loc"]
         if nid in loc_by_id:
             raise _err(fec_id, f"{side} graph repeats node {nid!r}")
-        if loc != "drop" and index.lookup(loc) is None:
+        if index.lookup(loc) is None:
             raise _err(fec_id, f"{side} graph node {nid!r} has unknown "
                                f"location {loc!r}")
         loc_by_id[nid] = loc
@@ -244,8 +244,11 @@ def iter_fec_lines(lines: Iterable[str],
             fec = parse_fec(obj, index, fallback)
         except SnapshotError as e:
             raw_id = obj.get("id") if isinstance(obj, dict) else None
-            yield FecError(raw_id if isinstance(raw_id, str) and raw_id
-                           else fallback, str(e))
+            if isinstance(raw_id, str) and raw_id:
+                seen.add(raw_id)
+            else:
+                raw_id = fallback
+            yield FecError(raw_id, str(e))
             continue
         if fec.fec_id in seen:
             yield FecError(fec.fec_id, f"FEC {fec.fec_id}: duplicate id")
@@ -280,12 +283,12 @@ def graph_to_fsa(g: ForwardingGraph, index: LocationIndex,
     error: the forwarding walk would revisit a device, which run
     granularity cannot express.
     """
-    coarse_of, symbol_of = index.coarse_of, index.symbol_of
+    lookup = index.lookup
     state_of = {}       # symbol -> state
     labels = [None]     # symbol read on entering each state
     state = {}          # node id -> state
     for nid, loc in zip(g.nodes, g.locs):
-        sym = symbol_of["drop" if loc == "drop" else coarse_of.get(loc, loc)]
+        sym = lookup(loc)
         s = state_of.get(sym)
         if s is None:
             s = state_of[sym] = len(labels)

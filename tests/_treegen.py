@@ -242,6 +242,21 @@ def fsa_from_paths(paths, universe) -> Fsa:
                tuple(tuple(a) for a in arcs))
 
 
+def is_empty(fsa: Fsa) -> bool:
+    """True when the language is empty (no accepting state reachable)."""
+    seen = {fsa.initial}
+    stack = [fsa.initial]
+    while stack:
+        q = stack.pop()
+        if q in fsa.accepting:
+            return False
+        for _, dst in fsa.arcs[q]:
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return True
+
+
 def bounded_language(fsa: Fsa, maxlen: int) -> frozenset:
     """All accepted strings of length <= maxlen, by BFS over the DFA."""
     d = trim(determinize(fsa))

@@ -13,13 +13,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _treegen import is_empty
 from rela.automata import (
     substitute,
     AlphabetError, Fsa, PathList, Symbol, SymbolTable, accepts,
     apply_image, complement, determinize, enumerate_shortest, fsa_concat,
     fsa_difference, fsa_empty, fsa_equivalent, fsa_intersect, fsa_star,
     fsa_symbol, fsa_symbol_class, fsa_union, fsa_unit, fst_compose,
-    fst_cross, fst_identity, is_empty, minimize, project_output,
+    fst_cross, fst_identity, intersects, minimize, project_output,
 )
 
 
@@ -264,6 +265,20 @@ def test_equivalence_distinguishes_near_misses():
     y = fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(a, u)))
     assert not fsa_equivalent(x, y)  # y misses the empty path
     assert fsa_equivalent(fsa_union(y, fsa_unit(u)), x)
+
+
+def test_equivalence_walks_through_the_dead_state_on_both_sides():
+    # Each side reads a symbol the other has no arc for, so the walk
+    # pairs a live state with the dead state in both directions.
+    t, a, b, c = table3()
+    u = t.universe()
+    dead_end = fsa_empty(u)
+    x = fsa_union(fsa_symbol(a, u), fsa_concat(fsa_symbol(b, u), dead_end))
+    y = fsa_union(fsa_symbol(a, u), fsa_concat(fsa_symbol(c, u), dead_end))
+    assert fsa_equivalent(x, y) and fsa_equivalent(y, x)
+    xb = fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(b, u)))
+    yc = fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(c, u)))
+    assert not fsa_equivalent(xb, yc) and not fsa_equivalent(yc, xb)
 
 
 def test_intersect_with_complement_of_unit():
@@ -578,6 +593,9 @@ def test_difference_matches_set_semantics(e1, e2):
     want = lang(e1, uni, 4) - lang(e2, uni, 4)
     for s in all_strings(uni, 4):
         assert accepts(diff, s) == (s in want)
+    assert intersects(x, y) == (not is_empty(fsa_intersect(x, y)))
+    if lang(e1, uni, 4) & lang(e2, uni, 4):
+        assert intersects(x, y)
 
 
 @settings(max_examples=60, deadline=None)

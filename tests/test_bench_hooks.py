@@ -4,11 +4,12 @@
 `rela.checker` and `rela.rir` while it runs.  A refactor that moves or
 renames one of them leaves its swap without effect, and that layer's
 metrics silently read 0.  This runs the traced call on a small corpus
-with failures and requires the plain call's report and a span from every
-swapped layer.  (The benchmark's own smoke test, `bench/test_smoke.py`,
+with failures, once per workload, and requires the plain call's report,
+the corpus's known answer and a span from every swapped layer.  (The benchmark's own smoke test, `bench/test_smoke.py`,
 covers this too but also gates on timing.)
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -26,8 +27,10 @@ LAYERS = {"checker.fec", "snapshot.acceptors", "rir.ground", "rir.image",
           "automata.equiv", "checker.explain", "automata.enumerate"}
 
 
-def test_traced_check_all_hooks_every_layer(tmp_path):
-    corpus.write_corpus("reroute-explain", 1, str(tmp_path), 0.05)
+@pytest.mark.parametrize("workload", ["preserve-scale", "reroute-explain",
+                                      "else-chain"])
+def test_traced_check_all_hooks_every_layer(tmp_path, workload):
+    answer = corpus.write_corpus(workload, 1, str(tmp_path), 0.05)
     tracer = traced.Tracer()
     _, index, program, fecs = traced.load_stage(str(tmp_path), tracer)
     plain = check_all(program, index, fecs, CheckOptions(workers=1))
@@ -40,6 +43,8 @@ def test_traced_check_all_hooks_every_layer(tmp_path):
 
     assert rela.checker._process_item is process
     assert report_to_json(report) == report_to_json(plain)
+    assert corpus.mismatches(json.loads(report_to_json(report)),
+                             answer) == (0, [])
     assert LAYERS <= {span[2] for span in tracer.spans[root:]}
 
 

@@ -92,6 +92,16 @@ class TestLocationDb:
             LocationDb.from_json(json.dumps(rows)).build_index(
                 Granularity.DEVICE)
 
+    def test_interface_named_like_another_device_is_rejected(self):
+        # At device granularity `x1` would be device x1 to the spec but
+        # interface x1 of device a1 to a forwarding graph.
+        rows = [{"name": "x1", "device": "a1", "group": "g"},
+                {"name": "x1:eth0", "device": "x1", "group": "g"}]
+        db = LocationDb.from_json(json.dumps(rows))
+        with pytest.raises(LocationDbError, match="two locations"):
+            db.build_index(Granularity.DEVICE)
+        db.build_index(Granularity.INTERFACE)
+
 
 class TestLocationIndex:
     def test_device_granularity_merges_interfaces(self, index):

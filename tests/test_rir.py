@@ -7,10 +7,10 @@ import random
 import pytest
 
 from _oracle import OracleEnv, oracle_eval_pathset
-from _treegen import TreeGen, bounded_language, fsa_from_paths, make_env
-from rela.automata import (
-    SymbolTable, accepts, enumerate_shortest, is_empty,
+from _treegen import (
+    TreeGen, bounded_language, fsa_from_paths, is_empty, make_env,
 )
+from rela.automata import SymbolTable, accepts, enumerate_shortest
 from rela.rir import (
     Complement, Compose, Concat, Cross, Equal, Evaluator, Identity, Image,
     Intersect, One, PostState, PreState, SnapshotPair, Star, SymSet, Union,

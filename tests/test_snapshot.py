@@ -166,16 +166,20 @@ class TestIterFecLines:
             json.dumps(fec_obj("ok-1")),  # duplicate
             json.dumps({"id": "bad-graph", "traffic": {"dstPrefix": "10.0.0.0/8"},
                         "pre": {}, "post": {}}),
+            json.dumps(fec_obj("bad-graph")),  # a failed line claims its id
             json.dumps(fec_obj("")),  # empty id
         ]
         out = list(iter_fec_lines(lines, index))
         assert [type(x).__name__ for x in out] == \
-            ["Fec", "FecError", "Fec", "FecError", "FecError", "FecError"]
+            ["Fec", "FecError", "Fec", "FecError", "FecError", "FecError",
+             "FecError"]
         assert out[1].fec_id == "line 3"
         assert out[3].fec_id == "ok-1"
         assert "duplicate" in out[3].message
         assert out[4].fec_id == "bad-graph"
-        assert out[5].fec_id == "line 7"
+        assert out[5].fec_id == "bad-graph"
+        assert "duplicate" in out[5].message
+        assert out[6].fec_id == "line 8"
 
 
 class TestCanonicalForm:
