@@ -1,13 +1,14 @@
 """Checking forwarding changes against a compiled specification.
 
-`check_fec` is the one place a FEC is judged.  It lowers both forwarding
-graphs to acceptors, evaluates the two sides of the compiled equation
-image(pre, Rpre) == image(post, Rpost) once, and decides it by automaton
-equivalence.  A failure is explained from the same two sides: the arms of
-the spec are replayed in priority order to find the one to blame, and the
-shortest paths on which the sides disagree are listed.  `check_all` picks
-each FEC's spec, runs `check_fec` over a stream of FECs, optionally on a
-process pool, and aggregates a deterministic report.
+`check_fec` is the one place a FEC is judged.  It checks and lowers both
+forwarding graphs to acceptors, evaluates the two sides of the compiled
+equation image(pre, Rpre) == image(post, Rpost) once, and decides it by
+automaton equivalence.  A failure is explained from the same two sides:
+the arms of the spec are replayed in priority order to find the one to
+blame, and the shortest paths on which the sides disagree are listed.
+`check_all` picks each FEC's spec, runs `check_fec` over a stream of
+FECs, optionally on a process pool, and aggregates a deterministic
+report.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ def check_fec(c: CompiledSpec, f: Fec, index: LocationIndex,
 
     Returns (verdict, counterexample), the counterexample None on a pass.
     `limit` bounds each path listing; `guard` labels the verdict (the
-    spec's own name by default).  Raises SnapshotError when a graph
-    cannot be coarsened.
+    spec's own name by default).  Raises SnapshotError when a graph,
+    checked here against `index`, is malformed or cannot be coarsened.
     """
     guard = guard or c.name
     pre, post = fec_acceptors(f, index)
@@ -211,7 +212,7 @@ def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
 # Whole-run driver
 
 # A worker processes one item into one of:
-#   FecError                      (bad input line, or coarsening failed)
+#   FecError                      (bad input line, or a graph is bad)
 #   (FecVerdict, None)            (pass or unmatched)
 #   (FecVerdict, Counterexample)  (fail, with its explanation)
 
@@ -222,9 +223,11 @@ def _process_item(program: CompiledProgram, index: LocationIndex,
     if isinstance(item, FecError):
         return item
     guard, spec = select_spec(program, item.traffic)
-    if spec is None:
-        return FecVerdict(item.fec_id, UNMATCHED), None
     try:
+        if spec is None:
+            # a bad graph is an error whether or not a spec applies
+            fec_acceptors(item, index)
+            return FecVerdict(item.fec_id, UNMATCHED), None
         return check_fec(spec, item, index, ground_cache,
                          options.witness_limit, guard)
     except SnapshotError as e:

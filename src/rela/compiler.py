@@ -200,22 +200,30 @@ class _Lowerer:
         """
         nodes = s.arms if isinstance(s, ElseSpec) else (s,)
         out = []
-        prior = None  # union of the zones of the arms so far
+        zones = []          # the zones of the arms so far
+        unions = [None]     # unions[i]: the union of the first i zones
         for i, arm in enumerate(nodes):
             rpre, rpost, zone = self.spec(arm)
             zone = simplify(zone)
             label = arm.name or f"#{i + 1}"
-            if prior is None:
+            if i == 0:
                 out.append(SubSpec(label, zone, rpre, rpost))
-                prior = zone
-                continue
-            outside = rir.Complement(prior)
-            mask = rir.Identity(outside)
-            out.append(SubSpec(label, rir.Intersect(zone, outside),
-                               rir.Compose(mask, rpre),
-                               rir.Compose(mask, rpost)))
-            if i + 1 < len(nodes):
-                prior = simplify(rir.Union(prior, zone))
+            else:
+                # As in a Fenwick tree, the union of the first i zones
+                # joins the union of the first j, i with its lowest bit
+                # cleared, to a balanced block of the zones from j on:
+                # each union reuses an earlier one, as a left-deep chain
+                # would, yet is O(log i) deep.
+                j = i & (i - 1)
+                block = rir.fold(zones[j:], rir.Union)
+                unions.append(simplify(
+                    block if j == 0 else rir.Union(unions[j], block)))
+                outside = rir.Complement(unions[i])
+                mask = rir.Identity(outside)
+                out.append(SubSpec(label, rir.Intersect(zone, outside),
+                                   rir.Compose(mask, rpre),
+                                   rir.Compose(mask, rpost)))
+            zones.append(zone)
         return out
 
     def atomic(self, s: AtomicSpec):

@@ -17,9 +17,11 @@ sinks.  Both graphs must be acyclic, every node reachable from a source
 and able to reach a sink; a path of the FEC is the location sequence of
 a source-to-sink walk, starting with the source's own location.
 
-Graphs are coarsened to the granularity the run checks at, merging
-every vertex of the same device (or group) into one, as they are
-lowered to acceptors.
+Loading checks a line's id and traffic and keeps its two graphs as raw
+JSON.  `graph_to_fsa` checks a graph in the one walk that coarsens it to
+the granularity the run checks at, merging every vertex of the same
+device (or group) into one, and lowers it to an acceptor.  So a bad
+graph is reported when its FEC is checked, not when it is loaded.
 """
 
 from __future__ import annotations
@@ -55,20 +57,13 @@ class TrafficClass:
 
 
 @dataclass(frozen=True)
-class ForwardingGraph:
-    nodes: tuple        # node ids, in input order
-    locs: tuple         # location of nodes[i]
-    edges: tuple        # (src id, dst id) pairs, in input order
-    sources: tuple
-    sinks: tuple
-
-
-@dataclass(frozen=True)
 class Fec:
+    """One traffic class and its two forwarding graphs, as raw JSON."""
+
     fec_id: str
     traffic: TrafficClass
-    pre: ForwardingGraph
-    post: ForwardingGraph
+    pre: object
+    post: object
 
 
 @dataclass(frozen=True)
@@ -83,121 +78,10 @@ def _err(fec_id: str, message: str) -> SnapshotError:
     return SnapshotError(f"FEC {fec_id}: {message}")
 
 
-def _check_acyclic(nodes, out_edges, fec_id, side, what="graph"):
-    indegree = {n: 0 for n in nodes}
-    for u in nodes:
-        for v in out_edges[u]:
-            indegree[v] += 1
-    queue = [n for n in nodes if indegree[n] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in out_edges[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                queue.append(v)
-    if seen != len(nodes):
-        raise _err(fec_id, f"{side} {what} has a cycle")
-
-
-def _parse_graph(raw, side: str, fec_id: str,
-                 index: LocationIndex) -> ForwardingGraph:
-    if not isinstance(raw, dict):
-        raise _err(fec_id, f"{side} graph must be an object")
-    for key in ("nodes", "edges", "sources", "sinks"):
-        if not isinstance(raw.get(key), list):
-            raise _err(fec_id, f"{side} graph needs a {key!r} array")
-
-    nodes, locs = [], []
-    loc_by_id = {}
-    for item in raw["nodes"]:
-        if not isinstance(item, dict) or \
-                not isinstance(item.get("id"), str) or \
-                not isinstance(item.get("loc"), str):
-            raise _err(fec_id, f"{side} graph node entries need "
-                               "string 'id' and 'loc'")
-        nid, loc = item["id"], item["loc"]
-        if nid in loc_by_id:
-            raise _err(fec_id, f"{side} graph repeats node {nid!r}")
-        if index.lookup(loc) is None:
-            raise _err(fec_id, f"{side} graph node {nid!r} has unknown "
-                               f"location {loc!r}")
-        loc_by_id[nid] = loc
-        nodes.append(nid)
-        locs.append(loc)
-    if not nodes:
-        raise _err(fec_id, f"{side} graph has no nodes")
-
-    out_edges = {n: [] for n in nodes}
-    edges = []
-    for pair in raw["edges"]:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise _err(fec_id, f"{side} graph edges must be [src, dst] pairs")
-        u, v = pair
-        for n in (u, v):
-            if not isinstance(n, str) or n not in loc_by_id:
-                raise _err(fec_id, f"{side} graph edge references unknown "
-                                   f"node {n!r}")
-        out_edges[u].append(v)
-        edges.append((u, v))
-
-    for key in ("sources", "sinks"):
-        if not raw[key]:
-            raise _err(fec_id, f"{side} graph has no {key}")
-        for n in raw[key]:
-            if not isinstance(n, str) or n not in loc_by_id:
-                raise _err(fec_id, f"{side} graph lists unknown node {n!r} "
-                                   f"in {key}")
-    sources = tuple(raw["sources"])
-    sinks = tuple(raw["sinks"])
-    sink_set = set(sinks)
-
-    for nid, loc in loc_by_id.items():
-        if loc == "drop":
-            if nid not in sink_set:
-                raise _err(fec_id, f"{side} graph puts location 'drop' on "
-                                   f"non-sink node {nid!r}")
-            if out_edges[nid]:
-                raise _err(fec_id, f"{side} graph forwards past dropped "
-                                   f"node {nid!r}")
-
-    _check_acyclic(nodes, out_edges, fec_id, side)
-
-    reached = set()
-    stack = list(sources)
-    while stack:
-        u = stack.pop()
-        if u in reached:
-            continue
-        reached.add(u)
-        stack.extend(out_edges[u])
-    if len(reached) != len(nodes):
-        orphan = next(n for n in nodes if n not in reached)
-        raise _err(fec_id, f"{side} graph node {orphan!r} is unreachable "
-                           "from the sources")
-
-    in_edges = {n: [] for n in nodes}
-    for u, v in edges:
-        in_edges[v].append(u)
-    reaches_sink = set()
-    stack = list(sinks)
-    while stack:
-        u = stack.pop()
-        if u in reaches_sink:
-            continue
-        reaches_sink.add(u)
-        stack.extend(in_edges[u])
-    if len(reaches_sink) != len(nodes):
-        stuck = next(n for n in nodes if n not in reaches_sink)
-        raise _err(fec_id, f"{side} graph node {stuck!r} cannot reach "
-                           "a sink")
-
-    return ForwardingGraph(tuple(nodes), tuple(locs), tuple(edges),
-                           sources, sinks)
-
-
 def parse_fec(obj, index: LocationIndex, fallback_id: str = "?") -> Fec:
+    """Check one line's id and traffic; the graphs stay raw JSON, to be
+    checked against `index` when `fec_acceptors` lowers them.  An error
+    names the line `fallback_id` when it has no usable id."""
     if not isinstance(obj, dict):
         raise _err(fallback_id, "each line must be a JSON object")
     fec_id = obj.get("id")
@@ -220,15 +104,18 @@ def parse_fec(obj, index: LocationIndex, fallback_id: str = "?") -> Fec:
             ipaddress.ip_network(value, strict=False)
         except ValueError:
             raise _err(fec_id, f"bad {label} {value!r}")
-
-    pre = _parse_graph(obj.get("pre"), "pre", fec_id, index)
-    post = _parse_graph(obj.get("post"), "post", fec_id, index)
-    return Fec(fec_id, TrafficClass(dst, src), pre, post)
+    return Fec(fec_id, TrafficClass(dst, src), obj.get("pre"),
+               obj.get("post"))
 
 
 def iter_fec_lines(lines: Iterable[str],
                    index: LocationIndex) -> Iterator[Union[Fec, FecError]]:
-    """Parse NDJSON lines, yielding a Fec or a FecError per line."""
+    """Parse NDJSON lines, yielding a Fec or a FecError per line.
+
+    A line claims its id before anything else is checked, so a later
+    line with that id is a duplicate even if the first one failed.
+    `index` is the table the graphs are checked against when lowered.
+    """
     seen = set()
     for n, line in enumerate(lines, start=1):
         text = line.strip()
@@ -240,37 +127,57 @@ def iter_fec_lines(lines: Iterable[str],
         except json.JSONDecodeError as e:
             yield FecError(fallback, f"invalid JSON: {e}")
             continue
+        raw_id = obj.get("id") if isinstance(obj, dict) else None
+        if isinstance(raw_id, str) and raw_id:
+            if raw_id in seen:
+                yield FecError(raw_id, f"FEC {raw_id}: duplicate id")
+                continue
+            seen.add(raw_id)
+        else:
+            raw_id = fallback
         try:
             fec = parse_fec(obj, index, fallback)
         except SnapshotError as e:
-            raw_id = obj.get("id") if isinstance(obj, dict) else None
-            if isinstance(raw_id, str) and raw_id:
-                seen.add(raw_id)
-            else:
-                raw_id = fallback
             yield FecError(raw_id, str(e))
             continue
-        if fec.fec_id in seen:
-            yield FecError(fec.fec_id, f"FEC {fec.fec_id}: duplicate id")
-            continue
-        seen.add(fec.fec_id)
         yield fec
 
 
 def load_fecs(path: str,
               index: LocationIndex) -> Iterator[Union[Fec, FecError]]:
+    """`iter_fec_lines` over the lines of the file at `path`."""
     with open(path, "r", encoding="utf-8") as fh:
         yield from iter_fec_lines(fh, index)
 
 
 # ---------------------------------------------------------------------------
-# Coarsening and lowering to an acceptor
+# Checking, coarsening and lowering to an acceptor
 
 
-def graph_to_fsa(g: ForwardingGraph, index: LocationIndex,
+def _topological(nodes, succ) -> Optional[list]:
+    """`nodes` with each before its successors, or None on a cycle."""
+    indegree = dict.fromkeys(nodes, 0)
+    for u in indegree:
+        for v in succ[u]:
+            indegree[v] += 1
+    stack = [n for n, d in indegree.items() if d == 0]
+    order = []
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v in succ[u]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                stack.append(v)
+    return order if len(order) == len(indegree) else None
+
+
+def graph_to_fsa(raw, index: LocationIndex,
                  fec_id: str = "?", side: str = "") -> Fsa:
-    """Coarsen a forwarding DAG to the run's granularity and lower it to
-    an acceptor of its paths, in one walk.
+    """Check a raw forwarding graph against `index`, coarsen it to the
+    run's granularity and lower it to an acceptor of its paths, in one
+    walk that resolves each node's location once.  A graph that breaks
+    the input format raises SnapshotError naming `fec_id` and `side`.
 
     Every vertex of one coarse entity (device or group) becomes one
     state, numbered from 1 in order of first appearance; state 0 is a
@@ -283,38 +190,101 @@ def graph_to_fsa(g: ForwardingGraph, index: LocationIndex,
     error: the forwarding walk would revisit a device, which run
     granularity cannot express.
     """
+    def err(message: str) -> SnapshotError:
+        return _err(fec_id, f"{side} graph {message}")
+
+    if not isinstance(raw, dict):
+        raise err("must be an object")
+    for key in ("nodes", "edges", "sources", "sinks"):
+        if not isinstance(raw.get(key), list):
+            raise err(f"needs a {key!r} array")
+
     lookup = index.lookup
+    state = {}          # node id -> state
     state_of = {}       # symbol -> state
     labels = [None]     # symbol read on entering each state
-    state = {}          # node id -> state
-    for nid, loc in zip(g.nodes, g.locs):
+    dropped = []        # nodes at location drop
+    for item in raw["nodes"]:
+        if not isinstance(item, dict) or \
+                not isinstance(item.get("id"), str) or \
+                not isinstance(item.get("loc"), str):
+            raise err("node entries need string 'id' and 'loc'")
+        nid, loc = item["id"], item["loc"]
+        if nid in state:
+            raise err(f"repeats node {nid!r}")
         sym = lookup(loc)
+        if sym is None:
+            raise err(f"node {nid!r} has unknown location {loc!r}")
+        if loc == "drop":
+            dropped.append(nid)
         s = state_of.get(sym)
         if s is None:
             s = state_of[sym] = len(labels)
             labels.append(sym)
         state[nid] = s
+    if not state:
+        raise err("has no nodes")
+
+    out = {n: [] for n in state}    # node id -> successor node ids
+    pairs = []                      # state pairs of the edges, in order
+    for pair in raw["edges"]:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise err("edges must be [src, dst] pairs")
+        u, v = pair
+        for n in (u, v):
+            if not isinstance(n, str) or n not in state:
+                raise err(f"edge references unknown node {n!r}")
+        out[u].append(v)
+        pairs.append((state[u], state[v]))
+
+    for key in ("sources", "sinks"):
+        if not raw[key]:
+            raise err(f"has no {key}")
+        for n in raw[key]:
+            if not isinstance(n, str) or n not in state:
+                raise err(f"lists unknown node {n!r} in {key}")
+    sources, sinks = raw["sources"], set(raw["sinks"])
+    for nid in dropped:
+        if nid not in sinks:
+            raise err(f"puts location 'drop' on non-sink node {nid!r}")
+        if out[nid]:
+            raise err(f"forwards past dropped node {nid!r}")
+
+    order = _topological(state, out)
+    if order is None:
+        raise err("has a cycle")
+    reached = set(sources)
+    for u in order:
+        if u in reached:
+            reached.update(out[u])
+    drains = set(sinks)
+    for u in reversed(order):
+        if any(v in drains for v in out[u]):
+            drains.add(u)
+    for good, what in ((reached, "is unreachable from the sources"),
+                       (drains, "cannot reach a sink")):
+        for n in state:
+            if n not in good:
+                raise err(f"node {n!r} {what}")
 
     arcs: list[list] = [[] for _ in labels]
     succ: list[list] = [[] for _ in labels]
     seen = set()
-    pairs = [(0, state[n]) for n in g.sources]
-    pairs += [(state[u], state[v]) for u, v in g.edges]
-    for su, sv in pairs:
+    for su, sv in [(0, state[n]) for n in sources] + pairs:
         if su != sv and (su, sv) not in seen:
             seen.add((su, sv))
             arcs[su].append((labels[sv], sv))
             succ[su].append(sv)
-
-    _check_acyclic(range(len(labels)), succ, fec_id, side,
-                   what=f"graph coarsened to {index.granularity.value} "
-                        "granularity")
+    if _topological(range(len(labels)), succ) is None:
+        raise err(f"coarsened to {index.granularity.value} granularity "
+                  "has a cycle")
     return Fsa(index.universe, len(labels), 0,
-               frozenset(state[n] for n in g.sinks),
+               frozenset(state[n] for n in sinks),
                tuple(tuple(a) for a in arcs), deterministic=True)
 
 
 def fec_acceptors(fec: Fec, index: LocationIndex):
-    """Coarsen and lower both sides; returns (pre, post) acceptors."""
+    """Check, coarsen and lower both sides; returns (pre, post) acceptors.
+    The pre side goes first, so its error wins when both sides are bad."""
     return (graph_to_fsa(fec.pre, index, fec.fec_id, "pre"),
             graph_to_fsa(fec.post, index, fec.fec_id, "post"))

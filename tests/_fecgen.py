@@ -14,7 +14,7 @@ import random
 
 from rela.automata import fsa_equivalent
 from rela.frontend import Granularity, LocationDb
-from rela.snapshot import SnapshotError, graph_to_fsa, parse_fec
+from rela.snapshot import SnapshotError, graph_to_fsa
 
 
 def device_rows(n_devices: int, ports: int = 1) -> list:
@@ -73,8 +73,7 @@ def random_fec_dict(rng: random.Random, fec_id: str, devices, max_nodes=12,
 
 
 def _post_language(obj: dict, index):
-    fec = parse_fec(obj, index)
-    return graph_to_fsa(fec.post, index, fec.fec_id, "post")
+    return graph_to_fsa(obj["post"], index, obj["id"], "post")
 
 
 def mutate_one_edge(rng: random.Random, fec_obj: dict, index) -> dict:

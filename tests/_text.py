@@ -19,7 +19,7 @@ from rela.frontend import (
     PrefixPredicate, Preserve, Program, Remove, Replace, SpecAst,
     SpecSyntaxError, _Parser, tokenize,
 )
-from rela.snapshot import Fec, ForwardingGraph
+from rela.snapshot import Fec
 
 
 def parse_regex(text: str, index: LocationIndex) -> rir.PathSetExpr:
@@ -126,12 +126,13 @@ def program_to_text(program: Program) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json_dict(g: ForwardingGraph) -> dict:
+def graph_to_json_dict(g: dict) -> dict:
+    """A raw graph with its fields in canonical order, extra keys dropped."""
     return {
-        "nodes": [{"id": n, "loc": loc} for n, loc in zip(g.nodes, g.locs)],
-        "edges": [[u, v] for u, v in g.edges],
-        "sources": list(g.sources),
-        "sinks": list(g.sinks),
+        "nodes": [{"id": n["id"], "loc": n["loc"]} for n in g["nodes"]],
+        "edges": [list(e) for e in g["edges"]],
+        "sources": list(g["sources"]),
+        "sinks": list(g["sinks"]),
     }
 
 

@@ -59,3 +59,16 @@ def test_tree_size_counts_every_node(tmp_path, workload, nodes):
     _, _, program, _ = traced.load_stage(str(tmp_path), traced.Tracer())
     assert sum(traced.tree_size(c.top)
                for c in traced._compiled_specs(program)) == nodes
+
+
+def test_tracing_overhead_stays_in_bound_on_else_chain(tmp_path):
+    # `trace.overhead_share` is the tracer's cost over the untraced
+    # per-FEC step, so it grows as that step gets cheaper.  Else-chain
+    # has the cheapest steady step of the three workloads: a change that
+    # cut it to a few spans' worth of time would mark the benchmark's
+    # traced run incorrect, and this catches that in the tests first.
+    corpus.write_corpus("else-chain", 1, str(tmp_path), 1.0)
+    _, index, program, fecs = traced.load_stage(str(tmp_path),
+                                                traced.Tracer())
+    assert traced.measure_overhead(index, program, fecs) <= \
+        traced.ACCOUNTING_BOUND

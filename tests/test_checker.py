@@ -56,6 +56,14 @@ def make_fec(index, fec_id, pre, post, dst="10.0.0.0/24", src=None):
 
 PRESERVE_ALL = "spec main := { .* : preserve; }"
 
+# a1:eth0 and a1 are one device, so this graph revisits it once coarsened
+REVISIT = {
+    "nodes": [{"id": "p", "loc": "a1:eth0"}, {"id": "q", "loc": "b1"},
+              {"id": "r", "loc": "a1"}],
+    "edges": [["p", "q"], ["q", "r"]],
+    "sources": ["p"], "sinks": ["r"],
+}
+
 SHIFT_PROGRAM = """
 regex ra := where(group == "A")
 regex rd := where(group == "D")
@@ -346,18 +354,47 @@ class TestCheckAll:
         # a1:eth0 and a1 are one device, so the device-level walk revisits
         # it and coarsening must reject the FEC rather than loop.
         program = compile_text(index, PRESERVE_ALL)
-        revisit = {
-            "nodes": [{"id": "p", "loc": "a1:eth0"}, {"id": "q", "loc": "b1"},
-                      {"id": "r", "loc": "a1"}],
-            "edges": [["p", "q"], ["q", "r"]],
-            "sources": ["p"], "sinks": ["r"],
-        }
-        fec = make_fec(index, "f1", revisit, ("a1", "b1"))
+        fec = make_fec(index, "f1", REVISIT, ("a1", "b1"))
         report = check_all(program, index, [fec])
         assert report.verdict == "error"
         assert report.errors[0].fec_id == "f1"
         assert report.errors[0].message == \
             "FEC f1: pre graph coarsened to device granularity has a cycle"
+
+    def test_bad_graph_is_error_when_unmatched(self, index):
+        # Graphs are checked as they are lowered, and a FEC no guard
+        # selects is lowered too: a coarse cycle there is an error, as a
+        # structural fault on the same FEC is, not an unmatched verdict.
+        program = compile_text(index, """
+        spec main := { .* : preserve; }
+        pspec g := (dstPrefix == 10.0.0.0/8) -> main
+        """)
+        unknown = chain_graph("a1", "zz")
+        items = [make_fec(index, "f1", REVISIT, ("a1", "b1"),
+                          dst="192.168.0.0/24"),
+                 make_fec(index, "f2", ("a1", "b1"), unknown,
+                          dst="192.168.0.0/24"),
+                 make_fec(index, "f3", ("a1",), ("a1",),
+                          dst="192.168.0.0/24")]
+        report = check_all(program, index, items)
+        assert report.totals == {"pass": 0, "fail": 0, "unmatched": 1,
+                                 "error": 2}
+        assert [(e.fec_id, e.message) for e in report.errors] == [
+            ("f1", "FEC f1: pre graph coarsened to device granularity "
+                   "has a cycle"),
+            ("f2", "FEC f2: post graph node 'n1' has unknown location 'zz'"),
+        ]
+
+    def test_pre_side_error_wins(self, index):
+        # With both sides bad, the pre side's first error is reported,
+        # even when it is a coarse cycle and the post side's is a
+        # structural fault.
+        program = compile_text(index, PRESERVE_ALL)
+        no_nodes = {"nodes": [], "edges": [], "sources": [], "sinks": []}
+        report = check_all(program, index,
+                           [make_fec(index, "f1", REVISIT, no_nodes)])
+        assert [e.message for e in report.errors] == [
+            "FEC f1: pre graph coarsened to device granularity has a cycle"]
 
     def test_stream_of_lines(self, index):
         program = compile_text(index, PRESERVE_ALL)

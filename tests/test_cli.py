@@ -270,6 +270,20 @@ class TestMalformedNodeIds:
         assert captured.out == ""
         assert "FEC bad0" in captured.err and "unknown node" in captured.err
 
+    def test_strict_message_same_at_any_worker_count(self, tmp_path, capsys):
+        # graphs are checked in the workers; the first bad one still
+        # aborts the run with the same message
+        argv = write_world(tmp_path, self.lines()) + ["--strict"]
+        errors = []
+        for workers in ("1", "2"):
+            assert main(argv + ["--workers", workers]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors += [line for line in captured.err.splitlines()
+                       if line.startswith("rela: error:")]
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert "FEC bad0" in errors[0] and "unknown node" in errors[0]
+
 
 class TestStrict:
     def test_strict_aborts(self, tmp_path, capsys):

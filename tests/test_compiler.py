@@ -220,6 +220,30 @@ class TestElseChains:
         third = c.subspecs[2]
         assert third.zone.right == rir.Complement(symset(index, "a", "b"))
 
+    def test_long_chain_masks_stay_shallow(self):
+        # Each arm is masked by the union of the earlier zones; built
+        # left-deep, that union made the trees as deep as the chain is
+        # long (66 and 75 here), and a long enough chain overflowed the
+        # recursion limit.  Balanced, they grow with log2 of the arms.
+        rows = [{"name": f"{d}:eth0", "device": d, "group": "G"}
+                for d in ["x1"] + [f"a{i}" for i in range(64)]]
+        index = LocationDb.from_json(json.dumps(rows)).build_index(
+            Granularity.DEVICE)
+        arms = " else ".join(f"x1 a{i} : preserve" for i in range(64))
+        c = compiled_for(index, arms)
+        assert len(c.subspecs) == 64
+        assert max(tree_depth(s.zone) for s in c.subspecs) <= 16
+        assert tree_depth(c.top) <= 24
+
+
+def tree_depth(node) -> int:
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        n, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((child, d + 1) for child in n._children())
+    return deepest
+
 
 class TestMarkers:
     def test_fresh_marker_per_occurrence(self, index):

@@ -8,7 +8,7 @@ import pytest
 from rela.automata import enumerate_shortest
 from rela.frontend import Granularity, LocationDb
 from rela.snapshot import (
-    Fec, FecError, ForwardingGraph, SnapshotError, TrafficClass,
+    FecError, SnapshotError, TrafficClass,
     fec_acceptors, graph_to_fsa, iter_fec_lines, parse_fec,
 )
 
@@ -51,7 +51,8 @@ def fec_obj(fec_id="f1", dst="10.0.0.0/24", src=None, pre=None, post=None):
         traffic["srcPrefix"] = src
     default = chain_graph("x1:eth0", "a1:eth0")
     return {"id": fec_id, "traffic": traffic,
-            "pre": pre or default, "post": post or default}
+            "pre": default if pre is None else pre,
+            "post": default if post is None else post}
 
 
 def language(fsa, limit=50):
@@ -64,13 +65,21 @@ def language(fsa, limit=50):
 # parsing and validation
 
 
+def lower(index, **sides):
+    """Both acceptors of a FEC whose graphs default to a valid chain."""
+    return fec_acceptors(parse_fec(fec_obj(**sides), index), index)
+
+
 class TestParseFec:
+    """A line's id and traffic are checked when it is parsed, its graphs
+    when they are lowered."""
+
     def test_valid(self, index):
-        fec = parse_fec(fec_obj(src="0.0.0.0/0"), index)
+        obj = fec_obj(src="0.0.0.0/0")
+        fec = parse_fec(obj, index)
         assert fec.fec_id == "f1"
         assert fec.traffic == TrafficClass("10.0.0.0/24", "0.0.0.0/0")
-        assert fec.pre.nodes == ("n0", "n1")
-        assert fec.pre.edges == (("n0", "n1"),)
+        assert fec.pre == obj["pre"] and fec.post == obj["post"]
 
     def test_missing_id(self, index):
         obj = fec_obj()
@@ -88,26 +97,33 @@ class TestParseFec:
         with pytest.raises(SnapshotError, match="missing 'traffic'"):
             parse_fec(obj, index)
 
+    def test_graphs_are_checked_when_lowered(self, index):
+        obj = dict(fec_obj(), pre={}, post=None)
+        fec = parse_fec(obj, index)
+        with pytest.raises(SnapshotError) as got:
+            fec_acceptors(fec, index)
+        assert str(got.value) == "FEC f1: pre graph needs a 'nodes' array"
+
     def test_duplicate_node(self, index):
         bad = graph([("n0", "x1:eth0"), ("n0", "a1:eth0")], [],
                     ["n0"], ["n0"])
         with pytest.raises(SnapshotError, match="repeats node 'n0'"):
-            parse_fec(fec_obj(pre=bad), index)
+            lower(index, pre=bad)
 
     def test_unknown_location(self, index):
         bad = chain_graph("x1:eth0", "zz:eth9")
         with pytest.raises(SnapshotError, match="unknown location 'zz:eth9'"):
-            parse_fec(fec_obj(pre=bad), index)
+            lower(index, pre=bad)
 
     def test_edge_to_unknown_node(self, index):
         bad = graph([("n0", "x1:eth0")], [["n0", "n7"]], ["n0"], ["n0"])
         with pytest.raises(SnapshotError, match="unknown node 'n7'"):
-            parse_fec(fec_obj(post=bad), index)
+            lower(index, post=bad)
 
     def test_unknown_source(self, index):
         bad = graph([("n0", "x1:eth0")], [], ["n9"], ["n0"])
         with pytest.raises(SnapshotError, match="unknown node 'n9'.*sources"):
-            parse_fec(fec_obj(pre=bad), index)
+            lower(index, pre=bad)
 
     @pytest.mark.parametrize("side,key,value", [
         ("pre", "edges", [[["n0"], "n1"]]),
@@ -117,43 +133,94 @@ class TestParseFec:
     def test_node_reference_must_be_a_string(self, index, side, key, value):
         bad = dict(chain_graph("x1:eth0", "a1:eth0"), **{key: value})
         with pytest.raises(SnapshotError, match=f"{side} graph .*unknown"):
-            parse_fec(fec_obj(**{side: bad}), index)
+            lower(index, **{side: bad})
 
     def test_cycle(self, index):
         bad = graph([("n0", "x1:eth0"), ("n1", "a1:eth0")],
                     [["n0", "n1"], ["n1", "n0"]], ["n0"], ["n1"])
         with pytest.raises(SnapshotError, match="pre graph has a cycle"):
-            parse_fec(fec_obj(pre=bad), index)
+            lower(index, pre=bad)
 
     def test_unreachable_node(self, index):
         bad = graph([("n0", "x1:eth0"), ("n1", "a1:eth0"),
                      ("n2", "a2:eth0")],
                     [["n0", "n1"], ["n2", "n1"]], ["n0"], ["n1"])
         with pytest.raises(SnapshotError, match="'n2' is unreachable"):
-            parse_fec(fec_obj(pre=bad), index)
+            lower(index, pre=bad)
 
     def test_node_missing_sink_path(self, index):
         bad = graph([("n0", "x1:eth0"), ("n1", "a1:eth0"),
                      ("n2", "a2:eth0")],
                     [["n0", "n1"], ["n0", "n2"]], ["n0"], ["n1"])
         with pytest.raises(SnapshotError, match="'n2' cannot reach a sink"):
-            parse_fec(fec_obj(pre=bad), index)
+            lower(index, pre=bad)
 
     def test_drop_must_be_sink(self, index):
         bad = graph([("n0", "drop"), ("n1", "a1:eth0")],
                     [["n0", "n1"]], ["n0"], ["n1"])
         with pytest.raises(SnapshotError, match="drop"):
-            parse_fec(fec_obj(pre=bad), index)
+            lower(index, pre=bad)
 
     def test_drop_sink_accepted(self, index):
-        good = chain_graph("x1:eth0", "drop")
-        fec = parse_fec(fec_obj(pre=good), index)
-        assert fec.pre.locs[-1] == "drop"
+        pre, _ = lower(index, pre=chain_graph("x1:eth0", "drop"))
+        assert language(pre) == {"x1 drop"}
 
     def test_empty_sources(self, index):
         bad = graph([("n0", "x1:eth0")], [], [], ["n0"])
         with pytest.raises(SnapshotError, match="no sources"):
-            parse_fec(fec_obj(pre=bad), index)
+            lower(index, pre=bad)
+
+    @pytest.mark.parametrize("bad,message", [
+        ([], "pre graph must be an object"),
+        ({"nodes": [], "edges": [], "sources": []},
+         "pre graph needs a 'sinks' array"),
+        (graph([("n0", 5)], [], ["n0"], ["n0"]),
+         "pre graph node entries need string 'id' and 'loc'"),
+        (graph([("n0", "x1:eth0"), ("n0", "a1:eth0")], [], ["n0"], ["n0"]),
+         "pre graph repeats node 'n0'"),
+        (chain_graph("x1:eth0", "zz:eth9"),
+         "pre graph node 'n1' has unknown location 'zz:eth9'"),
+        (graph([], [], [], []), "pre graph has no nodes"),
+        (graph([("n0", "x1:eth0")], [["n0"]], ["n0"], ["n0"]),
+         "pre graph edges must be [src, dst] pairs"),
+        (graph([("n0", "x1:eth0")], [["n0", "n7"]], ["n0"], ["n0"]),
+         "pre graph edge references unknown node 'n7'"),
+        (graph([("n0", "x1:eth0")], [], ["n0"], []),
+         "pre graph has no sinks"),
+        (graph([("n0", "x1:eth0")], [], ["n0"], ["n9"]),
+         "pre graph lists unknown node 'n9' in sinks"),
+        (graph([("n0", "drop"), ("n1", "a1:eth0")], [["n0", "n1"]],
+               ["n0"], ["n1"]),
+         "pre graph puts location 'drop' on non-sink node 'n0'"),
+        (graph([("n0", "drop"), ("n1", "a1:eth0")], [["n0", "n1"]],
+               ["n0"], ["n0", "n1"]),
+         "pre graph forwards past dropped node 'n0'"),
+        (graph([("n0", "x1:eth0"), ("n1", "x1:eth1")],
+               [["n0", "n1"], ["n1", "n0"]], ["n0"], ["n1"]),
+         "pre graph has a cycle"),
+        (graph([("n0", "x1:eth0"), ("n1", "a1:eth0"), ("n2", "a2:eth0")],
+               [["n0", "n1"], ["n2", "n1"]], ["n0"], ["n1"]),
+         "pre graph node 'n2' is unreachable from the sources"),
+        (graph([("n0", "x1:eth0"), ("n1", "a1:eth0"), ("n2", "a2:eth0")],
+               [["n0", "n1"], ["n0", "n2"]], ["n0"], ["n1"]),
+         "pre graph node 'n2' cannot reach a sink"),
+        (chain_graph("x1:eth0", "a1:eth0", "x1:eth1"),
+         "pre graph coarsened to device granularity has a cycle"),
+    ])
+    def test_exact_messages(self, index, bad, message):
+        # one rule broken per graph; the post side is valid
+        with pytest.raises(SnapshotError) as got:
+            lower(index, pre=bad)
+        assert str(got.value) == f"FEC f1: {message}"
+
+    def test_pre_side_error_wins(self, index):
+        # a pre-side coarse cycle is reported over a post-side
+        # structural error
+        with pytest.raises(SnapshotError) as got:
+            lower(index, pre=chain_graph("x1:eth0", "a1:eth0", "x1:eth1"),
+                  post=graph([], [], [], []))
+        assert str(got.value) == \
+            "FEC f1: pre graph coarsened to device granularity has a cycle"
 
 
 class TestIterFecLines:
@@ -164,22 +231,27 @@ class TestIterFecLines:
             "not json",
             json.dumps(fec_obj("ok-2")),
             json.dumps(fec_obj("ok-1")),  # duplicate
-            json.dumps({"id": "bad-graph", "traffic": {"dstPrefix": "10.0.0.0/8"},
-                        "pre": {}, "post": {}}),
-            json.dumps(fec_obj("bad-graph")),  # a failed line claims its id
+            json.dumps(fec_obj("ok-2", dst="nope")),  # failing duplicate
+            json.dumps(fec_obj("bad-traffic", dst="nope")),
+            json.dumps(fec_obj("bad-traffic")),  # a failed line claims its id
             json.dumps(fec_obj("")),  # empty id
+            json.dumps({"id": "raw", "traffic": {"dstPrefix": "10.0.0.0/8"},
+                        "pre": {}, "post": {}}),  # graphs wait for lowering
         ]
         out = list(iter_fec_lines(lines, index))
         assert [type(x).__name__ for x in out] == \
             ["Fec", "FecError", "Fec", "FecError", "FecError", "FecError",
-             "FecError"]
+             "FecError", "FecError", "Fec"]
         assert out[1].fec_id == "line 3"
         assert out[3].fec_id == "ok-1"
         assert "duplicate" in out[3].message
-        assert out[4].fec_id == "bad-graph"
-        assert out[5].fec_id == "bad-graph"
-        assert "duplicate" in out[5].message
-        assert out[6].fec_id == "line 8"
+        assert out[4] == FecError("ok-2", "FEC ok-2: duplicate id")
+        assert out[5] == FecError("bad-traffic",
+                                  "FEC bad-traffic: bad dstPrefix 'nope'")
+        assert out[6] == FecError("bad-traffic",
+                                  "FEC bad-traffic: duplicate id")
+        assert out[7].fec_id == "line 9"
+        assert out[8].fec_id == "raw"
 
 
 class TestCanonicalForm:
@@ -204,11 +276,6 @@ class TestCanonicalForm:
 # coarsening
 
 
-def parse_graph_dict(raw, index, side="pre"):
-    obj = fec_obj(pre=raw)
-    return parse_fec(obj, index).pre
-
-
 def fields(fsa):
     return (fsa.num_states, fsa.initial, fsa.accepting, fsa.arcs,
             fsa.deterministic)
@@ -216,9 +283,8 @@ def fields(fsa):
 
 class TestCoarsen:
     def test_merges_interfaces_of_one_device(self, index):
-        g = parse_graph_dict(
-            chain_graph("x1:eth0", "x1:eth1", "a1:eth0", "a1:eth1",
-                        "d1:eth0"), index)
+        g = chain_graph("x1:eth0", "x1:eth1", "a1:eth0", "a1:eth1",
+                        "d1:eth0")
         fsa = graph_to_fsa(g, index)
         sym = index.symbol_of
         assert fsa.num_states == 4
@@ -228,11 +294,11 @@ class TestCoarsen:
         assert language(fsa) == {"x1 a1 d1"}
 
     def test_duplicate_edges_collapse(self, index):
-        g = parse_graph_dict(graph(
+        g = graph(
             [("i", "x1:eth0"), ("o1", "a1:eth0"), ("o2", "a1:eth1"),
              ("t", "d1:eth0")],
             [["i", "o1"], ["i", "o2"], ["o1", "t"], ["o2", "t"]],
-            ["i"], ["t"]), index)
+            ["i"], ["t"])
         fsa = graph_to_fsa(g, index)
         sym = index.symbol_of
         assert fsa.num_states == 4
@@ -243,25 +309,22 @@ class TestCoarsen:
 
     def test_group_granularity(self):
         gi = make_db().build_index(Granularity.GROUP)
-        g = parse_graph_dict(
-            chain_graph("x1:eth0", "a1:eth1", "a2:eth0", "d1:eth0"), gi)
+        g = chain_graph("x1:eth0", "a1:eth1", "a2:eth0", "d1:eth0")
         fsa = graph_to_fsa(g, gi)
         assert fsa.num_states == 4
         assert fsa.accepting == frozenset({3})
         assert language(fsa) == {"X A D"}
 
     def test_device_revisit_is_an_error(self, index):
-        g = parse_graph_dict(
-            chain_graph("x1:eth0", "a1:eth0", "b1:eth0", "a1:eth1",
-                        "d1:eth0"), index)
+        g = chain_graph("x1:eth0", "a1:eth0", "b1:eth0", "a1:eth1",
+                        "d1:eth0")
         with pytest.raises(SnapshotError) as got:
             graph_to_fsa(g, index, "f9", "pre")
         assert str(got.value) == \
             "FEC f9: pre graph coarsened to device granularity has a cycle"
 
     def test_drop_survives(self, index):
-        g = parse_graph_dict(chain_graph("x1:eth0", "x1:eth1", "drop"),
-                             index)
+        g = chain_graph("x1:eth0", "x1:eth1", "drop")
         fsa = graph_to_fsa(g, index)
         sym = index.symbol_of
         assert fsa.num_states == 3
@@ -276,23 +339,22 @@ class TestCoarsen:
 
 class TestGraphToFsa:
     def test_chain_language(self, index):
-        g = parse_graph_dict(chain_graph("x1:eth0", "a1:eth0"), index)
+        g = chain_graph("x1:eth0", "a1:eth0")
         fsa = graph_to_fsa(g, index)
         assert language(fsa) == {"x1 a1"}
 
     def test_diamond_language(self, index):
-        g = parse_graph_dict(graph(
+        g = graph(
             [("s", "x1:eth0"), ("l", "a1:eth0"), ("r", "b1:eth0"),
              ("t", "d1:eth0")],
             [["s", "l"], ["s", "r"], ["l", "t"], ["r", "t"]],
-            ["s"], ["t"]), index)
+            ["s"], ["t"])
         fsa = graph_to_fsa(g, index)
         assert language(fsa) == {"x1 a1 d1", "x1 b1 d1"}
         assert fsa.deterministic
 
     def test_dropped_path_language(self, index):
-        g = parse_graph_dict(chain_graph("x1:eth0", "a1:eth0", "drop"),
-                             index)
+        g = chain_graph("x1:eth0", "a1:eth0", "drop")
         fsa = graph_to_fsa(g, index)
         assert language(fsa) == {"x1 a1 drop"}
 
@@ -347,37 +409,33 @@ def random_device_dag(rng):
             edges.append((f, "drop"))
     has_in = {v for _, v in edges}
     has_out = {u for u, _ in edges}
-    sources = tuple(d for d in devices if d not in has_in)
-    sinks = tuple(d for d in devices if d not in has_out)
-    return ForwardingGraph(tuple(devices), tuple(devices), tuple(edges),
-                           sources, sinks)
+    return graph([(d, d) for d in devices], edges,
+                 [d for d in devices if d not in has_in],
+                 [d for d in devices if d not in has_out])
 
 
 def expand_to_interfaces(g, rng):
     """Replace each device node with an in/out interface pair (or a
     single interface), keeping edge order.  Coarsening inverts it."""
-    nodes, locs, edges = [], [], []
+    nodes, edges = [], []
     inp, outp = {}, {}
-    for device in g.nodes:
+    for node in g["nodes"]:
+        device = node["id"]
         if device == "drop":
-            nodes.append(f"{device}.0")
-            locs.append("drop")
+            nodes.append((f"{device}.0", "drop"))
             inp[device] = outp[device] = f"{device}.0"
         elif rng.random() < 0.5:
-            nodes.append(f"{device}.0")
-            locs.append(f"{device}:eth0")
+            nodes.append((f"{device}.0", f"{device}:eth0"))
             inp[device] = outp[device] = f"{device}.0"
         else:
-            nodes.extend([f"{device}.i", f"{device}.o"])
-            locs.extend([f"{device}:eth0", f"{device}:eth1"])
+            nodes.extend([(f"{device}.i", f"{device}:eth0"),
+                          (f"{device}.o", f"{device}:eth1")])
             inp[device], outp[device] = f"{device}.i", f"{device}.o"
             edges.append((f"{device}.i", f"{device}.o"))
-    for u, v in g.edges:
+    for u, v in g["edges"]:
         edges.append((outp[u], inp[v]))
-    return ForwardingGraph(
-        tuple(nodes), tuple(locs), tuple(edges),
-        tuple(inp[s] for s in g.sources),
-        tuple(outp[s] for s in g.sinks))
+    return graph(nodes, edges, [inp[s] for s in g["sources"]],
+                 [outp[s] for s in g["sinks"]])
 
 
 def test_coarsen_inverts_interface_expansion(index):
