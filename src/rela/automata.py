@@ -10,9 +10,9 @@ every operation returns a fresh one.
 
 Intersection, difference, equivalence and `intersects` are clients of
 one walk over pairs of determinized states, `_product`; it builds the
-product machine or, for a yes/no question, stops at the first pair that
-decides it.  `fst_identity`, `fst_cross` and `project_output` relabel
-arcs through one copy, `_relabel`.
+product or, for a yes/no question, stops at the first pair that decides
+it, and then a side may be a `Meet`: an intersection it never builds.
+`fst_identity`, `fst_cross` and `project_output` relabel via `_relabel`.
 
 Symbols are interned through a `SymbolTable`.  Three kinds exist:
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 EPSILON = None  # transition-label value for the empty move
 
@@ -477,7 +477,53 @@ def complement(fsa: Fsa, universe: frozenset[Symbol]) -> Fsa:
 _DEAD = -1  # the implicit rejecting sink of a partial DFA
 
 
-def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
+class Meet(NamedTuple):
+    """L(left) and L(right), walked by `_product` as state pairs unbuilt;
+    left's moves are looked up in right's, so put the smaller fan-out left.
+    Its size is left's: the walk moves, and stops, as left does."""
+
+    left: Fsa
+    right: Fsa
+    num_states = property(lambda m: m.left.num_states)
+
+
+def _walkable(m):
+    """(initial state, maps, accepting states, filter) of a side."""
+    if isinstance(m, Meet):
+        left, right = determinize(m.left), determinize(m.right)
+        return ((left.initial, right.initial), _state_maps(left),
+                left.accepting, (_state_maps(right), right.accepting))
+    d = determinize(m)
+    return d.initial, _state_maps(d), d.accepting, None
+
+
+def _at(q, maps, accepting, filter_):
+    """(symbol map, filter map or None, accepts) of one side's state q."""
+    if q == _DEAD:
+        return {}, None, False
+    if filter_ is None:
+        return maps[q], None, q in accepting
+    fmaps, faccepting = filter_
+    return maps[q[0]], fmaps[q[1]], q[0] in accepting and q[1] in faccepting
+
+
+def _filtered(moves, xf, yf) -> list:
+    """`moves` with each filtered side's target paired with its filter's,
+    or dead where the filter has no arc; moves killing both sides go."""
+    out = []
+    for label, (tx, ty) in moves:
+        if xf is not None and tx != _DEAD:
+            f = xf.get(label)
+            tx = _DEAD if f is None else (tx, f)
+        if yf is not None and ty != _DEAD:
+            f = yf.get(label)
+            ty = _DEAD if f is None else (ty, f)
+        if tx != _DEAD or ty != _DEAD:
+            out.append((label, (tx, ty)))
+    return out
+
+
+def _product(x, y, follow: str, accept, build: bool = True):
     """Walk the reachable pairs of states of the determinized operands.
 
     `follow` picks the symbols a pair moves on: ``"both"`` (symbols both
@@ -489,14 +535,14 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
     complete machine over a wide alphabet stays proportional to the
     smaller one.  A pair accepts when ``accept(x_accepts, y_accepts)``.
 
-    With `build` the walk returns the product as a deterministic `Fsa`;
-    without it, whether an accepting pair is reachable, stopping at the
-    first one.
+    With `build` the walk returns the product of two `Fsa`s as a
+    deterministic `Fsa`; without it, whether an accepting pair is
+    reachable, stopping at the first one.  Then an operand may be a
+    `Meet`, which moves as its left operand does, paired by `_filtered`.
     """
-    dx, dy = determinize(x), determinize(y)
-    xmaps, ymaps = _state_maps(dx), _state_maps(dy)
-    xacc, yacc = dx.accepting, dy.accepting
-    start = (dx.initial, dy.initial)
+    xstart, xmaps, xacc, xfilter = _walkable(x)
+    ystart, ymaps, yacc, yfilter = _walkable(y)
+    start = (xstart, ystart)
     index = {start: 0}
     work = deque([start])
     b = _Builder()
@@ -505,12 +551,12 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
     while work:
         qx, qy = pair = work.popleft()
         sid = index[pair]
-        if accept(qx in xacc, qy in yacc):
+        xmap, xf, ax = _at(qx, xmaps, xacc, xfilter)
+        ymap, yf, ay = _at(qy, ymaps, yacc, yfilter)
+        if accept(ax, ay):
             if not build:
                 return True
             accepting.add(sid)
-        xmap = {} if qx == _DEAD else xmaps[qx]
-        ymap = {} if qy == _DEAD else ymaps[qy]
         if follow == "both":
             if len(xmap) <= len(ymap):
                 moves = [(label, (dst, ymap[label]))
@@ -524,6 +570,8 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
             if follow == "either":
                 moves += [(label, (_DEAD, dst))
                           for label, dst in ymap.items() if label not in xmap]
+        if xf is not None or yf is not None:
+            moves = _filtered(moves, xf, yf)
         for label, target in moves:
             tid = index.get(target)
             if tid is None:

@@ -1,10 +1,10 @@
 """Checking forwarding changes against a compiled specification.
 
 `check_fec` is the one place a FEC is judged.  It checks and lowers both
-forwarding graphs to acceptors, evaluates the two sides of the compiled
-equation image(pre, Rpre) == image(post, Rpost) once, and decides it by
-automaton equivalence.  A failure is explained from the same two sides:
-the arms of the spec are replayed in priority order to find the one to
+forwarding graphs and decides image(pre, Rpre) == image(post, Rpost) by
+automaton equivalence; two identity images (pre n Z, post n Z') are
+compared in one lazy walk and never built.  A failure is explained from
+built images: the arms are replayed in priority order to find the one to
 blame, and the shortest paths on which the sides disagree are listed.
 `check_all` picks each FEC's spec, runs `check_fec` over a stream of
 FECs, optionally on a process pool, and aggregates a deterministic
@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from . import rir
-from .automata import (PathList, enumerate_shortest, fsa_difference,
+from .automata import (Meet, PathList, enumerate_shortest, fsa_difference,
                        fsa_equivalent, intersects, substitute)
 from .compiler import CompiledProgram, CompiledSpec
 from .frontend import LocationIndex, match_predicate
@@ -104,7 +104,9 @@ class StrictInputError(Exception):
     """Raised in strict mode when an input line fails validation."""
 
     def __init__(self, error: FecError):
-        super().__init__(f"FEC {error.fec_id}: {error.message}")
+        named = error.message.startswith(f"FEC {error.fec_id}: ")
+        super().__init__(error.message if named
+                         else f"{error.fec_id}: {error.message}")
         self.error = error
 
 
@@ -132,20 +134,30 @@ def check_fec(c: CompiledSpec, f: Fec, index: LocationIndex,
     """Judge one FEC against one compiled spec, explaining a failure.
 
     Returns (verdict, counterexample), the counterexample None on a pass.
-    `limit` bounds each path listing; `guard` labels the verdict (the
-    spec's own name by default).  Raises SnapshotError when a graph,
+    `_agree` decides the equation; images are built only to explain a
+    failure.  `limit` bounds each path listing; `guard` labels the verdict
+    (the spec's own name by default).  Raises SnapshotError when a graph,
     checked here against `index`, is malformed or cannot be coarsened.
     """
     guard = guard or c.name
     pre, post = fec_acceptors(f, index)
     env = rir.SnapshotPair(pre, post)
     ev = rir.Evaluator(env, ground_cache)
-    left = ev.pathset(c.top.left)
-    right = ev.pathset(c.top.right)
-    if fsa_equivalent(left, right):
+    if _agree(ev, c.top.left, c.top.right):
         return FecVerdict(f.fec_id, PASS, guard), None
-    cx = _explain(c, f.fec_id, f.traffic, env, ev, left, right, guard, limit)
+    cx = _explain(c, f.fec_id, f.traffic, env, ev, guard, limit)
     return FecVerdict(f.fec_id, FAIL, guard), cx
+
+
+def _agree(ev: rir.Evaluator, left: rir.Image, right: rir.Image) -> bool:
+    """Whether the pre-change image `left` equals the post-change `right`.
+    img(S, I(Z)) is S n Z, so two identity images are compared as `Meet`s
+    in one walk that builds neither; other images are built first."""
+    rpre, rpost = left.rel, right.rel
+    if isinstance(rpre, rir.Identity) and isinstance(rpost, rir.Identity):
+        return fsa_equivalent(Meet(ev.env.pre, ev.pathset(rpre.source)),
+                              Meet(ev.env.post, ev.pathset(rpost.source)))
+    return fsa_equivalent(ev.pathset(left), ev.pathset(right))
 
 
 def _splice(fsa, marker_langs):
@@ -155,14 +167,16 @@ def _splice(fsa, marker_langs):
 
 
 def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
-             env: rir.SnapshotPair, ev: rir.Evaluator, left, right,
+             env: rir.SnapshotPair, ev: rir.Evaluator,
              guard: str, limit: int) -> Counterexample:
-    """Localize a failed equation `left == right` and list its paths.
+    """Localize a failed equation `c.top` and list its paths.
 
     `missing` and `unexpected` are the two directed differences.  They
     are taken before markers are replaced by their path sets, so an `any`
     family that moved as one block stays a single agreement, not a diff.
     """
+    left = ev.pathset(c.top.left)
+    right = ev.pathset(c.top.right)
     marker_langs = {b.symbol: ev.pathset(b.pathset) for b in c.markers}
 
     def listing(fsa) -> PathList:
@@ -176,22 +190,14 @@ def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
     # paths showing up where nothing was before).  Because the whole
     # relation is the union of the arm relations, a failing equation
     # always has a differing arm, and its zone overlaps one snapshot.
-    blamed = None
-    for snapshot in (env.pre, env.post):
-        for sub in c.subspecs:
-            zone = ev.pathset(sub.zone)
-            if not intersects(snapshot, zone):
-                continue
-            exp = ev.pathset(rir.Image(rir.PreState(), sub.rpre))
-            obs = ev.pathset(rir.Image(rir.PostState(), sub.rpost))
-            if not fsa_equivalent(exp, obs):
-                blamed = (sub.label, exp, obs, "")
-                break
-        if blamed is not None:
-            break
-    if blamed is None:
-        blamed = (c.name, left, right, "no arm's zone matches this traffic")
-    label, exp, obs, note = blamed
+    sides = [(sub, rir.Image(rir.PreState(), sub.rpre),
+              rir.Image(rir.PostState(), sub.rpost)) for sub in c.subspecs]
+    label, exp, obs, note = next(
+        ((sub.label, ev.pathset(exp), ev.pathset(obs), "")
+         for snapshot in (env.pre, env.post) for sub, exp, obs in sides
+         if intersects(snapshot, ev.pathset(sub.zone))
+         and not _agree(ev, exp, obs)),
+        (c.name, left, right, "no arm's zone matches this traffic"))
 
     return Counterexample(
         fec_id=fec_id,

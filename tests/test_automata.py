@@ -9,6 +9,7 @@ operation is checked against it by exhaustive membership comparison.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from _treegen import is_empty
 from rela.automata import (
     substitute,
-    AlphabetError, Fsa, PathList, Symbol, SymbolTable, accepts,
+    AlphabetError, Fsa, Meet, PathList, Symbol, SymbolTable, accepts,
     apply_image, complement, determinize, enumerate_shortest, fsa_concat,
     fsa_difference, fsa_empty, fsa_equivalent, fsa_intersect, fsa_star,
     fsa_symbol, fsa_symbol_class, fsa_union, fsa_unit, fst_compose,
@@ -279,6 +280,99 @@ def test_equivalence_walks_through_the_dead_state_on_both_sides():
     xb = fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(b, u)))
     yc = fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(c, u)))
     assert not fsa_equivalent(xb, yc) and not fsa_equivalent(yc, xb)
+
+
+# ---------------------------------------------------------------------------
+# Lazy meets: an intersection the product walk never builds
+
+
+def built_decision(pre, z1, post, z2) -> bool:
+    return fsa_equivalent(fsa_intersect(pre, z1), fsa_intersect(post, z2))
+
+
+def lazy_decision(pre, z1, post, z2) -> bool:
+    return fsa_equivalent(Meet(pre, z1), Meet(post, z2))
+
+
+def random_tree(rng, syms, depth=3):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([("sym", s) for s in syms] + [("empty",), ("unit",)])
+    op = rng.choice(["union", "union", "concat", "concat", "star",
+                     "intersect", "complement"])
+    if op in ("star", "complement"):
+        return (op, random_tree(rng, syms, depth - 1))
+    return (op, random_tree(rng, syms, depth - 1),
+            random_tree(rng, syms, depth - 1))
+
+
+def random_zone(rng, syms):
+    """A nondeterministic zone: epsilon arcs from `fsa_union`/`fsa_star`."""
+    return ("union", random_tree(rng, syms, 2),
+            ("star", random_tree(rng, syms, 2)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_meet_walk_decides_like_built_images(seed):
+    t, a, b, c = table3()
+    u = t.universe()
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(60):
+        pre = build_fsa(random_tree(rng, (a, b, c)), u)
+        post = (pre if rng.random() < 0.3
+                else build_fsa(random_tree(rng, (a, b, c)), u))
+        z1 = build_fsa(random_zone(rng, (a, b, c)), u)
+        z2 = (z1 if rng.random() < 0.5
+              else build_fsa(random_zone(rng, (a, b, c)), u))
+        want = built_decision(pre, z1, post, z2)
+        assert lazy_decision(pre, z1, post, z2) == want
+        assert lazy_decision(post, z2, pre, z1) == want
+        assert intersects(Meet(pre, z1), post) == \
+            intersects(fsa_intersect(pre, z1), post)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_meet_walk_edge_languages():
+    t, a, b, c = table3()
+    u = t.universe()
+    sym = {s.name: fsa_symbol(s, u) for s in (a, b, c)}
+    empty, unit = fsa_empty(u), fsa_unit(u)
+    anything = fsa_star(fsa_union(fsa_union(sym["a"], sym["b"]), sym["c"]))
+    a_then_bs = fsa_concat(sym["a"], fsa_star(sym["b"]))
+    a_b = fsa_concat(sym["a"], sym["b"])
+    a_c = fsa_concat(sym["a"], sym["c"])
+    cases = [
+        # empty languages, on the snapshot side or the zone side
+        (empty, anything, empty, anything, True),
+        (empty, anything, a_b, empty, True),
+        (a_b, empty, empty, anything, True),
+        (a_b, anything, empty, anything, False),
+        # the empty path, kept or cut by the zone
+        (unit, anything, empty, anything, False),
+        (unit, complement(unit, u), empty, anything, True),
+        (fsa_union(unit, a_b), anything, a_b, anything, False),
+        (fsa_union(unit, a_b), a_then_bs, a_b, a_then_bs, True),
+        # one side dies on `c` while the other lives on `b`
+        (a_b, a_then_bs, a_c, a_then_bs, False),
+        (a_c, a_then_bs, empty, anything, True),
+        (a_b, a_then_bs, a_c, anything, False),
+        (a_b, anything, a_c, a_then_bs, False),
+        # different zones that cut the two sides down to one language
+        (fsa_union(a_b, a_c), a_then_bs, a_b, anything, True),
+    ]
+    for pre, z1, post, z2, holds in cases:
+        assert built_decision(pre, z1, post, z2) == holds
+        assert lazy_decision(pre, z1, post, z2) == holds
+        assert lazy_decision(post, z2, pre, z1) == holds
+
+
+def test_meet_counts_left_operand_states():
+    t, a, b, c = table3()
+    u = t.universe()
+    x, y = fsa_symbol(a, u), fsa_star(fsa_symbol(b, u))
+    assert Meet(x, y).num_states == x.num_states
+    assert Meet(y, x).num_states == y.num_states
 
 
 def test_intersect_with_complement_of_unit():

@@ -17,6 +17,7 @@ import pytest
 
 import rela.checker
 from rela import CheckOptions, check_all, report_to_json
+from rela.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -72,3 +73,36 @@ def test_tracing_overhead_stays_in_bound_on_else_chain(tmp_path):
                                                 traced.Tracer())
     assert traced.measure_overhead(index, program, fecs) <= \
         traced.ACCOUNTING_BOUND
+
+
+def test_tracing_overhead_stays_in_bound_on_preserve_scale(tmp_path):
+    # Preserve-scale decides each FEC in one lazy walk, so its per-FEC
+    # step is the next cheapest.  The lowest of three readings keeps a
+    # load spike from failing the test; a lasting breach still fails it.
+    corpus.write_corpus("preserve-scale", 1, str(tmp_path), 0.5)
+    _, index, program, fecs = traced.load_stage(str(tmp_path),
+                                                traced.Tracer())
+    readings = [traced.measure_overhead(index, program, fecs)
+                for _ in range(3)]
+    assert min(readings) <= traced.ACCOUNTING_BOUND
+
+
+@pytest.mark.parametrize("workload", ["preserve-scale", "reroute-explain",
+                                      "else-chain"])
+def test_cli_reports_match_the_corpus_answer(tmp_path, capsys, workload):
+    # The benchmark's end-to-end gate at a small scale: `rela check`
+    # exits with the answer's code at one and two workers, writes the
+    # same bytes, and reports every FEC as the corpus expects.
+    answer = corpus.write_corpus(workload, 1, str(tmp_path), 0.05)
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"report-w{workers}.json"
+        code = main(["check", "--spec", str(tmp_path / "change.spec"),
+                     "--locations", str(tmp_path / "locations.json"),
+                     "--fecs", str(tmp_path / "fecs.ndjson"),
+                     "--workers", workers, "--output", str(out)])
+        assert code == answer["exit_code"]
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert corpus.mismatches(json.loads(reports[0]), answer) == (0, [])

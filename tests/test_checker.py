@@ -1,9 +1,15 @@
 """Per-FEC verdicts, counterexample explanations, and report assembly."""
 
 import json
+import random
 
 import pytest
 
+import rela.checker
+from _fecgen import make_index as make_device_index
+from _fecgen import mutate_one_edge, random_fec_dict
+from rela import rir
+from rela.automata import fsa_equivalent
 from rela.checker import (
     CheckOptions, FAIL, PASS, StrictInputError, check_all, check_fec,
     report_to_json, report_to_json_dict, report_to_text, select_spec,
@@ -138,6 +144,49 @@ class TestCheckFec:
         assert cache  # ground subexpressions landed in the shared cache
         verdict, _ = check_fec(program.default, fec, index, cache)
         assert verdict.status == PASS
+
+
+class TestLazyDecision:
+    """Identity-only equations are decided without building the images.
+
+    Each verdict and counterexample must be the one built images give.
+    `remove` compiles to two different identities, and the chained specs
+    have identity arms, so the arm replay of `_explain` walks lazily too.
+    """
+
+    SPECS = {
+        "preserve": "spec s := { d0000 .* : preserve; }"
+                    " else { .* d0003 .* : preserve; }"
+                    " else { .* : preserve; }",
+        "remove": "spec s := .* : remove(.* d0002 .*)",
+        "remove-arm": "spec s := { d0000 .* : remove(d0000 d0001 .*); }"
+                      " else { .* : preserve; }",
+    }
+
+    @staticmethod
+    def built_images(ev, left, right):
+        return fsa_equivalent(ev.pathset(left), ev.pathset(right))
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_matches_built_images(self, name, monkeypatch):
+        index = make_device_index(12)
+        devices = [f"d{i:04d}" for i in range(12)]
+        spec = compile_text(index, self.SPECS[name]).default
+        assert isinstance(spec.top.left.rel, rir.Identity)
+        assert isinstance(spec.top.right.rel, rir.Identity)
+        rng = random.Random(f"lazy/{name}")
+        fecs = []
+        for i in range(60):
+            obj = random_fec_dict(rng, f"f{i:02d}", devices, max_nodes=8,
+                                  min_nodes=3)
+            if i % 3:
+                obj = dict(obj, post=mutate_one_edge(rng, obj, index))
+            fecs.append(parse_fec(obj, index))
+        lazy = [check_fec(spec, f, index, {}, 5) for f in fecs]
+        monkeypatch.setattr(rela.checker, "_agree", self.built_images)
+        built = [check_fec(spec, f, index, {}, 5) for f in fecs]
+        assert lazy == built
+        assert {v.status for v, _ in lazy} == {PASS, FAIL}
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,29 @@ class TestStrict:
         assert captured.out == ""  # no report on abort
         assert "line 1" in captured.err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_strict_names_the_input_once(self, tmp_path, capsys, workers):
+        # A graph error already names its FEC; a line that is not JSON
+        # has no id, so the abort names the line instead.
+        bad_graph = json.loads(fec_line("bad0", ("x1", "a1"), ("x1", "a1")))
+        bad_graph["post"]["edges"].append(["n0", "n7"])
+        cases = [
+            (["garbage"] + PASSING,
+             "rela: error: line 1: invalid JSON: Expecting value: "
+             "line 1 column 1 (char 0)"),
+            (PASSING + [json.dumps(bad_graph)],
+             "rela: error: FEC bad0: post graph edge references unknown "
+             "node 'n7'"),
+        ]
+        for lines, message in cases:
+            argv = write_world(tmp_path, lines) + ["--strict",
+                                                   "--workers", workers]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert [line for line in captured.err.splitlines()
+                    if line.startswith("rela: error:")] == [message]
+
     def test_without_strict_continues(self, tmp_path, capsys):
         lines = ["garbage"] + PASSING
         assert main(write_world(tmp_path, lines)) == 2
