@@ -387,6 +387,8 @@ def trim(fsa: Fsa) -> Fsa:
     live = forward & backward
     if fsa.initial not in live:
         return fsa_empty(fsa.alphabet)
+    if len(live) == fsa.num_states:
+        return fsa
     remap = {}
     for q in range(fsa.num_states):
         if q in live:
@@ -413,15 +415,19 @@ def minimize(fsa: Fsa) -> Fsa:
     d = trim(determinize(fsa))
     if not d.accepting:
         return d
+    # A state's signature is its class, its symbol ids in id order and
+    # the classes of the targets in that order; a DFA has one arc per
+    # symbol, so the id order is fixed once.
+    ordered = [sorted(arcs, key=lambda arc: arc[0].id) for arcs in d.arcs]
+    ids = [tuple(label.id for label, _ in arcs) for arcs in ordered]
+    targets = [[dst for _, dst in arcs] for arcs in ordered]
     cls = [1 if q in d.accepting else 0 for q in range(d.num_states)]
     ncls = len(set(cls))
     while True:
         sigs: dict[tuple, int] = {}
         new_cls = [0] * d.num_states
         for q in range(d.num_states):
-            sig = (cls[q],
-                   tuple(sorted((label.id, cls[dst])
-                                for label, dst in d.arcs[q])))
+            sig = (cls[q], ids[q], tuple(map(cls.__getitem__, targets[q])))
             nid = sigs.setdefault(sig, len(sigs))
             new_cls[q] = nid
         stable = len(sigs) == ncls

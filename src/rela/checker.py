@@ -152,11 +152,15 @@ def check_fec(c: CompiledSpec, f: Fec, index: LocationIndex,
 def _agree(ev: rir.Evaluator, left: rir.Image, right: rir.Image) -> bool:
     """Whether the pre-change image `left` equals the post-change `right`.
     img(S, I(Z)) is S n Z, so two identity images are compared as `Meet`s
-    in one walk that builds neither; other images are built first."""
+    in one walk that builds neither; other images are built first.  A
+    zone both sides share as one object is looked up once."""
     rpre, rpost = left.rel, right.rel
     if isinstance(rpre, rir.Identity) and isinstance(rpost, rir.Identity):
-        return fsa_equivalent(Meet(ev.env.pre, ev.pathset(rpre.source)),
-                              Meet(ev.env.post, ev.pathset(rpost.source)))
+        zone = ev.pathset(rpre.source)
+        other = (zone if rpost.source is rpre.source
+                 else ev.pathset(rpost.source))
+        return fsa_equivalent(Meet(ev.env.pre, zone),
+                              Meet(ev.env.post, other))
     return fsa_equivalent(ev.pathset(left), ev.pathset(right))
 
 

@@ -272,6 +272,9 @@ def compile_spec(spec: SpecAst, index: LocationIndex) -> CompiledSpec:
 
     rpre = simplify(rir.fold([s.rpre for s in subspecs], rir.Union))
     rpost = simplify(rir.fold([s.rpost for s in subspecs], rir.Union))
+    if rpost == rpre:
+        # one tree for both sides, so a check looks its zone up once
+        rpost = rpre
     top = rir.Equal(rir.Image(rir.PreState(), rpre),
                     rir.Image(rir.PostState(), rpost))
     return CompiledSpec(top, tuple(subspecs), tuple(lower.markers),

@@ -19,7 +19,9 @@ the compiler emits.
 
 `Evaluator` lowers either sort to an `Fsa` from :mod:`rela.automata`
 with the same constructors; deciding and explaining an equation is left
-to :mod:`rela.checker`.
+to :mod:`rela.checker`.  A ground path-set `Union` is cached as the
+trimmed minimal DFA of its language, so an `else` chain's masks do not
+copy every earlier zone; relations are kept as built.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional
 from .automata import (
     Fsa, Symbol, accepts, apply_image, complement, fsa_concat,
     fsa_empty, fsa_intersect, fsa_star, fsa_symbol_class, fsa_union,
-    fsa_unit, fst_compose, fst_cross, fst_identity, intersects,
+    fsa_unit, fst_compose, fst_cross, fst_identity, intersects, minimize,
 )
 
 
@@ -206,6 +208,28 @@ def flatten(node, join):
         yield node
 
 
+def _is_relation(node) -> bool:
+    """Whether a node of either sort is a relation: whether an `Identity`,
+    `Cross` or `Compose` leaf sits on its `Union`/`Concat`/`Star` spine.
+
+    Unlike `pretty`'s leftmost leaf, every leaf counts, since a `One` or
+    `Zero` leaf belongs to both sorts.  Shared subtrees are visited once.
+    """
+    seen, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (Identity, Cross, Compose)):
+            return True
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if isinstance(n, Star):
+            stack.append(n.inner)
+        elif isinstance(n, (Union, Concat)):
+            stack += (n.left, n.right)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -239,6 +263,9 @@ class Evaluator:
     Ground subexpressions (no PreState/PostState) may additionally share a
     cache across environments of the same run -- pass the same mapping as
     `ground_cache` for every snapshot pair evaluated under one universe.
+    A ground path-set `Union` is cached as a trimmed minimal DFA; a
+    relation union, whose labels are symbol pairs, is not minimized, and
+    neither is any other node.
     """
 
     def __init__(self, env: SnapshotPair,
@@ -275,7 +302,10 @@ class Evaluator:
         if isinstance(p, PostState):
             return self.env.post
         if isinstance(p, Union):
-            return fsa_union(self.pathset(p.left), self.pathset(p.right))
+            union = fsa_union(self.pathset(p.left), self.pathset(p.right))
+            if p.ground and not _is_relation(p):
+                return minimize(union)
+            return union
         if isinstance(p, Concat):
             return fsa_concat(self.pathset(p.left), self.pathset(p.right))
         if isinstance(p, Star):

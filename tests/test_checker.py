@@ -145,6 +145,26 @@ class TestCheckFec:
         verdict, _ = check_fec(program.default, fec, index, cache)
         assert verdict.status == PASS
 
+    def test_ground_cache_grows_linearly_with_else_arms(self):
+        # Arm i is masked by the complement of the union of the earlier
+        # zones.  Kept as copies of their operands, those unions make the
+        # cache quadratic in the arms (80 arms hold 3.1x the arcs of 40);
+        # as minimal DFAs, about twice as many.
+        index = make_device_index(100)
+        fec = make_fec(index, "f", ("d0000", "d0001"), ("d0000", "d0001"))
+
+        def cached_arcs(arms):
+            text = "spec s := " + " else ".join(
+                [f"{{ d{i:04d} .* : preserve; }}" for i in range(arms)]
+                + ["{ .* : preserve; }"])
+            cache = {}
+            verdict, _ = check_fec(compile_text(index, text).default, fec,
+                                   index, cache)
+            assert verdict.status == PASS
+            return sum(len(arcs) for m in cache.values() for arcs in m.arcs)
+
+        assert cached_arcs(80) <= 2.5 * cached_arcs(40)
+
 
 class TestLazyDecision:
     """Identity-only equations are decided without building the images.

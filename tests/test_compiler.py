@@ -180,6 +180,14 @@ class TestElseChains:
         assert isinstance(c.top.right.rel, rir.Identity)
         assert c.top.left.rel == c.top.right.rel
 
+    def test_equal_relations_are_one_tree(self, index):
+        # A check then looks a preserve chain's zone up once per FEC.
+        c = compiled_for(
+            index, "a : preserve else b : preserve else . : preserve")
+        assert c.top.left.rel is c.top.right.rel
+        c = compiled_for(index, "a : any(b) else . : preserve")
+        assert c.top.left.rel is not c.top.right.rel
+
     def test_arm_labels_use_definition_names(self, index):
         text = """
         spec strict := a : preserve

@@ -10,7 +10,10 @@ from _oracle import OracleEnv, oracle_eval_pathset
 from _treegen import (
     TreeGen, bounded_language, fsa_from_paths, is_empty, make_env,
 )
-from rela.automata import SymbolTable, accepts, enumerate_shortest
+from rela.automata import (
+    SymbolTable, accepts, apply_image, enumerate_shortest, fsa_equivalent,
+    minimize,
+)
 from rela.rir import (
     Complement, Compose, Concat, Cross, Equal, Evaluator, Identity, Image,
     Intersect, One, PostState, PreState, SnapshotPair, Star, SymSet, Union,
@@ -141,6 +144,37 @@ def test_ground_cache_shared_across_envs():
     env2 = SnapshotPair(pre2, pre2)
     second = eval_pathset(expr, env2, cache)
     assert first is second
+
+
+def test_ground_pathset_union_is_a_minimal_dfa():
+    # Not an epsilon-joined copy of both operands: an else chain's masks
+    # would then hold a copy of every earlier zone.
+    t, (a, b, c), env, _ = small_world()
+    anything = Star(SymSet(frozenset([a, b, c])))
+    zone = Union(Concat(sym(a), anything),
+                 Union(Concat(sym(b), anything), Concat(sym(a), sym(c))))
+    got = eval_pathset(zone, env)
+    assert got.deterministic
+    assert got.num_states == minimize(got).num_states == 2
+    assert fsa_equivalent(got, eval_pathset(
+        Concat(SymSet(frozenset([a, b])), anything), env))
+
+
+@pytest.mark.parametrize("shape", ["identity-first", "one-first"])
+def test_ground_relation_union_keeps_its_image(shape):
+    # A relation is recognised by any Identity, Cross or Compose on its
+    # Union/Concat/Star spine, not by its leftmost leaf, which may be One.
+    t, (a, b, c), env, _ = small_world()
+    swap = Cross(sym(b), sym(c))
+    if shape == "identity-first":
+        rel = Union(Identity(sym(a)), swap)
+        source, want = Union(sym(a), sym(b)), {"a", "c"}
+    else:
+        rel = Union(One(), Concat(Identity(sym(a)), swap))
+        source, want = Union(One(), Concat(sym(a), sym(b))), {"", "a c"}
+    ev = Evaluator(env)
+    assert paths_of(apply_image(ev.pathset(source), ev.pathset(rel))) == want
+    assert paths_of(ev.pathset(Image(source, rel))) == want
 
 
 def test_snapshot_expressions_not_ground():
