@@ -12,6 +12,8 @@ Intersection, difference, equivalence and `intersects` are clients of
 one walk over pairs of determinized states, `_product`; it builds the
 product or, for a yes/no question, stops at the first pair that decides
 it, and then a side may be a `Meet`: an intersection it never builds.
+`fsa_equivalent` needs no walk when both sides are one machine, or
+`Meet`s of the same two machines, by identity.
 `fst_identity`, `fst_cross` and `project_output` relabel via `_relabel`.
 
 Symbols are interned through a `SymbolTable`.  Three kinds exist:
@@ -147,13 +149,13 @@ class Fsa:
     `deterministic` promises there are no epsilon arcs and at most one
     arc per (state, symbol).
 
-    The two trailing slots memoize derived views (the determinized twin
-    and per-state transition maps); they are dropped on pickling and do
-    not affect the accepted language.
+    The three trailing slots memoize derived views (the determinized
+    twin, per-state transition maps and the minimal twin); they are
+    dropped on pickling and do not affect the accepted language.
     """
 
     __slots__ = ("alphabet", "num_states", "initial", "accepting", "arcs",
-                 "deterministic", "_dfa", "_maps")
+                 "deterministic", "_dfa", "_maps", "_min")
 
     def __init__(self, alphabet: frozenset[Symbol], num_states: int,
                  initial: int, accepting: frozenset[int],
@@ -171,6 +173,7 @@ class Fsa:
         self.deterministic = deterministic
         self._dfa = None
         self._maps = None
+        self._min = None
 
     def __getstate__(self):
         return (self.alphabet, self.num_states, self.initial,
@@ -408,11 +411,20 @@ def trim(fsa: Fsa) -> Fsa:
 def minimize(fsa: Fsa) -> Fsa:
     """Language-preserving state minimization (partition refinement).
 
-    Determinizes and trims first; on the trimmed partial DFA a missing
-    arc genuinely means "no acceptance this way", so refining on arc
-    signatures alone is sound.
+    The result is memoized on the input and on itself, so minimizing a
+    machine `minimize` returned (a cached ground union that `complement`
+    is handed, say) costs nothing.
     """
-    d = trim(determinize(fsa))
+    if fsa._min is None:
+        fsa._min = _refine(trim(determinize(fsa)))
+        fsa._min._min = fsa._min
+    return fsa._min
+
+
+def _refine(d: Fsa) -> Fsa:
+    """The minimal DFA of the trimmed partial DFA `d`.  On it a missing
+    arc genuinely means "no acceptance this way", so refining on arc
+    signatures alone is sound."""
     if not d.accepting:
         return d
     # A state's signature is its class, its symbol ids in id order and
@@ -609,7 +621,12 @@ def fsa_difference(x: Fsa, y: Fsa) -> Fsa:
 
 
 def fsa_equivalent(x: Fsa, y: Fsa) -> bool:
-    """Language equality: no reachable pair where exactly one side accepts."""
+    """Language equality: no reachable pair where exactly one side accepts.
+    The same machine, or `Meet`s of the same two machines, is equal to
+    itself without a walk; the test is by identity and reads no arcs."""
+    if x is y or (isinstance(x, Meet) and isinstance(y, Meet)
+                  and x.left is y.left and x.right is y.right):
+        return True
     return not _product(x, y, "either", operator.ne, build=False)
 
 

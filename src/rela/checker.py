@@ -3,9 +3,13 @@
 `check_fec` is the one place a FEC is judged.  It checks and lowers both
 forwarding graphs and decides image(pre, Rpre) == image(post, Rpost) by
 automaton equivalence; two identity images (pre n Z, post n Z') are
-compared in one lazy walk and never built.  A failure is explained from
-built images: the arms are replayed in priority order to find the one to
-blame, and the shortest paths on which the sides disagree are listed.
+compared in one lazy walk and never built.  An unchanged FEC has one
+acceptor for both sides, so when the two zones are one object too, the
+two `Meet`s are over the same machines and `fsa_equivalent` answers
+without a walk; a spec whose relations differ still walks.  A failure
+is explained from built images: the arms are replayed in priority order
+to find the one to blame, and the shortest paths on which the sides
+disagree are listed.
 `check_all` picks each FEC's spec, runs `check_fec` over a stream of
 FECs, optionally on a process pool, and aggregates a deterministic
 report.

@@ -18,10 +18,12 @@ and able to reach a sink; a path of the FEC is the location sequence of
 a source-to-sink walk, starting with the source's own location.
 
 Loading checks a line's id and traffic and keeps its two graphs as raw
-JSON.  `graph_to_fsa` checks a graph in the one walk that coarsens it to
-the granularity the run checks at, merging every vertex of the same
-device (or group) into one, and lowers it to an acceptor.  So a bad
-graph is reported when its FEC is checked, not when it is loaded.
+JSON; when the two are equal, both fields hold one shared object.
+`graph_to_fsa` checks a graph in the one walk that coarsens it to the
+granularity the run checks at, merging every vertex of the same device
+(or group) into one, and lowers it to an acceptor.  So a bad graph is
+reported when its FEC is checked, not when it is loaded.  An unchanged
+FEC is lowered once, and both sides get the same acceptor.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class TrafficClass:
 
 @dataclass(frozen=True)
 class Fec:
-    """One traffic class and its two forwarding graphs, as raw JSON."""
+    """One traffic class and its two forwarding graphs, as raw JSON
+    (`parse_fec` stores equal graphs as one object)."""
 
     fec_id: str
     traffic: TrafficClass
@@ -104,8 +107,10 @@ def parse_fec(obj, index: LocationIndex, fallback_id: str = "?") -> Fec:
             ipaddress.ip_network(value, strict=False)
         except ValueError:
             raise _err(fec_id, f"bad {label} {value!r}")
-    return Fec(fec_id, TrafficClass(dst, src), obj.get("pre"),
-               obj.get("post"))
+    pre, post = obj.get("pre"), obj.get("post")
+    if post == pre:
+        post = pre      # one object: pickled once, compared in O(1)
+    return Fec(fec_id, TrafficClass(dst, src), pre, post)
 
 
 def iter_fec_lines(lines: Iterable[str],
@@ -285,6 +290,11 @@ def graph_to_fsa(raw, index: LocationIndex,
 
 def fec_acceptors(fec: Fec, index: LocationIndex):
     """Check, coarsen and lower both sides; returns (pre, post) acceptors.
-    The pre side goes first, so its error wins when both sides are bad."""
-    return (graph_to_fsa(fec.pre, index, fec.fec_id, "pre"),
-            graph_to_fsa(fec.post, index, fec.fec_id, "post"))
+    The pre side goes first, so its error wins when both sides are bad.
+    An unchanged FEC (`post == pre`) is lowered once and gets the same
+    `Fsa` on both sides; the test is O(1) when the loader shared the
+    graph."""
+    pre = graph_to_fsa(fec.pre, index, fec.fec_id, "pre")
+    if fec.post == fec.pre:
+        return pre, pre
+    return pre, graph_to_fsa(fec.post, index, fec.fec_id, "post")

@@ -14,6 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rela.automata
 from _treegen import is_empty
 from rela.automata import (
     substitute,
@@ -367,6 +368,46 @@ def test_meet_walk_edge_languages():
         assert lazy_decision(post, z2, pre, z1) == holds
 
 
+def test_equivalence_of_one_machine_needs_no_walk(monkeypatch):
+    # the same machine, or meets of the same two machines, by identity
+    t, a, b, c = table3()
+    u = t.universe()
+    x = fsa_star(fsa_union(fsa_symbol(a, u), fsa_symbol(b, u)))
+    z = fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(b, u)))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(rela.automata, "_product", no_walk)
+    assert fsa_equivalent(x, x)
+    assert fsa_equivalent(Meet(x, z), Meet(x, z))
+
+
+def test_meets_of_equal_languages_still_walk(monkeypatch):
+    t, a, b, c = table3()
+    u = t.universe()
+
+    def a_bs():
+        return fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(b, u)))
+
+    walks = []
+    walk = rela.automata._product
+
+    def counted(*args, **kwargs):
+        walks.append(args[2])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(rela.automata, "_product", counted)
+    x, y, z = a_bs(), a_bs(), fsa_star(fsa_symbol(b, u))
+    ab = fsa_concat(fsa_symbol(a, u), fsa_symbol(b, u))
+    assert fsa_equivalent(Meet(x, ab), Meet(y, ab))
+    assert fsa_equivalent(Meet(x, a_bs()), Meet(x, a_bs()))
+    assert not fsa_equivalent(Meet(x, ab), Meet(x, a_bs()))
+    # the same two machines in the other order are not the same meet
+    assert fsa_equivalent(Meet(x, z), Meet(z, x))
+    assert walks == ["either"] * 4
+
+
 def test_meet_counts_left_operand_states():
     t, a, b, c = table3()
     u = t.universe()
@@ -605,6 +646,17 @@ def test_minimize_collapses_redundant_states():
     assert fsa_equivalent(m, n)
 
 
+def test_minimize_memoizes_on_the_input_and_the_result():
+    t, a, b, c = table3()
+    u = t.universe()
+    n = fsa_union(fsa_star(fsa_symbol(a, u)), fsa_symbol(a, u))
+    m = minimize(n)
+    assert minimize(n) is m and minimize(m) is m
+    assert fsa_equivalent(m, n)
+    # complement takes the memoized twin, with the same language
+    assert fsa_equivalent(complement(m, u), complement(n, u))
+
+
 def test_determinize_memoizes_on_the_input():
     t, a, b, c = table3()
     u = t.universe()
@@ -620,8 +672,9 @@ def test_pickling_drops_derived_caches():
     n = fsa_union(fsa_symbol(a, u), fsa_symbol(b, u))
     determinize(n)
     fsa_intersect(n, n)
+    minimize(n)
     copy = pickle.loads(pickle.dumps(n))
-    assert copy._dfa is None and copy._maps is None
+    assert copy._dfa is None and copy._maps is None and copy._min is None
     assert fsa_equivalent(copy, n)
 
 

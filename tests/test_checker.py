@@ -1,6 +1,8 @@
 """Per-FEC verdicts, counterexample explanations, and report assembly."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -12,11 +14,12 @@ from rela import rir
 from rela.automata import fsa_equivalent
 from rela.checker import (
     CheckOptions, FAIL, PASS, StrictInputError, check_all, check_fec,
-    report_to_json, report_to_json_dict, report_to_text, select_spec,
+    counterexample_to_json_dict, report_to_json, report_to_json_dict,
+    report_to_text, select_spec,
 )
 from rela.compiler import compile_program
 from rela.frontend import Granularity, LocationDb, parse_program
-from rela.snapshot import FecError, iter_fec_lines, parse_fec
+from rela.snapshot import Fec, FecError, iter_fec_lines, parse_fec
 
 DEVICES = [("x1", "X"), ("a1", "A"), ("a2", "A"), ("a3", "A"),
            ("b1", "B"), ("b2", "B"), ("b3", "B"), ("d1", "D"), ("y1", "Y")]
@@ -163,7 +166,57 @@ class TestCheckFec:
             assert verdict.status == PASS
             return sum(len(arcs) for m in cache.values() for arcs in m.arcs)
 
-        assert cached_arcs(80) <= 2.5 * cached_arcs(40)
+        small, large = cached_arcs(40), cached_arcs(80)
+        # the FEC is unchanged; its zones must still be evaluated, or the
+        # ratio below would hold as 0 <= 0
+        assert small > 0 and large > 0
+        assert large <= 2.5 * small
+
+
+class TestUnchangedFec:
+    """An unchanged FEC has one acceptor for both sides.  A spec that
+    demands a change still fails it, with the counterexample that two
+    separately lowered sides give."""
+
+    CHANGED = ("x1", "a1", "b1")
+
+    @staticmethod
+    def paths(*paths):
+        return {"paths": list(paths), "truncated": False}
+
+    @pytest.mark.parametrize("text,expected,missing,unexpected", [
+        ("spec s := x1 .* : add(x1 a2 b1)",
+         ["x1 a1 b1", "x1 a2 b1"], ["x1 a2 b1"], []),
+        ("spec s := .* : remove(.* a1 .*)", [], [], ["x1 a1 b1"]),
+        ("spec s := x1 .* b1 : any(x1 a2 b1)",
+         ["x1 a2 b1"], ["x1 a2 b1"], ["x1 a1 b1"]),
+    ])
+    def test_a_spec_that_demands_a_change_fails(self, index, text, expected,
+                                                missing, unexpected):
+        program = compile_text(index, text)
+        fec = make_fec(index, "f", self.CHANGED, self.CHANGED)
+        assert fec.post is fec.pre
+        verdict, cx = check_fec(program.default, fec, index)
+        assert verdict.status == FAIL
+        got = counterexample_to_json_dict(cx)
+        assert got["violated_subspec"] == "s" and got["note"] == ""
+        seen = self.paths("x1 a1 b1")
+        assert (got["pre_paths"], got["post_paths"], got["observed"]) == \
+            (seen, seen, seen)
+        assert got["expected"] == self.paths(*expected)
+        assert got["missing"] == self.paths(*missing)
+        assert got["unexpected"] == self.paths(*unexpected)
+
+    def test_shared_graphs_pickle_small(self):
+        # the pool pickles each Fec; a shared graph goes once
+        index = make_device_index(50)
+        devices = [f"d{i:04d}" for i in range(50)]
+        line = json.dumps(random_fec_dict(random.Random(1), "f", devices,
+                                          max_nodes=40, min_nodes=40))
+        [fec] = iter_fec_lines([line], index)
+        apart = Fec(fec.fec_id, fec.traffic, fec.pre,
+                    copy.deepcopy(fec.post))
+        assert len(pickle.dumps(fec)) < 0.7 * len(pickle.dumps(apart))
 
 
 class TestLazyDecision:

@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+import rela.snapshot
 from rela.automata import enumerate_shortest
-from rela.frontend import Granularity, LocationDb
+from rela.checker import CheckOptions, check_all
+from rela.compiler import compile_program
+from rela.frontend import Granularity, LocationDb, parse_program
 from rela.snapshot import (
     FecError, SnapshotError, TrafficClass,
     fec_acceptors, graph_to_fsa, iter_fec_lines, parse_fec,
@@ -365,6 +368,54 @@ class TestGraphToFsa:
         pre, post = fec_acceptors(fec, index)
         assert language(pre) == {"x1 a1"}
         assert language(post) == {"x1 drop"}
+
+
+class TestUnchangedFec:
+    """Equal graphs are one object after loading and are lowered once."""
+
+    def test_loader_shares_equal_graphs(self, index):
+        # two equal graphs decoded separately, as from one NDJSON line
+        line = json.dumps(fec_obj(pre=chain_graph("x1:eth0", "a1:eth0"),
+                                  post=chain_graph("x1:eth0", "a1:eth0")))
+        [fec] = iter_fec_lines([line], index)
+        assert fec.post is fec.pre
+
+    def test_loader_keeps_different_graphs_apart(self, index):
+        obj = fec_obj(pre=chain_graph("x1:eth0", "a1:eth0"),
+                      post=chain_graph("x1:eth0", "a2:eth0"))
+        fec = parse_fec(obj, index)
+        assert fec.pre == obj["pre"] and fec.post == obj["post"]
+        assert fec.post is not fec.pre
+
+    def test_unchanged_fec_is_lowered_once(self, index, monkeypatch):
+        calls = []
+        lower_one = rela.snapshot.graph_to_fsa
+
+        def counted(raw, *args):
+            calls.append(raw)
+            return lower_one(raw, *args)
+
+        monkeypatch.setattr(rela.snapshot, "graph_to_fsa", counted)
+        fec = parse_fec(json.loads(json.dumps(fec_obj())), index)
+        pre, post = fec_acceptors(fec, index)
+        assert len(calls) == 1 and pre is post
+        assert language(pre) == {"x1 a1"}
+
+        changed = fec_obj(post=chain_graph("x1:eth0", "a2:eth0"))
+        pre, post = fec_acceptors(parse_fec(changed, index), index)
+        assert len(calls) == 3 and pre is not post
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_bad_graph_names_the_pre_side(self, index, workers):
+        bad = chain_graph("x1:eth0", "zz:eth9")
+        lines = [json.dumps(fec_obj("f1", pre=bad, post=bad))]
+        program = compile_program(
+            parse_program("spec s := { .* : preserve; }", index), index)
+        report = check_all(program, index, iter_fec_lines(lines, index),
+                           CheckOptions(workers=workers))
+        assert report.errors == (FecError(
+            "f1", "FEC f1: pre graph node 'n1' has unknown location "
+                  "'zz:eth9'"),)
 
 
 def test_acceptors_read_only_universe_symbols():
