@@ -466,30 +466,13 @@ def complement(fsa: Fsa, universe: frozenset[Symbol]) -> Fsa:
     """The language universe* minus L(fsa).
 
     Strings containing symbols outside `universe` (markers, say) are not
-    members of universe*, so they never appear in the complement; arcs
-    carrying such symbols are discarded before completing the machine.
+    members of universe*, so they never appear in the complement: the
+    difference walks only the arcs universe* has.
     """
-    d = minimize(fsa)
-    syms = sorted(universe, key=lambda s: s.id)
-    b = _Builder()
-    for _ in range(d.num_states):
-        b.state()
-    sink = b.state()
-    for q in range(d.num_states):
-        have = set()
-        for label, dst in d.arcs[q]:
-            if label in universe:
-                b.arc(q, label, dst)
-                have.add(label)
-        for sym in syms:
-            if sym not in have:
-                b.arc(q, sym, sink)
-    for sym in syms:
-        b.arc(sink, sym, sink)
-    accepting = frozenset(q for q in range(d.num_states + 1)
-                          if q not in d.accepting)
-    return Fsa(universe | d.alphabet, d.num_states + 1, d.initial, accepting,
-               b.frozen_arcs(), deterministic=True)
+    ordered = tuple((sym, 0) for sym in sorted(universe, key=lambda s: s.id))
+    anything = Fsa(universe, 1, 0, frozenset([0]), (ordered,),
+                   deterministic=True)
+    return fsa_difference(anything, minimize(fsa))
 
 
 _DEAD = -1  # the implicit rejecting sink of a partial DFA

@@ -43,12 +43,10 @@ class CheckOptions:
     """Knobs for a checking run.
 
     `max_counterexamples` bounds the counterexamples the report lists
-    (the per-arm tallies still count every failure).  `witness_limit` is
-    the number of shortest paths listed per language in a counterexample.
+    (the per-arm tallies still count every failure).
     """
 
     max_counterexamples: int = 100
-    witness_limit: int = 100
     workers: int = 1
     strict: bool = False
 
@@ -242,8 +240,7 @@ def _process_item(program: CompiledProgram, index: LocationIndex,
             # a bad graph is an error whether or not a spec applies
             fec_acceptors(item, index)
             return FecVerdict(item.fec_id, UNMATCHED), None
-        return check_fec(spec, item, index, ground_cache,
-                         options.witness_limit, guard)
+        return check_fec(spec, item, index, ground_cache, guard=guard)
     except SnapshotError as e:
         return FecError(item.fec_id, str(e))
 

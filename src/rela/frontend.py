@@ -477,9 +477,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.index = index
-        # `.`: any single location, never drop
-        self.dot = rir.SymSet(frozenset(
-            s for s in index.universe if s.kind == LOCATION))
+        # `.`: any single location, never drop; nothing when there are none
+        locations = frozenset(s for s in index.universe if s.kind == LOCATION)
+        self.dot = rir.SymSet(locations) if locations else rir.Zero()
         self.regex_defs: dict[str, rir.PathSetExpr] = {}
         self.spec_defs: dict[str, SpecAst] = {}
         self.def_names: set[str] = set()
@@ -650,29 +650,30 @@ class _Parser:
         while self.peek().kind == "|":
             self.next()
             arms.append(self.rx_cat())
-        return self.chain(arms, rir.Union)
+        return self.chain(arms, rir.Union, rir.union)
 
     def rx_cat(self) -> rir.PathSetExpr:
         parts = [self.rx_rep()]
         while self.at_atom():
             parts.append(self.rx_rep())
-        return self.chain(parts, rir.Concat)
+        return self.chain(parts, rir.Concat, rir.concat)
 
-    def chain(self, parts: list, join) -> rir.PathSetExpr:
-        """Fold the operands of a `|` or concatenation chain balanced.
+    def chain(self, parts: list, node, join) -> rir.PathSetExpr:
+        """Fold the operands of a `|` or concatenation chain balanced,
+        built with `join`, the constructor of `node`.
 
-        An operand that is itself a `join` node (a group, a definition,
-        `x+` or `x?`) splices in its operands, so nesting never deepens
-        the tree.  A leading run of location sets in a `|` chain merges
-        into one set, so `a1 | a2` and a where() naming both parse alike.
+        An operand that is itself a `node` (a group, a definition, `x+`
+        or `x?`) splices in its operands, so nesting never deepens the
+        tree.  A leading run of location sets in a `|` chain merges into
+        one set, so `a1 | a2` and a where() naming both parse alike.
         """
         flat = []
         for part in parts:
-            for x in rir.flatten(part, join):
-                if join is rir.Union and len(flat) == 1 and \
+            for x in rir.flatten(part, node):
+                if node is rir.Union and len(flat) == 1 and \
                         isinstance(flat[0], rir.SymSet) and \
                         isinstance(x, rir.SymSet):
-                    flat[0] = rir.SymSet(flat[0].symbols | x.symbols)
+                    flat[0] = rir.union(flat[0], x)
                 else:
                     flat.append(x)
         return rir.fold(flat, join)
@@ -689,12 +690,12 @@ class _Parser:
             ops.add(self.next().kind)
         if not ops:
             return atom
-        star = atom if isinstance(atom, rir.Star) else rir.Star(atom)
+        star = rir.star(atom)
         if "*" in ops or ops == {"+", "?"}:
             return star
         if "+" in ops:  # x x*
-            return self.chain([atom, star], rir.Concat)
-        return self.chain([atom, rir.One()], rir.Union)  # x or ()
+            return self.chain([atom, star], rir.Concat, rir.concat)
+        return self.chain([atom, rir.One()], rir.Union, rir.union)  # x or ()
 
     def rx_atom(self) -> rir.PathSetExpr:
         t = self.next()

@@ -17,6 +17,10 @@ only, `Cross`, `Identity` and `Compose` relations only.  A spec is the
 check equation `Equal(left, right)` between two path sets, the one form
 the compiler emits.
 
+Nodes are built in normal form: `union`, `concat`, `star`, `identity`,
+`cross` and `compose` apply the algebraic rewrites as they build, so no
+separate pass simplifies a tree.
+
 `Evaluator` lowers either sort to an `Fsa` from :mod:`rela.automata`
 with the same constructors; deciding and explaining an equation is left
 to :mod:`rela.checker`.  A ground path-set `Union` is cached as the
@@ -26,7 +30,7 @@ copy every earlier zone; relations are kept as built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from .automata import (
@@ -37,30 +41,19 @@ from .automata import (
 
 
 class _Node:
-    """Base for all expression nodes; tracks snapshot dependence."""
+    """Base for all expression nodes.
+
+    Every node has a `ground` attribute, True when evaluation does not
+    consult the snapshot pair: the node is neither `PreState` nor
+    `PostState` and has no child that consults it.
+    """
 
     __hash__ = None  # subclasses are frozen dataclasses and regenerate this
 
-    def _children(self):
-        return [getattr(self, f.name) for f in fields(self)
-                if isinstance(getattr(self, f.name), _Node)]
-
-    @property
-    def ground(self) -> bool:
-        """True when evaluation does not consult the snapshot pair."""
-        return self._ground  # set in __post_init__
-
-    def _set_ground(self):
-        object.__setattr__(
-            self, "_ground", all(c._ground for c in self._children()))
-
-
-def _node(cls):
-    """Decorator: freeze the dataclass and compute snapshot dependence."""
-    # Must be attached before dataclass() generates __init__, or the
-    # hook is never invoked.
-    cls.__post_init__ = cls._set_ground
-    return dataclass(frozen=True)(cls)
+    def __post_init__(self):
+        ground = not isinstance(self, (PreState, PostState)) and all(
+            v.ground for v in vars(self).values() if isinstance(v, _Node))
+        object.__setattr__(self, "ground", ground)
 
 
 class PathSetExpr(_Node):
@@ -78,23 +71,23 @@ class SpecExpr(_Node):
 # --- both sorts --------------------------------------------------------------
 
 
-@_node
+@dataclass(frozen=True)
 class Zero(PathSetExpr, RelExpr):
     """The empty set of paths, or of pairs."""
 
 
-@_node
+@dataclass(frozen=True)
 class One(PathSetExpr, RelExpr):
     """The empty path alone, or the pair of empty paths alone."""
 
 
-@_node
+@dataclass(frozen=True)
 class Union(PathSetExpr, RelExpr):
     left: PathSetExpr | RelExpr
     right: PathSetExpr | RelExpr
 
 
-@_node
+@dataclass(frozen=True)
 class Concat(PathSetExpr, RelExpr):
     """Concatenation; on relations it pairs p1 p2 with q1 q2."""
 
@@ -102,7 +95,7 @@ class Concat(PathSetExpr, RelExpr):
     right: PathSetExpr | RelExpr
 
 
-@_node
+@dataclass(frozen=True)
 class Star(PathSetExpr, RelExpr):
     inner: PathSetExpr | RelExpr
 
@@ -110,7 +103,7 @@ class Star(PathSetExpr, RelExpr):
 # --- path sets --------------------------------------------------------------
 
 
-@_node
+@dataclass(frozen=True)
 class SymSet(PathSetExpr):
     """The length-one paths over a set of symbols, as a single leaf.
 
@@ -121,38 +114,30 @@ class SymSet(PathSetExpr):
     symbols: frozenset[Symbol]
 
 
+@dataclass(frozen=True)
 class PreState(PathSetExpr):
     """The pre-change snapshot's path set."""
 
-    def _set_ground(self):
-        object.__setattr__(self, "_ground", False)
 
-
+@dataclass(frozen=True)
 class PostState(PathSetExpr):
     """The post-change snapshot's path set."""
 
-    def _set_ground(self):
-        object.__setattr__(self, "_ground", False)
 
-
-PreState = _node(PreState)
-PostState = _node(PostState)
-
-
-@_node
+@dataclass(frozen=True)
 class Intersect(PathSetExpr):
     left: PathSetExpr
     right: PathSetExpr
 
 
-@_node
+@dataclass(frozen=True)
 class Complement(PathSetExpr):
     """Complement relative to the location universe (markers excluded)."""
 
     inner: PathSetExpr
 
 
-@_node
+@dataclass(frozen=True)
 class Image(PathSetExpr):
     """All paths some member of `source` maps to under `rel`."""
 
@@ -163,7 +148,7 @@ class Image(PathSetExpr):
 # --- relations ---------------------------------------------------------------
 
 
-@_node
+@dataclass(frozen=True)
 class Cross(RelExpr):
     """The full relation left x right."""
 
@@ -171,12 +156,12 @@ class Cross(RelExpr):
     right: PathSetExpr
 
 
-@_node
+@dataclass(frozen=True)
 class Identity(RelExpr):
     source: PathSetExpr
 
 
-@_node
+@dataclass(frozen=True)
 class Compose(RelExpr):
     left: RelExpr
     right: RelExpr
@@ -185,10 +170,91 @@ class Compose(RelExpr):
 # --- specs -------------------------------------------------------------------
 
 
-@_node
+@dataclass(frozen=True)
 class Equal(SpecExpr):
     left: PathSetExpr
     right: PathSetExpr
+
+
+# --- normalizing constructors ------------------------------------------------
+#
+# The parser and the compiler build `Union`, `Concat`, `Star`, `Identity`,
+# `Cross` and `Compose` nodes only through these functions, which apply
+# language-preserving rewrites as each node is built, the same ones for
+# both sorts: unit and zero elimination, and collapsing nested or trivial
+# stars.  Unions of location classes merge into one class.  Relation
+# structure is pushed down to plain path sets wherever the relational
+# operators act pointwise: identities absorb composition, union,
+# concatenation and star of identities, and a composition against a
+# cross constrains the cross's input side.  The payoff is that checks
+# against identity-only specs evaluate as single acceptor intersections
+# instead of per-arm products.  Operands are taken to be built the same
+# way, so no node is revisited.
+
+
+def union(left, right):
+    if isinstance(left, Zero):
+        return right
+    if isinstance(right, Zero):
+        return left
+    if isinstance(left, SymSet) and isinstance(right, SymSet):
+        return SymSet(left.symbols | right.symbols)
+    if isinstance(left, Identity) and isinstance(right, Identity):
+        return Identity(union(left.source, right.source))
+    return Union(left, right)
+
+
+def concat(left, right):
+    if isinstance(left, Zero) or isinstance(right, Zero):
+        return Zero()
+    if isinstance(left, One):
+        return right
+    if isinstance(right, One):
+        return left
+    if isinstance(left, Identity) and isinstance(right, Identity):
+        return Identity(concat(left.source, right.source))
+    return Concat(left, right)
+
+
+def star(inner):
+    if isinstance(inner, (Zero, One)):
+        return One()
+    if isinstance(inner, Star):
+        return inner
+    if isinstance(inner, Identity):
+        return Identity(star(inner.source))
+    return Star(inner)
+
+
+def identity(source):
+    # I(0) is the empty relation and I(1) relates () to itself alone
+    if isinstance(source, (Zero, One)):
+        return source
+    return Identity(source)
+
+
+def cross(left, right):
+    if isinstance(left, Zero) or isinstance(right, Zero):
+        return Zero()
+    return Cross(left, right)
+
+
+def compose(left, right):
+    if isinstance(left, Zero) or isinstance(right, Zero):
+        return Zero()
+    if isinstance(left, Identity) and isinstance(right, Identity):
+        return Identity(Intersect(left.source, right.source))
+    if isinstance(left, Identity) and isinstance(right, Cross):
+        return cross(Intersect(left.source, right.left), right.right)
+    if isinstance(left, Cross) and isinstance(right, Identity):
+        return cross(left.left, Intersect(left.right, right.source))
+    # Composition distributes over union on either side; distributing
+    # lets the identity and cross rules above fire per branch.
+    if isinstance(right, Union):
+        return union(compose(left, right.left), compose(left, right.right))
+    if isinstance(left, Union):
+        return union(compose(left.left, right), compose(left.right, right))
+    return Compose(left, right)
 
 
 def fold(parts, join):

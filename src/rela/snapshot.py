@@ -129,7 +129,8 @@ def iter_fec_lines(lines: Iterable[str],
         fallback = f"line {n}"
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
+            # RecursionError: nested deeper than the decoder's limit
             yield FecError(fallback, f"invalid JSON: {e}")
             continue
         raw_id = obj.get("id") if isinstance(obj, dict) else None

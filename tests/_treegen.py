@@ -218,6 +218,24 @@ class TreeGen:
         return Union(PreState(), PostState())
 
 
+_BUILD = {Union: rir.union, Concat: rir.concat, Cross: rir.cross,
+          Compose: rir.compose, Intersect: Intersect}
+
+
+def rebuild(e):
+    """A raw tree rebuilt bottom-up through rir's normalizing constructors,
+    as the parser and compiler build theirs.  `Image` is kept as is."""
+    if isinstance(e, tuple(_BUILD)):
+        return _BUILD[type(e)](rebuild(e.left), rebuild(e.right))
+    if isinstance(e, Star):
+        return rir.star(rebuild(e.inner))
+    if isinstance(e, Identity):
+        return rir.identity(rebuild(e.source))
+    if isinstance(e, Complement):
+        return Complement(rebuild(e.inner))
+    return e
+
+
 def random_paths(rng, symbols, max_paths=4, max_len=4):
     out = set()
     for _ in range(rng.randrange(max_paths + 1)):

@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -614,8 +615,9 @@ class TestRendering:
     def test_truncated_set_rendering(self, index):
         program = compile_text(index, "spec s := a1 : add(b1*)")
         fec = make_fec(index, "f", ("a1",), ("a1",))
-        report = check_all(program, index, [fec],
-                           CheckOptions(witness_limit=3))
+        cx = check_fec(program.default, fec, index, limit=3)[1]
+        report = replace(check_all(program, index, [fec]),
+                         counterexamples=(cx,))
         text = report_to_text(report)
         # add(b1*) also demands the empty path; it renders as ()
         assert "missing:    {(), b1, b1 b1, ...}" in text

@@ -323,6 +323,20 @@ class TestStrict:
         doc = json.loads(capsys.readouterr().out)
         assert doc["totals"]["pass"] == 1
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_line_nested_past_the_decoder_limit(self, tmp_path, capsys,
+                                                workers):
+        # json.loads raises RecursionError, not JSONDecodeError, here
+        deep = PASSING[0].replace('"edges"', '"x": ' + "[" * 5000
+                                  + "]" * 5000 + ', "edges"', 1)
+        argv = write_world(tmp_path, PASSING[:1] + [deep])
+        assert main(argv + ["--workers", workers]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"]["pass"] == 1
+        [error] = doc["errors"]
+        assert error["fec_id"] == "line 2"
+        assert error["message"].startswith("invalid JSON: ")
+
 
 class TestOutputs:
     def test_text_format(self, tmp_path, capsys):

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from _treegen import TreeGen, make_env
+from _fecgen import make_index as make_device_index
+from _treegen import TreeGen, make_env, rebuild
 from conformance_fixtures import CONFORMANCE, conformance_world, run_case
 from rela import rir
 from rela.automata import fsa_empty, fsa_equivalent
-from rela.compiler import compile_program, compile_spec, simplify
+from rela.compiler import compile_program, compile_spec
 from rela.frontend import (
     Granularity, LocationDb, parse_program,
 )
@@ -243,13 +244,39 @@ class TestElseChains:
         assert max(tree_depth(s.zone) for s in c.subspecs) <= 16
         assert tree_depth(c.top) <= 24
 
+    def test_long_chain_builds_few_nodes_per_arm(self, monkeypatch):
+        # Nodes are built in normal form, once each.  Normalizing the
+        # lowered trees in a second pass, which rebuilt shared subtrees
+        # once per reference, cost about 7,100 nodes per arm here.
+        index = make_device_index(200)
+        arms = " else ".join(f"{{ d{i:04d} .* : preserve; }}"
+                             for i in range(200))
+        program = parse_program(f"spec s := {arms}", index)
+        built = []
+        post_init = rir._Node.__post_init__
+
+        def counted(node):
+            built.append(type(node))
+            post_init(node)
+
+        monkeypatch.setattr(rir._Node, "__post_init__", counted)
+        c = compile_spec(program.default, index)
+        assert len(c.subspecs) == 200
+        assert len(built) <= 40 * 200
+
+    def test_dot_over_no_locations_is_empty(self):
+        index = LocationDb.from_json("[]").build_index(Granularity.DEVICE)
+        c = compiled_for(index, ".* : preserve")
+        assert rir.pretty(c.top) == "(PreState ▷ 1) = (PostState ▷ 1)"
+
 
 def tree_depth(node) -> int:
     deepest, stack = 0, [(node, 1)]
     while stack:
         n, d = stack.pop()
         deepest = max(deepest, d)
-        stack.extend((child, d + 1) for child in n._children())
+        stack.extend((child, d + 1) for child in vars(n).values()
+                     if isinstance(child, rir._Node))
     return deepest
 
 
@@ -278,10 +305,10 @@ class TestMarkers:
 
 
 # ---------------------------------------------------------------------------
-# simplification preserves semantics
+# the normalizing constructors preserve semantics
 
 
-def test_simplify_preserves_languages_randomized():
+def test_constructors_preserve_languages_randomized():
     rng = random.Random(77)
     for _ in range(150):
         table, symbols, env, _, env_ml = make_env(rng, n_locations=3)
@@ -290,16 +317,16 @@ def test_simplify_preserves_languages_randomized():
         r = gen.rel(3)
         ev = rir.Evaluator(env)
         plain = ev.pathset(rir.Image(p, r))
-        slim = ev.pathset(rir.Image(simplify(p), simplify(r)))
+        slim = ev.pathset(rir.Image(rebuild(p), rebuild(r)))
         assert fsa_equivalent(plain, slim)
 
 
-def test_simplify_compose_distributes_over_union():
+def test_compose_distributes_over_union():
     t = conformance_world()
     a, b = sym(t, "a"), sym(t, "b")
     mask = rir.Identity(rir.Complement(a))
     r = rir.Compose(mask, rir.Union(rir.Cross(a, b), rir.Identity(b)))
-    got = simplify(r)
+    got = rebuild(r)
     assert got == rir.Union(
         rir.Cross(rir.Intersect(rir.Complement(a), a), b),
         rir.Identity(rir.Intersect(rir.Complement(a), b)))

@@ -1,8 +1,11 @@
 """Layout guard: every top-level definition in `src/rela` has a use.
 
 A function or class defined at the top of a module under `src/rela` must
-be referenced from `src/rela` or `demos/` outside its own body, or be
-exported in `rela.__all__`.  Code only the tests need lives in `tests/`.
+be reachable from a root: a name exported in `rela.__all__`, a name the
+`demos/` read, or a name a module-level statement of `src/rela` reads
+outside a definition.  A definition reaches every name its own body
+reads, so two definitions that only name each other are both unused.
+Code only the tests need lives in `tests/`.
 """
 
 from __future__ import annotations
@@ -30,21 +33,26 @@ def _names_used(node: ast.AST) -> set[str]:
 
 
 def unreferenced_definitions() -> list[str]:
-    defs = []  # (module, name, node)
-    uses: list[tuple[ast.AST, set[str]]] = []  # (top-level node, names)
+    defs = []  # (module, name)
+    reads: dict[str, set[str]] = {}  # definition name -> names it reads
+    roots = set(rela.__all__)
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(top, _DEFS):
-                defs.append((path.stem, top.name, top))
-            uses.append((top, _names_used(top)))
+                defs.append((path.stem, top.name))
+                reads.setdefault(top.name, set()).update(_names_used(top))
+            else:
+                roots |= _names_used(top)
     for path in sorted(DEMOS.glob("*.py")):
-        uses.append((None, _names_used(
-            ast.parse(path.read_text(encoding="utf-8")))))
-    exported = set(rela.__all__)
-    return [f"{module}.{name}" for module, name, node in defs
-            if name not in exported
-            and not any(name in names for top, names in uses
-                        if top is not node)]
+        roots |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    reached, work = set(), list(roots)
+    while work:
+        name = work.pop()
+        if name not in reached:
+            reached.add(name)
+            work.extend(reads.get(name, ()))
+    return [f"{module}.{name}" for module, name in defs
+            if name not in reached]
 
 
 def test_every_definition_is_used_outside_the_tests():
