@@ -8,7 +8,7 @@ them with the usual language algebra, and lists members shortest first.
 """
 
 from rela.automata import (
-    SymbolTable, accepts, complement, enumerate_shortest, fsa_concat,
+    SymbolTable, accepts, enumerate_shortest, fsa_concat,
     fsa_difference, fsa_equivalent, fsa_intersect, fsa_star, fsa_symbol,
     fsa_symbol_class, fsa_union,
 )
@@ -38,7 +38,7 @@ print("accepts leaf1 spine2 leaf2:",
       accepts(route, (leaf1, spine2, leaf2)))
 print("accepts leaf1 leaf2:       ", accepts(route, (leaf1, leaf2)))
 
-# The algebra: union, intersection, difference, star, complement.
+# The algebra: union, intersection, difference, star.
 via_spine1 = fsa_concat(at_leaf1, fsa_concat(fsa_symbol(spine1, universe),
                                              fsa_symbol(leaf2, universe)))
 rest = fsa_difference(route, via_spine1)
@@ -56,9 +56,11 @@ listing = enumerate_shortest(pingpong, 4)
 print("(spine1 spine2)* members:", listing.render(),
       "... truncated:", listing.truncated)
 
-# Complement is taken against the location universe, so it stays a
-# well-defined regular language.
-not_route = complement(route, universe)
-print("complement rejects a route:", not accepts(not_route,
-                                                 (leaf1, spine1, leaf2)))
-print("complement accepts a stray path:", accepts(not_route, (leaf2,)))
+# "Everything but" is a difference too: take it from the star of the
+# whole universe.  The walk follows only the left side's arcs.
+anything = fsa_star(fsa_symbol_class(universe, universe))
+not_route = fsa_difference(anything, route)
+print("anything but a route rejects a route:",
+      not accepts(not_route, (leaf1, spine1, leaf2)))
+print("anything but a route accepts a stray path:",
+      accepts(not_route, (leaf2,)))

@@ -22,8 +22,7 @@ Symbols are interned through a `SymbolTable`.  Three kinds exist:
 * ``drop``     -- the single reserved symbol marking dropped traffic,
 * ``marker``   -- fresh symbols introduced by the spec compiler; they may
   appear on transducer output tapes but never count as part of the
-  location universe (complements are always taken relative to
-  locations + drop).
+  location universe (locations + drop).
 
 Epsilon is not a `Symbol`; transition labels use ``None`` for it, in
 transducers too (one label that moves neither tape).
@@ -412,8 +411,8 @@ def minimize(fsa: Fsa) -> Fsa:
     """Language-preserving state minimization (partition refinement).
 
     The result is memoized on the input and on itself, so minimizing a
-    machine `minimize` returned (a cached ground union that `complement`
-    is handed, say) costs nothing.
+    machine `minimize` returned (a cached ground union, say) costs
+    nothing.
     """
     if fsa._min is None:
         fsa._min = _refine(trim(determinize(fsa)))
@@ -460,19 +459,6 @@ def _refine(d: Fsa) -> Fsa:
     accepting = frozenset(cls[q] for q in d.accepting)
     return Fsa(d.alphabet, ncls, cls[d.initial], accepting, b.frozen_arcs(),
                deterministic=True)
-
-
-def complement(fsa: Fsa, universe: frozenset[Symbol]) -> Fsa:
-    """The language universe* minus L(fsa).
-
-    Strings containing symbols outside `universe` (markers, say) are not
-    members of universe*, so they never appear in the complement: the
-    difference walks only the arcs universe* has.
-    """
-    ordered = tuple((sym, 0) for sym in sorted(universe, key=lambda s: s.id))
-    anything = Fsa(universe, 1, 0, frozenset([0]), (ordered,),
-                   deterministic=True)
-    return fsa_difference(anything, minimize(fsa))
 
 
 _DEAD = -1  # the implicit rejecting sink of a partial DFA

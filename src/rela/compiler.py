@@ -14,10 +14,10 @@ relation union (`rir.union`): relations are built from the same regular
 operators as path sets, through the normalizing constructors of
 `rela.rir`, so every node is built simplified and no pass cleans up
 afterwards.  Every `else` chain, at the top or inside a block, is the
-union of the arms `_Lowerer.arms` masks, each guarded by the complement
-of every earlier arm's claim zone.  The compiled form keeps the
-top-level arm list so a failed check can be blamed on the first arm
-whose images disagree.
+union of the arms `_Lowerer.arms` masks, each cut to its own zone minus
+every earlier arm's zone.  The compiled form keeps the top-level arm
+list so a failed check can be blamed on the first arm whose images
+disagree.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ class CompiledProgram:
     default: Optional[CompiledSpec]
 
 
-def _minus(x: rir.PathSetExpr, y: rir.PathSetExpr) -> rir.PathSetExpr:
-    return rir.Intersect(x, rir.Complement(y))
-
-
 class _Lowerer:
     def __init__(self, index: LocationIndex):
         self.index = index
@@ -106,8 +102,21 @@ class _Lowerer:
     def arms(self, s: SpecAst) -> list[SubSpec]:
         """The arms of an else chain in priority order, each masked.
 
-        Arm i's zone and relations are restricted to the complement of
-        the union of the earlier arms' zones.
+        Arm i's zone becomes `zone_i - U_i`, U_i the union of the earlier
+        arms' zones, and its relations are composed onto the identity of
+        that set.  Masking with `zone_i - U_i` rather than the universe
+        minus U_i is exact because an arm's relations read only inputs
+        inside its own zone, so I(~U_i) . R_i = I(zone_i - U_i) . R_i:
+
+        * every modifier of `atomic` relates only inputs of its zone:
+          `preserve` reads d, `remove` d minus p, and `add`, `replace`,
+          `drop` and `any` read at most d and the argument they add to
+          the zone;
+        * a block concatenates its statements' relations and zones, and
+          the inputs of a concatenation lie in the concatenation of the
+          inputs;
+        * a nested chain unites its masked arms, each reading inside its
+          masked zone, and its zone is the union of those.
         """
         nodes = s.arms if isinstance(s, ElseSpec) else (s,)
         out = []
@@ -128,10 +137,9 @@ class _Lowerer:
                 block = rir.fold(zones[j:], rir.union)
                 unions.append(
                     block if j == 0 else rir.union(unions[j], block))
-                outside = rir.Complement(unions[i])
-                mask = rir.identity(outside)
-                out.append(SubSpec(label, rir.Intersect(zone, outside),
-                                   rir.compose(mask, rpre),
+                masked = rir.Difference(zone, unions[i])
+                mask = rir.identity(masked)
+                out.append(SubSpec(label, masked, rir.compose(mask, rpre),
                                    rir.compose(mask, rpost)))
             zones.append(zone)
         return out
@@ -149,11 +157,11 @@ class _Lowerer:
                     rir.identity(zone), zone)
         if isinstance(m, Remove):
             p = m.paths
-            return rir.identity(_minus(d, p)), rir.identity(d), d
+            return rir.identity(rir.Difference(d, p)), rir.identity(d), d
         if isinstance(m, Replace):
             old, new = m.old, m.new
             zone = rir.union(d, new)
-            return (rir.union(rir.identity(_minus(zone, old)),
+            return (rir.union(rir.identity(rir.Difference(zone, old)),
                                  rir.cross(rir.Intersect(d, old), new)),
                     rir.identity(zone), zone)
         if isinstance(m, DropTraffic):
@@ -168,7 +176,7 @@ class _Lowerer:
             zone = rir.union(d, p)
             return (rir.cross(zone, mk),
                     rir.union(rir.cross(p, mk),
-                                 rir.identity(_minus(d, p))),
+                                 rir.identity(rir.Difference(d, p))),
                     zone)
         raise TypeError(f"not a modifier: {m!r}")
 

@@ -410,65 +410,6 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# where() filters
-
-
-@dataclass(frozen=True)
-class AttrFilter:
-    pass
-
-
-@dataclass(frozen=True)
-class AttrTest(AttrFilter):
-    attr: str
-    op: str  # "==" | "!="
-    value: str
-
-
-@dataclass(frozen=True)
-class AttrAnd(AttrFilter):
-    operands: tuple  # of AttrFilter, two or more
-
-
-@dataclass(frozen=True)
-class AttrOr(AttrFilter):
-    operands: tuple  # of AttrFilter, two or more
-
-
-def resolve_where(filt: AttrFilter, index: LocationIndex) -> frozenset:
-    """The set of symbols whose records satisfy the filter."""
-
-    def attrs_of(node):
-        if isinstance(node, AttrTest):
-            yield node.attr
-        else:
-            for operand in node.operands:
-                yield from attrs_of(operand)
-
-    for attr in attrs_of(filt):
-        if attr not in index.db.attributes:
-            raise SpecResolveError(f"unknown attribute {attr!r} in where()")
-
-    def matches(node, record):
-        if isinstance(node, AttrTest):
-            value = record.get(node.attr)
-            if node.op == "==":
-                return value == node.value
-            return value is not None and value != node.value
-        if isinstance(node, AttrAnd):
-            return all(matches(n, record) for n in node.operands)
-        if isinstance(node, AttrOr):
-            return any(matches(n, record) for n in node.operands)
-        raise TypeError(node)
-
-    out = set()
-    for record in index.db.records:
-        if matches(filt, record):
-            out.add(index.symbol_of[record.coarse(index.granularity)])
-    return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
 # Parser
 
 
@@ -510,7 +451,7 @@ class _Parser:
         return t.kind == "KEYWORD" and t.value == word
 
     def flat_chain(self, keyword: str, operand, join):
-        """Operands separated by `keyword`, as one flat `join` node."""
+        """Operands separated by `keyword`, joined in one `join` call."""
         operands = [operand()]
         while self.at_keyword(keyword):
             self.next()
@@ -709,13 +650,15 @@ class _Parser:
             return rir.SymSet(frozenset([self.index.table.drop]))
         if t.kind == "KEYWORD" and t.value == "where":
             self.expect("(")
-            filt = self.where_or()
+            records = self.where_or()
             self.expect(")")
-            symbols = resolve_where(filt, self.index)
-            if not symbols:
+            if not records:
                 raise SpecResolveError("where() matches no locations",
                                        t.line, t.col)
-            return rir.SymSet(symbols)
+            index = self.index
+            return rir.SymSet(frozenset(
+                index.symbol_of[r.coarse(index.granularity)]
+                for r in records))
         if t.kind in ("NAME", "STRING"):
             if t.kind == "NAME" and t.value in self.regex_defs:
                 return self.regex_defs[t.value]
@@ -732,14 +675,20 @@ class _Parser:
                               "in a regex", t.line, t.col)
 
     # -- where() filters
+    #
+    # A filter resolves as it parses, to the set of location records it
+    # matches: `and` and `or` combine per record, before the records are
+    # coarsened to symbols.
 
-    def where_or(self) -> AttrFilter:
-        return self.flat_chain("or", self.where_and, AttrOr)
+    def where_or(self) -> frozenset:
+        return self.flat_chain("or", self.where_and,
+                               lambda sets: frozenset.union(*sets))
 
-    def where_and(self) -> AttrFilter:
-        return self.flat_chain("and", self.where_atom, AttrAnd)
+    def where_and(self) -> frozenset:
+        return self.flat_chain("and", self.where_atom,
+                               lambda sets: frozenset.intersection(*sets))
 
-    def where_atom(self) -> AttrFilter:
+    def where_atom(self) -> frozenset:
         t = self.peek()
         if t.kind == "(":
             self.next()
@@ -757,7 +706,15 @@ class _Parser:
         if value.kind not in ("STRING", "NAME", "CIDR"):
             raise SpecSyntaxError("expected a quoted value",
                                   value.line, value.col)
-        return AttrTest(attr.value, op.kind, value.value)
+        if attr.value not in self.index.db.attributes:
+            raise SpecResolveError(
+                f"unknown attribute {attr.value!r} in where()",
+                attr.line, attr.col)
+        # `!=` matches only the records that carry the attribute
+        equal = op.kind == "=="
+        return frozenset(r for r in self.index.db.records
+                         if (got := r.get(attr.value)) is not None
+                         and (got == value.value) == equal)
 
     # -- traffic predicates
 

@@ -6,16 +6,17 @@ Two sorts of expression share one set of regular operators:
 * relations   -- sets of *pairs* of paths, denoted by pair-labelled
   transducers.
 
-`Union`, `Concat`, `Star`, `Zero` and `One` serve both sorts, and a
-node's sort is fixed by its position: an `Image`'s `rel` and the
-operands of `Compose` are relations, while the operands of `Identity`
-and `Cross` (and of every other operator) are path sets.  The leaves of
-path sets are `SymSet`, a set of length-one paths (a single location is
-a one-element set), and the snapshot references `PreState` /
-`PostState`; `Intersect`, `Complement` and `Image(P, R)` are path sets
-only, `Cross`, `Identity` and `Compose` relations only.  A spec is the
-check equation `Equal(left, right)` between two path sets, the one form
-the compiler emits.
+`Union`, `Concat`, `Star`, `Zero` and `One` serve both sorts: an
+`Image`'s `rel` and the operands of `Compose` are relations, while the
+operands of `Identity` and `Cross` (and of every other operator) are
+path sets.  The leaves of path sets are `SymSet`, a set of length-one
+paths (a single location is a one-element set), and the snapshot
+references `PreState` / `PostState`; `Intersect`, `Difference` and
+`Image(P, R)` are path sets only, `Cross`, `Identity` and `Compose`
+relations only.  Each node records its sort as it is built, in
+`relation`; a `One` or `Zero` takes the sort of its position.  A spec
+is the check equation `Equal(left, right)` between two path sets, the
+one form the compiler emits.
 
 Nodes are built in normal form: `union`, `concat`, `star`, `identity`,
 `cross` and `compose` apply the algebraic rewrites as they build, so no
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import (
-    Fsa, Symbol, accepts, apply_image, complement, fsa_concat,
+    Fsa, Symbol, accepts, apply_image, fsa_concat, fsa_difference,
     fsa_empty, fsa_intersect, fsa_star, fsa_symbol_class, fsa_union,
     fsa_unit, fst_compose, fst_cross, fst_identity, intersects, minimize,
 )
@@ -45,15 +46,23 @@ class _Node:
 
     Every node has a `ground` attribute, True when evaluation does not
     consult the snapshot pair: the node is neither `PreState` nor
-    `PostState` and has no child that consults it.
+    `PostState` and has no child that consults it.  Its `relation`
+    attribute is True when the node is a relation: an `Identity`, `Cross`
+    or `Compose`, or a `Union`, `Concat` or `Star` with a relation child.
+    A `One` or `Zero` belongs to both sorts and counts as a path set.
     """
 
     __hash__ = None  # subclasses are frozen dataclasses and regenerate this
 
     def __post_init__(self):
+        children = [v for v in vars(self).values() if isinstance(v, _Node)]
         ground = not isinstance(self, (PreState, PostState)) and all(
-            v.ground for v in vars(self).values() if isinstance(v, _Node))
+            c.ground for c in children)
+        relation = isinstance(self, (Identity, Cross, Compose)) or (
+            isinstance(self, (Union, Concat, Star))
+            and any(c.relation for c in children))
         object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "relation", relation)
 
 
 class PathSetExpr(_Node):
@@ -131,10 +140,11 @@ class Intersect(PathSetExpr):
 
 
 @dataclass(frozen=True)
-class Complement(PathSetExpr):
-    """Complement relative to the location universe (markers excluded)."""
+class Difference(PathSetExpr):
+    """The paths of `left` that are not in `right`."""
 
-    inner: PathSetExpr
+    left: PathSetExpr
+    right: PathSetExpr
 
 
 @dataclass(frozen=True)
@@ -186,9 +196,11 @@ class Equal(SpecExpr):
 # structure is pushed down to plain path sets wherever the relational
 # operators act pointwise: identities absorb composition, union,
 # concatenation and star of identities, and a composition against a
-# cross constrains the cross's input side.  The payoff is that checks
-# against identity-only specs evaluate as single acceptor intersections
-# instead of per-arm products.  Operands are taken to be built the same
+# cross constrains the cross's input side.  Where a composition meets two
+# path sets, a difference met with its own left operand (the same
+# object) is that difference.  The payoff is that checks against
+# identity-only specs evaluate as single acceptor intersections instead
+# of per-arm products.  Operands are taken to be built the same
 # way, so no node is revisited.
 
 
@@ -239,15 +251,22 @@ def cross(left, right):
     return Cross(left, right)
 
 
+def _meet(left, right):
+    # (x - u) n x is x - u: an else arm's mask against its own zone
+    if isinstance(left, Difference) and left.left is right:
+        return left
+    return Intersect(left, right)
+
+
 def compose(left, right):
     if isinstance(left, Zero) or isinstance(right, Zero):
         return Zero()
     if isinstance(left, Identity) and isinstance(right, Identity):
-        return Identity(Intersect(left.source, right.source))
+        return Identity(_meet(left.source, right.source))
     if isinstance(left, Identity) and isinstance(right, Cross):
-        return cross(Intersect(left.source, right.left), right.right)
+        return cross(_meet(left.source, right.left), right.right)
     if isinstance(left, Cross) and isinstance(right, Identity):
-        return cross(left.left, Intersect(left.right, right.source))
+        return cross(left.left, _meet(left.right, right.source))
     # Composition distributes over union on either side; distributing
     # lets the identity and cross rules above fire per branch.
     if isinstance(right, Union):
@@ -272,28 +291,6 @@ def flatten(node, join):
         yield from flatten(node.right, join)
     else:
         yield node
-
-
-def _is_relation(node) -> bool:
-    """Whether a node of either sort is a relation: whether an `Identity`,
-    `Cross` or `Compose` leaf sits on its `Union`/`Concat`/`Star` spine.
-
-    Unlike `pretty`'s leftmost leaf, every leaf counts, since a `One` or
-    `Zero` leaf belongs to both sorts.  Shared subtrees are visited once.
-    """
-    seen, stack = set(), [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, (Identity, Cross, Compose)):
-            return True
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if isinstance(n, Star):
-            stack.append(n.inner)
-        elif isinstance(n, (Union, Concat)):
-            stack += (n.left, n.right)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,7 @@ class Evaluator:
             return self.env.post
         if isinstance(p, Union):
             union = fsa_union(self.pathset(p.left), self.pathset(p.right))
-            if p.ground and not _is_relation(p):
+            if p.ground and not p.relation:
                 return minimize(union)
             return union
         if isinstance(p, Concat):
@@ -378,8 +375,9 @@ class Evaluator:
             return fsa_star(self.pathset(p.inner))
         if isinstance(p, Intersect):
             return fsa_intersect(self.pathset(p.left), self.pathset(p.right))
-        if isinstance(p, Complement):
-            return complement(self.pathset(p.inner), u)
+        if isinstance(p, Difference):
+            return fsa_difference(self.pathset(p.left),
+                                  self.pathset(p.right))
         if isinstance(p, Image):
             return self._image(self.pathset(p.source), p.rel)
         if isinstance(p, Cross):
@@ -429,7 +427,7 @@ class Evaluator:
 # Debug rendering
 
 
-# Nodes that need no brackets as an operand of `*`, `~` or a path-set
+# Nodes that need no brackets as an operand of `*` or a path-set
 # concatenation: atoms, and the relation forms that bracket themselves.
 _BARE = (SymSet, Zero, One, PreState, PostState, Identity, Cross)
 
@@ -439,13 +437,10 @@ def pretty(expr) -> str:
 
     Unions inside a path-set concatenation get an extra pair of brackets
     and those inside a relation concatenation do not, so the renderer
-    follows each node's sort down from its position; a bare union,
-    concatenation or star takes the sort of its leftmost leaf.
+    follows each node's sort down from its position; the root's sort is
+    its `relation` flag.
     """
-    leaf = expr
-    while isinstance(leaf, (Union, Concat, Star)):
-        leaf = leaf.inner if isinstance(leaf, Star) else leaf.left
-    return _show(expr, isinstance(leaf, (Identity, Cross, Compose)))
+    return _show(expr, expr.relation)
 
 
 def _operand(p, rel: bool) -> str:
@@ -481,8 +476,9 @@ def _show(expr, rel: bool) -> str:
     if isinstance(expr, Intersect):
         return ("(" + " ∩ ".join(_show(t, False)
                                  for t in flatten(expr, Intersect)) + ")")
-    if isinstance(expr, Complement):
-        return "~" + _operand(expr.inner, False)
+    if isinstance(expr, Difference):
+        return ("(" + _show(expr.left, False) + " ∖ "
+                + _show(expr.right, False) + ")")
     if isinstance(expr, Image):
         return ("(" + _show(expr.source, False) + " ▷ "
                 + _show(expr.rel, True) + ")")

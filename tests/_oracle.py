@@ -7,12 +7,11 @@ to keep the automata path honest.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from rela.automata import Symbol
 from rela.rir import (
-    Complement, Compose, Concat, Cross, Identity, Image, Intersect, One,
+    Compose, Concat, Cross, Difference, Identity, Image, Intersect, One,
     PathSetExpr, PostState, PreState, Star, SymSet, Union, Zero,
 )
 
@@ -34,21 +33,13 @@ def oracle_eval_pathset(p: PathSetExpr, env: OracleEnv,
     """Evaluate a path-set expression over explicit sets, length-bounded.
 
     Returns the denoted set restricted to paths of length <= maxlen,
-    computed without automata: unions and intersections are set ops,
-    closures iterate to a fixed point under the length bound, complements
-    materialize the bounded universe.  Relations inside Image nodes are
+    computed without automata: unions, intersections and differences are
+    set ops, and closures iterate to a fixed point under the length bound.  Relations inside Image nodes are
     evaluated as explicit pair sets with both components bounded.
     """
     if maxlen > _MAX_ORACLE_LEN:
         raise ValueError(f"oracle maxlen capped at {_MAX_ORACLE_LEN}")
     return frozenset(_o_pathset(p, env, maxlen))
-
-
-def _bounded_universe(universe, maxlen):
-    out = {()}
-    for n in range(1, maxlen + 1):
-        out.update(itertools.product(universe, repeat=n))
-    return out
 
 
 def _o_pathset(p, env, maxlen):
@@ -79,9 +70,9 @@ def _o_pathset(p, env, maxlen):
             acc = nxt
     if isinstance(p, Intersect):
         return _o_pathset(p.left, env, maxlen) & _o_pathset(p.right, env, maxlen)
-    if isinstance(p, Complement):
-        return _bounded_universe(env.universe, maxlen) - \
-            _o_pathset(p.inner, env, maxlen)
+    if isinstance(p, Difference):
+        return _o_pathset(p.left, env, maxlen) - \
+            _o_pathset(p.right, env, maxlen)
     if isinstance(p, Image):
         src = _o_pathset(p.source, env, maxlen)
         rel = _o_rel(p.rel, env, maxlen)

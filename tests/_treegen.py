@@ -19,7 +19,7 @@ from collections import deque
 from rela.automata import Fsa, SymbolTable, determinize, trim
 from rela import rir
 from rela.rir import (
-    Complement, Compose, Concat, Cross, Identity, Image, Intersect, One,
+    Compose, Concat, Cross, Difference, Identity, Image, Intersect, One,
     PostState, PreState, Star, SymSet, Union, Zero,
 )
 
@@ -49,8 +49,8 @@ def ps_maxlen(p, env_ml):
         return 0 if ps_maxlen(p.inner, env_ml) == 0 else INF
     if isinstance(p, Intersect):
         return min(ps_maxlen(p.left, env_ml), ps_maxlen(p.right, env_ml))
-    if isinstance(p, Complement):
-        return INF
+    if isinstance(p, Difference):
+        return ps_maxlen(p.left, env_ml)
     if isinstance(p, Image):
         return rel_tapes(p.rel, env_ml)[1]
     raise TypeError(p)
@@ -74,7 +74,9 @@ def ps_minlen(p, env_ml):
         return 0
     if isinstance(p, Intersect):
         return max(ps_minlen(p.left, env_ml), ps_minlen(p.right, env_ml))
-    if isinstance(p, (Complement, Image)):
+    if isinstance(p, Difference):
+        return ps_minlen(p.left, env_ml)
+    if isinstance(p, Image):
         return 0
     raise TypeError(p)
 
@@ -134,10 +136,10 @@ def rel_safe(r, env_ml, bound):
 def tree_safe(p, env_ml, bound):
     if isinstance(p, (SymSet, Zero, One, PreState, PostState)):
         return True
-    if isinstance(p, (Union, Concat, Intersect)):
+    if isinstance(p, (Union, Concat, Intersect, Difference)):
         return tree_safe(p.left, env_ml, bound) and \
             tree_safe(p.right, env_ml, bound)
-    if isinstance(p, (Star, Complement)):
+    if isinstance(p, Star):
         return tree_safe(p.inner, env_ml, bound)
     if isinstance(p, Image):
         return tree_safe(p.source, env_ml, bound) and \
@@ -186,7 +188,13 @@ class TreeGen:
             return Intersect(self.pathset(depth - 1),
                              self.pathset(depth - 1))
         if r < 0.86:
-            return Complement(self.pathset(depth - 1))
+            # One in three takes its paths from the star of the whole
+            # universe, so complete machines over every symbol stay in.
+            if self.rng.random() < 1 / 3:
+                left = Star(SymSet(frozenset(self.symbols)))
+            else:
+                left = self.pathset(depth - 1)
+            return Difference(left, self.pathset(depth - 1))
         return Image(self.pathset(depth - 1), self.rel(depth - 1))
 
     def rel(self, depth):
@@ -219,7 +227,8 @@ class TreeGen:
 
 
 _BUILD = {Union: rir.union, Concat: rir.concat, Cross: rir.cross,
-          Compose: rir.compose, Intersect: Intersect}
+          Compose: rir.compose, Intersect: Intersect,
+          Difference: Difference}
 
 
 def rebuild(e):
@@ -231,8 +240,6 @@ def rebuild(e):
         return rir.star(rebuild(e.inner))
     if isinstance(e, Identity):
         return rir.identity(rebuild(e.source))
-    if isinstance(e, Complement):
-        return Complement(rebuild(e.inner))
     return e
 
 

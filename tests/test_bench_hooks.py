@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import rela.checker
-from rela import CheckOptions, check_all, report_to_json
+from rela import CheckOptions, check_all, report_to_json, rir
 from rela.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -49,17 +49,29 @@ def test_traced_check_all_hooks_every_layer(tmp_path, workload):
     assert LAYERS <= {span[2] for span in tracer.spans[root:]}
 
 
-@pytest.mark.parametrize("workload,nodes", [("preserve-scale", 103),
-                                            ("reroute-explain", 69),
-                                            ("else-chain", 8691)])
+def count_nodes(node) -> int:
+    """Nodes in a tree, found through each node's attributes."""
+    count, stack = 0, [node]
+    while stack:
+        n = stack.pop()
+        count += 1
+        stack.extend(v for v in vars(n).values() if isinstance(v, rir._Node))
+    return count
+
+
+@pytest.mark.parametrize("workload,nodes", [("preserve-scale", 95),
+                                            ("reroute-explain", 66),
+                                            ("else-chain", 8611)])
 def test_tree_size_counts_every_node(tmp_path, workload, nodes):
     # `compiler.rir_nodes` walks the compiled trees through the node
     # classes `traced._children` knows; a node kind it stops counting
     # would shrink the metric without any change to the trees.
     corpus.write_corpus(workload, 1, str(tmp_path), 0.05)
     _, _, program, _ = traced.load_stage(str(tmp_path), traced.Tracer())
-    assert sum(traced.tree_size(c.top)
-               for c in traced._compiled_specs(program)) == nodes
+    specs = traced._compiled_specs(program)
+    assert sum(traced.tree_size(c.top) for c in specs) == nodes
+    assert [traced.tree_size(c.top) for c in specs] == \
+        [count_nodes(c.top) for c in specs]
 
 
 def test_tracing_overhead_stays_in_bound_on_else_chain(tmp_path):

@@ -83,6 +83,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "rela: error:" in err and "change.spec:" in err
 
+    def test_unknown_where_attribute_has_a_position(self, tmp_path, capsys):
+        spec_text = 'spec main := { where(vendor == "x") .* : preserve; }'
+        argv = write_world(tmp_path, PASSING, spec_text=spec_text)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "change.spec:1:22: unknown attribute 'vendor'" in err
+
     def test_bad_location_db_is_two(self, tmp_path, capsys):
         argv = write_world(tmp_path, PASSING)
         (tmp_path / "locations.json").write_text("{}", encoding="utf-8")

@@ -95,8 +95,7 @@ class TestModifierRelations:
     def test_remove(self, index):
         c = compiled_for(index, "a : remove(b)")
         a, b = sym(index, "a"), sym(index, "b")
-        assert c.top.left.rel == rir.Identity(
-            rir.Intersect(a, rir.Complement(b)))
+        assert c.top.left.rel == rir.Identity(rir.Difference(a, b))
         assert c.top.right.rel == rir.Identity(a)
         assert c.subspecs[0].zone == a
 
@@ -105,7 +104,7 @@ class TestModifierRelations:
         a, b, cc = sym(index, "a"), sym(index, "b"), sym(index, "c")
         zone = symset(index, "a", "c")
         assert c.top.left.rel == rir.Union(
-            rir.Identity(rir.Intersect(zone, rir.Complement(b))),
+            rir.Identity(rir.Difference(zone, b)),
             rir.Cross(rir.Intersect(a, b), cc))
         assert c.top.right.rel == rir.Identity(zone)
         assert c.subspecs[0].zone == zone
@@ -130,7 +129,7 @@ class TestModifierRelations:
         assert c.top.left.rel == rir.Cross(zone, mk)
         assert c.top.right.rel == rir.Union(
             rir.Cross(b, mk),
-            rir.Identity(rir.Intersect(a, rir.Complement(b))))
+            rir.Identity(rir.Difference(a, b)))
 
     def test_concat_collapses_identities(self, index):
         c = compiled_for(index, "{ a : preserve; b : preserve; }")
@@ -156,12 +155,13 @@ class TestElseChains:
             [index.symbol_of["b"], index.table.drop]))
         assert first.zone == a
         assert first.rpre == rir.Identity(a)
-        # the second arm only sees paths outside the first zone; the
-        # mask composition folds into the cross's input side
+        # the second arm only sees its zone minus the first zone; the
+        # mask composition folds into the cross's input side, which is
+        # that zone, so the mask is all that is left of it
         assert second.rpre == rir.Cross(
-            rir.Intersect(rir.Complement(a), drop_zone),
+            rir.Difference(drop_zone, a),
             rir.SymSet(frozenset([index.table.drop])))
-        assert second.zone == rir.Intersect(drop_zone, rir.Complement(a))
+        assert second.zone == rir.Difference(drop_zone, a)
 
     def test_whole_relation_is_arm_union(self, index):
         c = compiled_for(index, "a : preserve else b : drop")
@@ -169,9 +169,9 @@ class TestElseChains:
                                            c.subspecs[1].rpre)
         # both arms' post relations are identities, so they merge
         a = sym(index, "a")
-        masked = rir.Intersect(
-            rir.Complement(a),
-            rir.SymSet(frozenset([index.symbol_of["b"], index.table.drop])))
+        masked = rir.Difference(
+            rir.SymSet(frozenset([index.symbol_of["b"], index.table.drop])),
+            a)
         assert c.top.right.rel == rir.Identity(rir.Union(a, masked))
 
     def test_preserve_chain_collapses_to_identity(self, index):
@@ -227,7 +227,7 @@ class TestElseChains:
             index, "a : preserve else b : preserve else . : preserve")
         assert len(c.subspecs) == 3
         third = c.subspecs[2]
-        assert third.zone.right == rir.Complement(symset(index, "a", "b"))
+        assert third.zone.right == symset(index, "a", "b")
 
     def test_long_chain_masks_stay_shallow(self):
         # Each arm is masked by the union of the earlier zones; built
@@ -324,12 +324,27 @@ def test_constructors_preserve_languages_randomized():
 def test_compose_distributes_over_union():
     t = conformance_world()
     a, b = sym(t, "a"), sym(t, "b")
-    mask = rir.Identity(rir.Complement(a))
+    mask = rir.Identity(rir.Difference(b, a))
     r = rir.Compose(mask, rir.Union(rir.Cross(a, b), rir.Identity(b)))
     got = rebuild(r)
     assert got == rir.Union(
-        rir.Cross(rir.Intersect(rir.Complement(a), a), b),
-        rir.Identity(rir.Intersect(rir.Complement(a), b)))
+        rir.Cross(rir.Intersect(rir.Difference(b, a), a), b),
+        rir.Identity(rir.Difference(b, a)))
+
+
+def test_difference_meets_its_own_left_operand_as_itself():
+    # A masked preserve arm: I(x - u) . I(x) is I(x - u), but only when
+    # the x is the same object; an equal copy still gets an Intersect.
+    t = conformance_world()
+    x, u = sym(t, "a"), sym(t, "b")
+    masked = rir.Difference(x, u)
+    assert rir.compose(rir.Identity(masked), rir.Identity(x)) == \
+        rir.Identity(masked)
+    assert rir.compose(rir.Identity(masked), rir.Cross(x, u)) == \
+        rir.Cross(masked, u)
+    copy = sym(t, "a")
+    assert rir.compose(rir.Identity(masked), rir.Identity(copy)) == \
+        rir.Identity(rir.Intersect(masked, copy))
 
 
 # ---------------------------------------------------------------------------

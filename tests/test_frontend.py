@@ -9,10 +9,10 @@ import pytest
 
 from rela import rir
 from rela.frontend import (
-    Add, AnyOf, AtomicSpec, AttrTest, DropTraffic, ElseSpec, Granularity,
+    Add, AnyOf, AtomicSpec, DropTraffic, ElseSpec, Granularity,
     LocationDb, LocationDbError, Preserve, PredAtom, PredTrue, Remove,
     Replace, SpecResolveError, SpecSyntaxError, match_predicate,
-    parse_program, resolve_where, tokenize,
+    parse_program, tokenize,
 )
 
 from _text import parse_regex, program_to_text, regex_to_text, spec_to_text
@@ -307,11 +307,42 @@ class TestRegexParsing:
 
 
 class TestResolveWhere:
-    def test_missing_attr_on_some_records(self, index):
+    def test_missing_attr_on_some_records(self):
         # != only matches records that carry the attribute
-        filt = AttrTest("vendor", "!=", "acme")
-        out = resolve_where(filt, index)
-        assert out == frozenset(sym(index, n) for n in ("x1", "d1", "y1"))
+        rows = [{"name": "p:eth0", "device": "p", "group": "G",
+                 "vendor": "acme"},
+                {"name": "q:eth0", "device": "q", "group": "G",
+                 "vendor": "blue"},
+                {"name": "r:eth0", "device": "r", "group": "G"}]
+        index = LocationDb.from_json(json.dumps(rows)).build_index(
+            Granularity.DEVICE)
+        out = parse_regex('where(vendor != "acme")', index)
+        assert out == loc(index, "q")
+
+    def test_and_or_combine_per_record_before_coarsening(self):
+        # Device d has one acme port and one blue one: no single record
+        # is both, so `and` matches nothing, though the device holds both.
+        rows = [{"name": "d:eth0", "device": "d", "group": "G",
+                 "vendor": "acme"},
+                {"name": "d:eth1", "device": "d", "group": "G",
+                 "vendor": "blue"}]
+        index = LocationDb.from_json(json.dumps(rows)).build_index(
+            Granularity.DEVICE)
+        with pytest.raises(SpecResolveError, match="matches no locations"):
+            parse_regex('where(vendor == "acme" and vendor == "blue")',
+                        index)
+        out = parse_regex('where(vendor == "acme" or vendor == "blue")',
+                          index)
+        assert out == loc(index, "d")
+
+    def test_unknown_attribute_has_its_position(self, index):
+        text = 'spec main := { where(group == "A" or color == "x") .* ' \
+            ': preserve; }'
+        with pytest.raises(SpecResolveError,
+                           match="unknown attribute 'color'") as info:
+            parse_program(text, index)
+        assert (info.value.line, info.value.col) == \
+            (1, text.index("color") + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ be reachable from a root: a name exported in `rela.__all__`, a name the
 `demos/` read, or a name a module-level statement of `src/rela` reads
 outside a definition.  A definition reaches every name its own body
 reads, so two definitions that only name each other are both unused.
-Code only the tests need lives in `tests/`.
+Code only the tests need lives in `tests/`.  Likewise every `rela.rir`
+node class must be constructed by some call in `src/rela`.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import rela
@@ -57,3 +59,26 @@ def unreferenced_definitions() -> list[str]:
 
 def test_every_definition_is_used_outside_the_tests():
     assert unreferenced_definitions() == []
+
+
+def unbuilt_node_kinds() -> list[str]:
+    """`rela.rir` node classes that no call in `src/rela` constructs."""
+    from rela import rir
+
+    kinds = {name for name, obj in vars(rir).items()
+             if isinstance(obj, type) and issubclass(obj, rir._Node)
+             and dataclasses.is_dataclass(obj)}
+    called = set()
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Call):
+                f = n.func
+                called.add(f.id if isinstance(f, ast.Name)
+                           else getattr(f, "attr", None))
+    return sorted(kinds - called)
+
+
+def test_every_node_kind_is_built_outside_the_tests():
+    # A node kind only the tests build is one the evaluator, the
+    # renderer and the oracle carry for nothing.
+    assert unbuilt_node_kinds() == []

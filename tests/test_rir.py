@@ -15,7 +15,7 @@ from rela.automata import (
     minimize,
 )
 from rela.rir import (
-    Complement, Compose, Concat, Cross, Equal, Evaluator, Identity, Image,
+    Compose, Concat, Cross, Difference, Equal, Evaluator, Identity, Image,
     Intersect, One, PostState, PreState, SnapshotPair, Star, SymSet, Union,
     Zero, pretty,
 )
@@ -78,10 +78,17 @@ def test_union_concat_star():
     assert not accepts(s, (b,))
 
 
+def universe_star(env):
+    """The star of every universe symbol: the paths a complement, as
+    the difference from it, is taken against."""
+    return Star(SymSet(env.universe))
+
+
 def test_intersect_with_complement_of_one():
     # a* with the empty path removed: the non-empty runs of a.
     t, (a, b, c), env, _ = small_world()
-    m = eval_pathset(Intersect(Star(sym(a)), Complement(One())), env)
+    m = eval_pathset(
+        Intersect(Star(sym(a)), Difference(universe_star(env), One())), env)
     got = enumerate_shortest(m, 3)
     assert got.render() == ["a", "a a", "a a a"]
     assert got.truncated
@@ -125,10 +132,23 @@ def test_relconcat_pairs_componentwise():
 def test_complement_excludes_markers_from_universe():
     t, (a, b, c), env, _ = small_world()
     mk = t.fresh_marker()
-    # ~0 is the full universe closure; marker strings are not in it.
-    full = eval_pathset(Complement(Zero()), env)
+    # universe* minus 0 is the full universe closure; marker strings are
+    # not in it.
+    full = eval_pathset(Difference(universe_star(env), Zero()), env)
     assert accepts(full, (a, b))
     assert not accepts(full, (mk,))
+
+
+def test_difference_keeps_what_only_the_left_side_holds():
+    # The difference walks the left operand's arcs, so a path over a
+    # symbol the right side never reads (a marker, say) stays in it.
+    t, (a, b, c), env, _ = small_world()
+    mk = t.fresh_marker()
+    left = Union(Concat(sym(a), SymSet(frozenset([mk]))), Concat(sym(a),
+                                                                 sym(b)))
+    got = eval_pathset(Difference(left, Star(SymSet(frozenset([a, b])))),
+                       env)
+    assert paths_of(got) == {"a #1"}
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +184,7 @@ def test_ground_pathset_union_is_a_minimal_dfa():
 def test_ground_relation_union_keeps_its_image(shape):
     # A relation is recognised by any Identity, Cross or Compose on its
     # Union/Concat/Star spine, not by its leftmost leaf, which may be One.
+    # The `relation` flag each node sets as it is built records that.
     t, (a, b, c), env, _ = small_world()
     swap = Cross(sym(b), sym(c))
     if shape == "identity-first":
@@ -175,6 +196,23 @@ def test_ground_relation_union_keeps_its_image(shape):
     ev = Evaluator(env)
     assert paths_of(apply_image(ev.pathset(source), ev.pathset(rel))) == want
     assert paths_of(ev.pathset(Image(source, rel))) == want
+
+
+def test_relation_flag_follows_the_spine():
+    t = SymbolTable()
+    a, b = sym(t.location("a")), sym(t.location("b"))
+    for rel in [Identity(a), Cross(a, b), Compose(One(), Zero()),
+                Union(One(), Concat(a, Star(Identity(b))))]:
+        assert rel.relation
+    for ps in [a, One(), Zero(), Union(One(), Concat(a, Star(b))),
+               Difference(a, b), Intersect(a, b), Image(a, Identity(b)),
+               PreState()]:
+        assert not ps.relation
+    # the renderer reads the same flag: a relation concatenation puts
+    # no extra brackets round a union operand, as a path-set one does
+    assert pretty(Union(One(), Concat(Identity(a), Union(a, b)))) == \
+        "(1 | I(a) (a | b))"
+    assert pretty(Union(One(), Concat(b, Union(a, b)))) == "(1 | b ((a | b)))"
 
 
 def test_snapshot_expressions_not_ground():
@@ -215,7 +253,8 @@ def test_oracle_simple_sets():
 
 def test_oracle_complement_is_bounded_universe_difference():
     t, (a, b, c), env, oenv = small_world()
-    got = oracle_eval_pathset(Complement(PreState()), oenv, 1)
+    got = oracle_eval_pathset(Difference(universe_star(env), PreState()),
+                              oenv, 1)
     # All strings of length <= 1 except (a,): the empty path and the
     # three other singletons (universe includes drop).
     assert (a,) not in got
@@ -267,7 +306,8 @@ def test_pretty_pathsets():
     a, b = t.location("a"), t.location("b")
     assert pretty(Union(sym(a), Union(sym(b), One()))) == "(a | b | 1)"
     assert pretty(Concat(sym(a), Star(sym(b)))) == "a b*"
-    assert pretty(Complement(Union(sym(a), sym(b)))) == "~((a | b))"
+    assert pretty(Difference(Union(sym(a), sym(b)), sym(a))) == \
+        "((a | b) ∖ a)"
     assert pretty(Image(PreState(), Identity(sym(a)))) == "(PreState ▷ I(a))"
     assert pretty(SymSet(frozenset({a, b}))) == "(a | b)"
     wide = SymSet(frozenset(t.location(f"r{i}") for i in range(9)))
