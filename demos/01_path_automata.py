@@ -13,9 +13,10 @@ from rela.automata import (
     fsa_symbol_class, fsa_union,
 )
 
-# Every run works over one interned alphabet of locations.  The table
-# hands out symbols; the universe is the snapshot of everything interned
-# so far plus the reserved "drop" endpoint.
+# Every run works over one interned set of locations.  The table hands
+# out symbols; its universe is the snapshot of everything interned so
+# far plus the reserved "drop" endpoint.  A machine holds no universe of
+# its own: its arcs alone fix its language.
 table = SymbolTable()
 leaf1 = table.location("leaf1")
 leaf2 = table.location("leaf2")
@@ -26,11 +27,11 @@ universe = table.universe()
 print("universe:", sorted(s.name for s in universe))
 
 # A single hop, and a class of interchangeable hops.
-at_leaf1 = fsa_symbol(leaf1, universe)
-any_spine = fsa_symbol_class({spine1, spine2}, universe)
+at_leaf1 = fsa_symbol(leaf1)
+any_spine = fsa_symbol_class({spine1, spine2})
 
 # leaf1 -> some spine -> leaf2, with the spine left free.
-route = fsa_concat(at_leaf1, fsa_concat(any_spine, fsa_symbol(leaf2, universe)))
+route = fsa_concat(at_leaf1, fsa_concat(any_spine, fsa_symbol(leaf2)))
 print("routes via any spine:", enumerate_shortest(route, 10).render())
 
 # Membership is just running the machine.
@@ -39,8 +40,8 @@ print("accepts leaf1 spine2 leaf2:",
 print("accepts leaf1 leaf2:       ", accepts(route, (leaf1, leaf2)))
 
 # The algebra: union, intersection, difference, star.
-via_spine1 = fsa_concat(at_leaf1, fsa_concat(fsa_symbol(spine1, universe),
-                                             fsa_symbol(leaf2, universe)))
+via_spine1 = fsa_concat(at_leaf1, fsa_concat(fsa_symbol(spine1),
+                                             fsa_symbol(leaf2)))
 rest = fsa_difference(route, via_spine1)
 print("routes avoiding spine1:", enumerate_shortest(rest, 10).render())
 
@@ -50,15 +51,14 @@ print("union of the split equals the original:", fsa_equivalent(same, route))
 
 # Stars give unbounded path families; enumeration reports truncation
 # honestly instead of looping forever.
-pingpong = fsa_star(fsa_concat(fsa_symbol(spine1, universe),
-                               fsa_symbol(spine2, universe)))
+pingpong = fsa_star(fsa_concat(fsa_symbol(spine1), fsa_symbol(spine2)))
 listing = enumerate_shortest(pingpong, 4)
 print("(spine1 spine2)* members:", listing.render(),
       "... truncated:", listing.truncated)
 
 # "Everything but" is a difference too: take it from the star of the
 # whole universe.  The walk follows only the left side's arcs.
-anything = fsa_star(fsa_symbol_class(universe, universe))
+anything = fsa_star(fsa_symbol_class(universe))
 not_route = fsa_difference(anything, route)
 print("anything but a route rejects a route:",
       not accepts(not_route, (leaf1, spine1, leaf2)))

@@ -12,13 +12,12 @@ from rela import rir
 from rela.automata import (Fsa, SymbolTable, enumerate_shortest,
                            fsa_difference, fsa_equivalent)
 from rela.rir import (
-    Compose, Concat, Cross, Identity, Image, PostState, PreState, Union,
-    SnapshotPair, Star, SymSet,
+    Compose, Concat, Cross, Identity, Image, PostState, PreState, Star,
+    SymSet, Union,
 )
 
 table = SymbolTable()
 a, b, c, d = (table.location(n) for n in "abcd")
-universe = table.universe()
 
 
 def locs(*symbols):
@@ -37,14 +36,13 @@ def paths_fsa(paths):
             arcs[state].append((sym, len(arcs) - 1))
             state = len(arcs) - 1
         accepting.add(state)
-    return Fsa(universe, len(arcs), 0, frozenset(accepting),
+    return Fsa(len(arcs), 0, frozenset(accepting),
                tuple(tuple(x) for x in arcs))
 
 
 # Two snapshots of one traffic class: before, traffic crossed b; after,
 # it crosses c.
-env = SnapshotPair(paths_fsa([(a, b, d)]), paths_fsa([(a, c, d)]))
-ev = rir.Evaluator(env)
+ev = rir.Evaluator(paths_fsa([(a, b, d)]), paths_fsa([(a, c, d)]))
 
 
 def show(label, expr):

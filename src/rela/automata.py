@@ -1,12 +1,13 @@
-"""Finite automata over an interned location alphabet.
+"""Finite automata over interned location symbols.
 
 This module is the kernel the rest of the checker is built on.  Path sets
 (languages of location sequences) are finite-state acceptors (`Fsa`).
 A path relation is an `Fsa` too, a transducer whose arc labels are
-``(in, out)`` symbol pairs (``None`` on a tape that stands still) and
-whose `alphabet` is its output alphabet; `fsa_union`, `fsa_concat` and
-`fsa_star` build both kinds.  Machines are immutable once constructed;
-every operation returns a fresh one.
+``(in, out)`` symbol pairs (``None`` on a tape that stands still);
+`fsa_union`, `fsa_concat` and `fsa_star` build both kinds.  A machine
+carries no symbol universe: its arcs alone fix its language.  Machines
+are immutable once constructed; every operation returns a fresh one, or
+its input when nothing changes.
 
 Intersection, difference, equivalence and `intersects` are clients of
 one walk over pairs of determinized states, `_product`; it builds the
@@ -43,11 +44,11 @@ MARKER = "marker"
 
 
 class AlphabetError(ValueError):
-    """Raised when a symbol is used outside its declared universe."""
+    """Raised by `SymbolTable.location` for a name interned as a marker."""
 
 
 class Symbol:
-    """An interned alphabet symbol.  Identity is the integer id."""
+    """An interned symbol.  Identity is the integer id."""
 
     __slots__ = ("id", "name", "kind")
 
@@ -153,18 +154,17 @@ class Fsa:
     dropped on pickling and do not affect the accepted language.
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "accepting", "arcs",
+    __slots__ = ("num_states", "initial", "accepting", "arcs",
                  "deterministic", "_dfa", "_maps", "_min")
 
-    def __init__(self, alphabet: frozenset[Symbol], num_states: int,
-                 initial: int, accepting: frozenset[int],
+    def __init__(self, num_states: int, initial: int,
+                 accepting: frozenset[int],
                  arcs: tuple[tuple[tuple[Label, int], ...], ...],
                  deterministic: bool = False):
         if not (0 <= initial < num_states):
             raise ValueError("initial state out of range")
         if len(arcs) != num_states:
             raise ValueError("arc table does not match state count")
-        self.alphabet = alphabet
         self.num_states = num_states
         self.initial = initial
         self.accepting = accepting
@@ -175,8 +175,8 @@ class Fsa:
         self._min = None
 
     def __getstate__(self):
-        return (self.alphabet, self.num_states, self.initial,
-                self.accepting, self.arcs, self.deterministic)
+        return (self.num_states, self.initial, self.accepting, self.arcs,
+                self.deterministic)
 
     def __setstate__(self, state):
         self.__init__(*state)
@@ -208,36 +208,29 @@ class _Builder:
 # Acceptor constructors
 
 
-def fsa_empty(universe: frozenset[Symbol]) -> Fsa:
-    """The empty language over `universe`."""
-    return Fsa(universe, 1, 0, frozenset(), ((),), deterministic=True)
+def fsa_empty() -> Fsa:
+    """The empty language."""
+    return Fsa(1, 0, frozenset(), ((),), deterministic=True)
 
 
-def fsa_unit(universe: frozenset[Symbol]) -> Fsa:
+def fsa_unit() -> Fsa:
     """The language containing only the empty path."""
-    return Fsa(universe, 1, 0, frozenset([0]), ((),), deterministic=True)
+    return Fsa(1, 0, frozenset([0]), ((),), deterministic=True)
 
 
-def fsa_symbol(sym: Symbol, universe: frozenset[Symbol]) -> Fsa:
+def fsa_symbol(sym: Symbol) -> Fsa:
     """The single-string language {sym}."""
-    return fsa_symbol_class((sym,), universe)
+    return fsa_symbol_class((sym,))
 
 
-def fsa_symbol_class(symbols, universe: frozenset[Symbol]) -> Fsa:
+def fsa_symbol_class(symbols) -> Fsa:
     """The length-one strings over a set of symbols, as one flat machine.
 
     Equivalent to a union of `fsa_symbol` machines but deterministic and
     two states regardless of the class width.
     """
     ordered = sorted(symbols, key=lambda s: s.id)
-    alphabet = universe
-    for sym in ordered:
-        if sym not in universe:
-            if sym.kind != MARKER:
-                raise AlphabetError(
-                    f"symbol {sym.name!r} is outside the universe")
-            alphabet = alphabet | {sym}
-    return Fsa(alphabet, 2, 0, frozenset([1]),
+    return Fsa(2, 0, frozenset([1]),
                (tuple((sym, 1) for sym in ordered), ()),
                deterministic=True)
 
@@ -251,8 +244,7 @@ def fsa_union(x: Fsa, y: Fsa) -> Fsa:
     b.arc(start, EPSILON, y.initial + off_y)
     accepting = frozenset(q + off_x for q in x.accepting) | \
         frozenset(q + off_y for q in y.accepting)
-    return Fsa(x.alphabet | y.alphabet, len(b.arcs), start, accepting,
-               b.frozen_arcs())
+    return Fsa(len(b.arcs), start, accepting, b.frozen_arcs())
 
 
 def fsa_concat(x: Fsa, y: Fsa) -> Fsa:
@@ -262,8 +254,7 @@ def fsa_concat(x: Fsa, y: Fsa) -> Fsa:
     for q in sorted(x.accepting):
         b.arc(q + off_x, EPSILON, y.initial + off_y)
     accepting = frozenset(q + off_y for q in y.accepting)
-    return Fsa(x.alphabet | y.alphabet, len(b.arcs), x.initial + off_x,
-               accepting, b.frozen_arcs())
+    return Fsa(len(b.arcs), x.initial + off_x, accepting, b.frozen_arcs())
 
 
 def fsa_star(x: Fsa) -> Fsa:
@@ -273,8 +264,7 @@ def fsa_star(x: Fsa) -> Fsa:
     b.arc(start, EPSILON, x.initial + off)
     for q in sorted(x.accepting):
         b.arc(q + off, EPSILON, start)
-    return Fsa(x.alphabet, len(b.arcs), start, frozenset([start]),
-               b.frozen_arcs())
+    return Fsa(len(b.arcs), start, frozenset([start]), b.frozen_arcs())
 
 
 def _copy_into(b: _Builder, m: Fsa) -> int:
@@ -349,8 +339,8 @@ def determinize(fsa: Fsa) -> Fsa:
                 b.state()
                 work.append(target)
             b.arc(sid, sym, tid)
-    d = Fsa(fsa.alphabet, len(b.arcs), 0, frozenset(accepting),
-            b.frozen_arcs(), deterministic=True)
+    d = Fsa(len(b.arcs), 0, frozenset(accepting), b.frozen_arcs(),
+            deterministic=True)
     fsa._dfa = d
     return d
 
@@ -388,7 +378,7 @@ def trim(fsa: Fsa) -> Fsa:
                 stack.append(src)
     live = forward & backward
     if fsa.initial not in live:
-        return fsa_empty(fsa.alphabet)
+        return fsa_empty()
     if len(live) == fsa.num_states:
         return fsa
     remap = {}
@@ -403,8 +393,8 @@ def trim(fsa: Fsa) -> Fsa:
             if dst in live:
                 b.arc(nq, label, remap[dst])
     accepting = frozenset(remap[q] for q in fsa.accepting if q in live)
-    return Fsa(fsa.alphabet, len(b.arcs), remap[fsa.initial], accepting,
-               b.frozen_arcs(), deterministic=fsa.deterministic)
+    return Fsa(len(b.arcs), remap[fsa.initial], accepting, b.frozen_arcs(),
+               deterministic=fsa.deterministic)
 
 
 def minimize(fsa: Fsa) -> Fsa:
@@ -457,7 +447,7 @@ def _refine(d: Fsa) -> Fsa:
         for label, dst in d.arcs[q]:
             b.arc(c, label, cls[dst])
     accepting = frozenset(cls[q] for q in d.accepting)
-    return Fsa(d.alphabet, ncls, cls[d.initial], accepting, b.frozen_arcs(),
+    return Fsa(ncls, cls[d.initial], accepting, b.frozen_arcs(),
                deterministic=True)
 
 
@@ -519,8 +509,8 @@ def _product(x, y, follow: str, accept, build: bool = True):
     to `_DEAD`, which never accepts, so complements stay implicit.  Under
     ``"both"`` each pair scans whichever side has the smaller fan-out
     and looks the labels up in the other side's map, so a product with a
-    complete machine over a wide alphabet stays proportional to the
-    smaller one.  A pair accepts when ``accept(x_accepts, y_accepts)``.
+    complete machine over many symbols stays proportional to the smaller
+    one.  A pair accepts when ``accept(x_accepts, y_accepts)``.
 
     With `build` the walk returns the product of two `Fsa`s as a
     deterministic `Fsa`; without it, whether an accepting pair is
@@ -570,8 +560,8 @@ def _product(x, y, follow: str, accept, build: bool = True):
                 b.arc(sid, label, tid)
     if not build:
         return False
-    return Fsa(x.alphabet | y.alphabet, len(b.arcs), 0, frozenset(accepting),
-               b.frozen_arcs(), deterministic=True)
+    return Fsa(len(b.arcs), 0, frozenset(accepting), b.frozen_arcs(),
+               deterministic=True)
 
 
 def fsa_intersect(x: Fsa, y: Fsa) -> Fsa:
@@ -690,9 +680,11 @@ def substitute(fsa: Fsa, mapping: dict) -> Fsa:
 
     `mapping` sends a Symbol to an Fsa; an arc labeled with a mapped
     symbol is rewired through a private copy of that machine.  Arcs on
-    unmapped symbols are kept as they are.
+    unmapped symbols are kept as they are, and a machine with no arc on a
+    mapped symbol is returned as it is.
     """
-    if not mapping:
+    if not any(label in mapping for state_arcs in fsa.arcs
+               for label, _ in state_arcs):
         return fsa
     b = _Builder()
     for _ in range(fsa.num_states):
@@ -707,29 +699,25 @@ def substitute(fsa: Fsa, mapping: dict) -> Fsa:
                     b.arc(acc + off, EPSILON, dst)
             else:
                 b.arc(q, label, dst)
-    alphabet = fsa.alphabet - frozenset(mapping)
-    for inner in mapping.values():
-        alphabet = alphabet | inner.alphabet
-    return Fsa(alphabet, len(b.arcs), fsa.initial,
-               frozenset(fsa.accepting), b.frozen_arcs())
+    return Fsa(len(b.arcs), fsa.initial, fsa.accepting, b.frozen_arcs())
 
 
 # ---------------------------------------------------------------------------
 # Transducers
 
 
-def _relabel(fsa: Fsa, label_of, alphabet: frozenset[Symbol]) -> Fsa:
+def _relabel(fsa: Fsa, label_of) -> Fsa:
     """`fsa` with each non-epsilon arc label replaced by ``label_of(label)``."""
     arcs = tuple(
         tuple((label if label is EPSILON else label_of(label), dst)
               for label, dst in state_arcs)
         for state_arcs in fsa.arcs)
-    return Fsa(alphabet, fsa.num_states, fsa.initial, fsa.accepting, arcs)
+    return Fsa(fsa.num_states, fsa.initial, fsa.accepting, arcs)
 
 
 def fst_identity(p: Fsa) -> Fsa:
     """The identity relation restricted to L(p)."""
-    return _relabel(p, lambda sym: (sym, sym), p.alphabet)
+    return _relabel(p, lambda sym: (sym, sym))
 
 
 def fst_cross(p1: Fsa, p2: Fsa) -> Fsa:
@@ -738,8 +726,8 @@ def fst_cross(p1: Fsa, p2: Fsa) -> Fsa:
     Reads any member of p1 while writing nothing, then writes any member
     of p2 while reading nothing.
     """
-    return fsa_concat(_relabel(p1, lambda sym: (sym, EPSILON), frozenset()),
-                      _relabel(p2, lambda sym: (EPSILON, sym), p2.alphabet))
+    return fsa_concat(_relabel(p1, lambda sym: (sym, EPSILON)),
+                      _relabel(p2, lambda sym: (EPSILON, sym)))
 
 
 _STILL = (EPSILON, EPSILON)  # the tapes of a joint-epsilon (None) label
@@ -803,13 +791,12 @@ def fst_compose(x: Fsa, y: Fsa) -> Fsa:
         if mode != 1:
             for yout, dy in ymap.get(EPSILON, ()):
                 push(sid, EPSILON, yout, (qx, dy, 2))
-    return Fsa(y.alphabet, len(b.arcs), 0, frozenset(accepting),
-               b.frozen_arcs())
+    return Fsa(len(b.arcs), 0, frozenset(accepting), b.frozen_arcs())
 
 
 def project_output(t: Fsa) -> Fsa:
     """The output tape of transducer `t`, as an acceptor."""
-    return _relabel(t, operator.itemgetter(1), t.alphabet)
+    return _relabel(t, operator.itemgetter(1))
 
 
 def apply_image(p: Fsa, r: Fsa) -> Fsa:

@@ -143,11 +143,10 @@ def check_fec(c: CompiledSpec, f: Fec, index: LocationIndex,
     """
     guard = guard or c.name
     pre, post = fec_acceptors(f, index)
-    env = rir.SnapshotPair(pre, post)
-    ev = rir.Evaluator(env, ground_cache)
+    ev = rir.Evaluator(pre, post, ground_cache)
     if _agree(ev, c.top.left, c.top.right):
         return FecVerdict(f.fec_id, PASS, guard), None
-    cx = _explain(c, f.fec_id, f.traffic, env, ev, guard, limit)
+    cx = _explain(c, f.fec_id, f.traffic, ev, guard, limit)
     return FecVerdict(f.fec_id, FAIL, guard), cx
 
 
@@ -161,20 +160,12 @@ def _agree(ev: rir.Evaluator, left: rir.Image, right: rir.Image) -> bool:
         zone = ev.pathset(rpre.source)
         other = (zone if rpost.source is rpre.source
                  else ev.pathset(rpost.source))
-        return fsa_equivalent(Meet(ev.env.pre, zone),
-                              Meet(ev.env.post, other))
+        return fsa_equivalent(Meet(ev.pre, zone), Meet(ev.post, other))
     return fsa_equivalent(ev.pathset(left), ev.pathset(right))
 
 
-def _splice(fsa, marker_langs):
-    """Expand any marker symbols present in `fsa` to their path sets."""
-    live = {s: m for s, m in marker_langs.items() if s in fsa.alphabet}
-    return substitute(fsa, live) if live else fsa
-
-
 def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
-             env: rir.SnapshotPair, ev: rir.Evaluator,
-             guard: str, limit: int) -> Counterexample:
+             ev: rir.Evaluator, guard: str, limit: int) -> Counterexample:
     """Localize a failed equation `c.top` and list its paths.
 
     `missing` and `unexpected` are the two directed differences.  They
@@ -186,7 +177,7 @@ def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
     marker_langs = {b.symbol: ev.pathset(b.pathset) for b in c.markers}
 
     def listing(fsa) -> PathList:
-        return enumerate_shortest(_splice(fsa, marker_langs), limit)
+        return enumerate_shortest(substitute(fsa, marker_langs), limit)
 
     missing = listing(fsa_difference(left, right))
     unexpected = listing(fsa_difference(right, left))
@@ -200,7 +191,7 @@ def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
               rir.Image(rir.PostState(), sub.rpost)) for sub in c.subspecs]
     label, exp, obs, note = next(
         ((sub.label, ev.pathset(exp), ev.pathset(obs), "")
-         for snapshot in (env.pre, env.post) for sub, exp, obs in sides
+         for snapshot in (ev.pre, ev.post) for sub, exp, obs in sides
          if intersects(snapshot, ev.pathset(sub.zone))
          and not _agree(ev, exp, obs)),
         (c.name, left, right, "no arm's zone matches this traffic"))
@@ -210,8 +201,8 @@ def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
         traffic=traffic,
         guard=guard,
         violated_subspec=label,
-        pre_paths=listing(env.pre),
-        post_paths=listing(env.post),
+        pre_paths=listing(ev.pre),
+        post_paths=listing(ev.post),
         expected=listing(exp),
         observed=listing(obs),
         missing=missing,

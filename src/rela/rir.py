@@ -22,11 +22,12 @@ Nodes are built in normal form: `union`, `concat`, `star`, `identity`,
 `cross` and `compose` apply the algebraic rewrites as they build, so no
 separate pass simplifies a tree.
 
-`Evaluator` lowers either sort to an `Fsa` from :mod:`rela.automata`
-with the same constructors; deciding and explaining an equation is left
-to :mod:`rela.checker`.  A ground path-set `Union` is cached as the
-trimmed minimal DFA of its language, so an `else` chain's masks do not
-copy every earlier zone; relations are kept as built.
+`Evaluator` is given the two snapshot acceptors and lowers either sort
+to an `Fsa` from :mod:`rela.automata` with the same constructors;
+deciding and explaining an equation is left to :mod:`rela.checker`.  A
+ground path-set `Union` is cached as the trimmed minimal DFA of its
+language, so an `else` chain's masks do not copy every earlier zone;
+relations are kept as built.
 """
 
 from __future__ import annotations
@@ -297,44 +298,28 @@ def flatten(node, join):
 # Evaluation
 
 
-class SnapshotPair:
-    """The two forwarding path sets a spec is judged against.
-
-    Both acceptors must share one universe alphabet.  They carry no
-    marker symbols (markers belong to compiled relations only), which
-    holds because `rela.snapshot.graph_to_fsa` labels arcs with location
-    and drop symbols alone.
-    """
-
-    __slots__ = ("pre", "post")
-
-    def __init__(self, pre: Fsa, post: Fsa):
-        if pre.alphabet != post.alphabet:
-            raise ValueError("snapshot acceptors must share a universe")
-        self.pre = pre
-        self.post = post
-
-    @property
-    def universe(self) -> frozenset[Symbol]:
-        return self.pre.alphabet
-
-
 class Evaluator:
     """Lowers expressions to automata with two layers of memoization.
 
-    Structurally identical subexpressions evaluate once per environment.
-    Ground subexpressions (no PreState/PostState) may additionally share a
-    cache across environments of the same run -- pass the same mapping as
-    `ground_cache` for every snapshot pair evaluated under one universe.
-    A ground path-set `Union` is cached as a trimmed minimal DFA; a
-    relation union, whose labels are symbol pairs, is not minimized, and
-    neither is any other node.
+    `pre` and `post` are the two forwarding path sets a spec is judged
+    against, the values of `PreState` and `PostState`.  They carry no
+    marker symbols (markers belong to compiled relations only), which
+    holds because `rela.snapshot.graph_to_fsa` labels arcs with location
+    and drop symbols alone.
+
+    Structurally identical subexpressions evaluate once per snapshot
+    pair.  Ground subexpressions (no PreState/PostState) may additionally
+    share a cache across the pairs of one run -- pass the same mapping as
+    `ground_cache` to every evaluator whose symbols come from one
+    `SymbolTable`.  A ground path-set `Union` is cached as a trimmed
+    minimal DFA; a relation union, whose labels are symbol pairs, is not
+    minimized, and neither is any other node.
     """
 
-    def __init__(self, env: SnapshotPair,
+    def __init__(self, pre: Fsa, post: Fsa,
                  ground_cache: Optional[dict] = None):
-        self.env = env
-        self.universe = env.universe
+        self.pre = pre
+        self.post = post
         self._ground = ground_cache if ground_cache is not None else {}
         self._local: dict = {}
 
@@ -353,17 +338,16 @@ class Evaluator:
         return got
 
     def _evaluate(self, p: _Node) -> Fsa:
-        u = self.universe
         if isinstance(p, SymSet):
-            return fsa_symbol_class(p.symbols, u)
+            return fsa_symbol_class(p.symbols)
         if isinstance(p, Zero):
-            return fsa_empty(u)
+            return fsa_empty()
         if isinstance(p, One):
-            return fsa_unit(u)
+            return fsa_unit()
         if isinstance(p, PreState):
-            return self.env.pre
+            return self.pre
         if isinstance(p, PostState):
-            return self.env.post
+            return self.post
         if isinstance(p, Union):
             union = fsa_union(self.pathset(p.left), self.pathset(p.right))
             if p.ground and not p.relation:
@@ -407,14 +391,14 @@ class Evaluator:
             return fsa_intersect(source, self.pathset(r.source))
         if isinstance(r, Cross):
             if not intersects(source, self.pathset(r.left)):
-                return fsa_empty(self.universe)
+                return fsa_empty()
             return self.pathset(r.right)
         if isinstance(r, Zero):
-            return fsa_empty(self.universe)
+            return fsa_empty()
         if isinstance(r, One):
             if accepts(source, ()):
-                return fsa_unit(self.universe)
-            return fsa_empty(self.universe)
+                return fsa_unit()
+            return fsa_empty()
         if isinstance(r, Union):
             return fsa_union(self._image(source, r.left),
                              self._image(source, r.right))

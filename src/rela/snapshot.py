@@ -284,8 +284,7 @@ def graph_to_fsa(raw, index: LocationIndex,
     if _topological(range(len(labels)), succ) is None:
         raise err(f"coarsened to {index.granularity.value} granularity "
                   "has a cycle")
-    return Fsa(index.universe, len(labels), 0,
-               frozenset(state[n] for n in sinks),
+    return Fsa(len(labels), 0, frozenset(state[n] for n in sinks),
                tuple(tuple(a) for a in arcs), deterministic=True)
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import NamedTuple
 
-from rela.automata import Fsa, SymbolTable, determinize, trim
+from rela.automata import Fsa, Symbol, SymbolTable, determinize, trim
 from rela import rir
 from rela.rir import (
     Compose, Concat, Cross, Difference, Identity, Image, Intersect, One,
@@ -251,7 +252,7 @@ def random_paths(rng, symbols, max_paths=4, max_len=4):
     return frozenset(out)
 
 
-def fsa_from_paths(paths, universe) -> Fsa:
+def fsa_from_paths(paths) -> Fsa:
     """A straightforward acceptor for an explicit finite path set."""
     arcs: list[list] = [[]]
     accepting = set()
@@ -263,7 +264,7 @@ def fsa_from_paths(paths, universe) -> Fsa:
             arcs[state].append((sym, nxt))
             state = nxt
         accepting.add(state)
-    return Fsa(universe, len(arcs), 0, frozenset(accepting),
+    return Fsa(len(arcs), 0, frozenset(accepting),
                tuple(tuple(a) for a in arcs))
 
 
@@ -298,6 +299,16 @@ def bounded_language(fsa: Fsa, maxlen: int) -> frozenset:
     return frozenset(out)
 
 
+class Env(NamedTuple):
+    """A snapshot pair's two acceptors and the universe they range over;
+    an `Evaluator` takes the acceptors, the oracle's complements the
+    universe."""
+
+    pre: Fsa
+    post: Fsa
+    universe: frozenset[Symbol]
+
+
 def make_env(rng, n_locations=2):
     """Fresh table, snapshot sets and corresponding automata/oracle envs."""
     table = SymbolTable()
@@ -307,8 +318,7 @@ def make_env(rng, n_locations=2):
     universe = table.universe()
     pre = random_paths(rng, symbols)
     post = random_paths(rng, symbols)
-    env = rir.SnapshotPair(fsa_from_paths(pre, universe),
-                           fsa_from_paths(post, universe))
+    env = Env(fsa_from_paths(pre), fsa_from_paths(post), universe)
     oenv = OracleEnv(pre, post, tuple(sorted(universe)))
     env_ml = (max((len(p) for p in pre), default=0),
               max((len(p) for p in post), default=0))

@@ -12,7 +12,7 @@ import json
 from rela.automata import fsa_equivalent
 from rela.compiler import compile_spec
 from rela.frontend import Granularity, LocationDb, parse_program
-from rela.rir import Evaluator, SnapshotPair
+from rela.rir import Evaluator
 
 CONFORMANCE = [
     # preserve: identity on the zone, both sides
@@ -140,9 +140,7 @@ def run_case(spec_text, pre_texts, post_texts):
     index = conformance_world()
     program = parse_program(f"spec s := {spec_text}", index)
     compiled = compile_spec(program.default, index)
-    env = SnapshotPair(
-        fsa_from_paths(paths_from_text(index, pre_texts), index.universe),
-        fsa_from_paths(paths_from_text(index, post_texts), index.universe))
-    ev = Evaluator(env)
+    ev = Evaluator(fsa_from_paths(paths_from_text(index, pre_texts)),
+                   fsa_from_paths(paths_from_text(index, post_texts)))
     return fsa_equivalent(ev.pathset(compiled.top.left),
                           ev.pathset(compiled.top.right))

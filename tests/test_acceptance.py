@@ -18,7 +18,7 @@ from rela.checker import CheckOptions, check_all, check_fec, report_to_json
 from rela.cli import main
 from rela.compiler import compile_program, compile_spec
 from rela.frontend import Granularity, LocationDb, parse_program
-from rela.rir import Evaluator, SnapshotPair, pretty
+from rela.rir import Evaluator, pretty
 from rela.snapshot import fec_acceptors, parse_fec
 
 from _fecgen import make_index, mutate_one_edge, random_fec_dict
@@ -46,7 +46,8 @@ def test_1_oracle_equivalence():
         gen = TreeGen(rng, symbols, env_ml, bound=6)
         for _ in range(10):
             tree = gen.tree(depth=4)
-            got = bounded_language(Evaluator(env).pathset(tree), 6)
+            ev = Evaluator(env.pre, env.post)
+            got = bounded_language(ev.pathset(tree), 6)
             want = oracle_eval_pathset(tree, oenv, 6)
             assert got == want, f"disagreement on {pretty(tree)}"
             checked += 1
@@ -220,11 +221,11 @@ def test_6_counterexample_exhaustiveness():
                      "pre": pre, "post": post}, index)
     program = compile_program(
         parse_program("spec main := { .* : preserve; }", index), index)
-    env = SnapshotPair(*fec_acceptors(fec, index))
+    pre, post = fec_acceptors(fec, index)
 
     # Independent evidence: enumerate both snapshot languages outright.
-    pre_paths = set(enumerate_shortest(env.pre, 1000).render())
-    post_paths = set(enumerate_shortest(env.post, 1000).render())
+    pre_paths = set(enumerate_shortest(pre, 1000).render())
+    post_paths = set(enumerate_shortest(post, 1000).render())
     want_missing = pre_paths - post_paths
     want_unexpected = post_paths - pre_paths
     assert 0 < len(want_missing | want_unexpected) <= 100
@@ -242,12 +243,11 @@ def test_6_counterexample_exhaustiveness():
              "sources": ["n0"], "sinks": ["n0"]}
     fec2 = parse_fec({"id": "g", "traffic": {"dstPrefix": "10.0.0.0/24"},
                       "pre": chain, "post": chain}, index)
-    env2 = SnapshotPair(*fec_acceptors(fec2, index))
     cx = check_fec(star.default, fec2, index, limit=40)[1]
     missing, unexpected = cx.missing, cx.unexpected
     assert missing.truncated
     assert len(missing.paths) == 40
-    ev = Evaluator(env2)
+    ev = Evaluator(*fec_acceptors(fec2, index))
     left = ev.pathset(star.default.top.left)
     right = ev.pathset(star.default.top.right)
     for path in missing.paths:

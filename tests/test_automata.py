@@ -18,7 +18,7 @@ import rela.automata
 from _treegen import is_empty
 from rela.automata import (
     substitute,
-    AlphabetError, Fsa, Meet, PathList, Symbol, SymbolTable, accepts,
+    Fsa, Meet, PathList, Symbol, SymbolTable, accepts,
     apply_image, determinize, enumerate_shortest, fsa_concat,
     fsa_difference, fsa_empty, fsa_equivalent, fsa_intersect, fsa_star,
     fsa_symbol, fsa_symbol_class, fsa_union, fsa_unit, fst_compose,
@@ -33,7 +33,7 @@ def complement(m: Fsa, universe) -> Fsa:
     use.  Strings holding symbols outside `universe` (markers) are not in
     universe*, so they are in neither L(m) nor its complement here.
     """
-    return fsa_difference(fsa_star(fsa_symbol_class(universe, universe)), m)
+    return fsa_difference(fsa_star(fsa_symbol_class(universe)), m)
 
 
 def table3():
@@ -50,11 +50,11 @@ def build_fsa(expr, universe) -> Fsa:
     """
     op = expr[0]
     if op == "sym":
-        return fsa_symbol(expr[1], universe)
+        return fsa_symbol(expr[1])
     if op == "empty":
-        return fsa_empty(universe)
+        return fsa_empty()
     if op == "unit":
-        return fsa_unit(universe)
+        return fsa_unit()
     if op == "union":
         return fsa_union(build_fsa(expr[1], universe),
                          build_fsa(expr[2], universe))
@@ -86,9 +86,9 @@ def build_fst(expr) -> Fsa:
     if op == "identity":
         return fst_identity(expr[1])
     if op == "empty":
-        return fsa_empty(frozenset())
+        return fsa_empty()
     if op == "unit":
-        return fsa_unit(frozenset())
+        return fsa_unit()
     if op == "union":
         return fsa_union(build_fst(expr[1]), build_fst(expr[2]))
     if op == "concat":
@@ -105,9 +105,7 @@ def project_input(t: Fsa) -> Fsa:
     arcs = tuple(tuple((label if label is None else label[0], dst)
                        for label, dst in state_arcs)
                  for state_arcs in t.arcs)
-    read = frozenset(label for state_arcs in arcs for label, _ in state_arcs
-                     if label is not None)
-    return Fsa(read, t.num_states, t.initial, t.accepting, arcs)
+    return Fsa(t.num_states, t.initial, t.accepting, arcs)
 
 
 def all_strings(syms, maxlen):
@@ -171,44 +169,29 @@ def test_concat_of_symbols():
 
 def test_empty_and_unit():
     t, a, b, c = table3()
-    u = t.universe()
-    assert is_empty(fsa_empty(u))
-    assert accepts(fsa_unit(u), ())
-    assert not accepts(fsa_unit(u), (a,))
+    assert is_empty(fsa_empty())
+    assert accepts(fsa_unit(), ())
+    assert not accepts(fsa_unit(), (a,))
 
 
 def test_symbol_class_equals_union_of_symbols():
     t, a, b, c = table3()
-    u = t.universe()
-    m = fsa_symbol_class({a, c}, u)
+    m = fsa_symbol_class({a, c})
     assert m.deterministic
     assert m.num_states == 2
-    assert fsa_equivalent(m, fsa_union(fsa_symbol(a, u), fsa_symbol(c, u)))
+    assert fsa_equivalent(m, fsa_union(fsa_symbol(a), fsa_symbol(c)))
 
 
 def test_empty_symbol_class_is_empty_language():
     t, a, b, c = table3()
-    assert is_empty(fsa_symbol_class(frozenset(), t.universe()))
-
-
-def test_symbol_outside_universe_rejected():
-    # A location interned after the universe snapshot is not part of it.
-    t, a, b, c = table3()
-    u = t.universe()
-    late = t.location("zzz")
-    with pytest.raises(AlphabetError):
-        fsa_symbol(late, u)
-    with pytest.raises(AlphabetError):
-        fsa_symbol_class({a, late}, u)
+    assert is_empty(fsa_symbol_class(frozenset()))
 
 
 def test_marker_symbols_allowed_beyond_universe():
     t, a, b, c = table3()
     m = t.fresh_marker()
-    fsa = fsa_symbol(m, t.universe())
+    fsa = fsa_symbol(m)
     assert accepts(fsa, (m,))
-    assert m in fsa.alphabet
-    assert m not in t.universe()
 
 
 def test_star_union_equals_star_of_concat_stars():
@@ -230,9 +213,8 @@ def test_star_union_equals_star_of_concat_stars():
 def test_difference_star_a_minus_star_aa():
     # a* minus (aa)* is exactly the odd-length runs of a.
     t, a, b, c = table3()
-    u = t.universe()
-    star_a = fsa_star(fsa_symbol(a, u))
-    star_aa = fsa_star(fsa_concat(fsa_symbol(a, u), fsa_symbol(a, u)))
+    star_a = fsa_star(fsa_symbol(a))
+    star_aa = fsa_star(fsa_concat(fsa_symbol(a), fsa_symbol(a)))
     diff = fsa_difference(star_a, star_aa)
     got = enumerate_shortest(diff, 4)
     assert got.render() == ["a", "a a a", "a a a a a", "a a a a a a a"]
@@ -242,7 +224,7 @@ def test_difference_star_a_minus_star_aa():
 def test_complement_membership():
     t, a, b, c = table3()
     u = t.universe()
-    m = complement(fsa_symbol(a, u), u)
+    m = complement(fsa_symbol(a), u)
     assert accepts(m, ())
     assert not accepts(m, (a,))
     assert accepts(m, (b,))
@@ -255,7 +237,7 @@ def test_complement_drops_marker_strings():
     t, a, b, c = table3()
     u = t.universe()
     mk = t.fresh_marker()
-    with_marker = fsa_concat(fsa_symbol(a, u), fsa_symbol(mk, u))
+    with_marker = fsa_concat(fsa_symbol(a), fsa_symbol(mk))
     comp = complement(with_marker, u)
     assert not accepts(comp, (a, mk))
     assert accepts(comp, (a,))
@@ -265,31 +247,29 @@ def test_complement_drops_marker_strings():
 def test_double_complement_restores_language_within_universe():
     t, a, b, c = table3()
     u = t.universe()
-    m = fsa_union(fsa_symbol(a, u), fsa_concat(fsa_symbol(b, u),
-                                               fsa_symbol(c, u)))
+    m = fsa_union(fsa_symbol(a), fsa_concat(fsa_symbol(b),
+                                               fsa_symbol(c)))
     assert fsa_equivalent(complement(complement(m, u), u), m)
 
 
 def test_equivalence_distinguishes_near_misses():
     t, a, b, c = table3()
-    u = t.universe()
-    x = fsa_star(fsa_symbol(a, u))
-    y = fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(a, u)))
+    x = fsa_star(fsa_symbol(a))
+    y = fsa_concat(fsa_symbol(a), fsa_star(fsa_symbol(a)))
     assert not fsa_equivalent(x, y)  # y misses the empty path
-    assert fsa_equivalent(fsa_union(y, fsa_unit(u)), x)
+    assert fsa_equivalent(fsa_union(y, fsa_unit()), x)
 
 
 def test_equivalence_walks_through_the_dead_state_on_both_sides():
     # Each side reads a symbol the other has no arc for, so the walk
     # pairs a live state with the dead state in both directions.
     t, a, b, c = table3()
-    u = t.universe()
-    dead_end = fsa_empty(u)
-    x = fsa_union(fsa_symbol(a, u), fsa_concat(fsa_symbol(b, u), dead_end))
-    y = fsa_union(fsa_symbol(a, u), fsa_concat(fsa_symbol(c, u), dead_end))
+    dead_end = fsa_empty()
+    x = fsa_union(fsa_symbol(a), fsa_concat(fsa_symbol(b), dead_end))
+    y = fsa_union(fsa_symbol(a), fsa_concat(fsa_symbol(c), dead_end))
     assert fsa_equivalent(x, y) and fsa_equivalent(y, x)
-    xb = fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(b, u)))
-    yc = fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(c, u)))
+    xb = fsa_concat(fsa_symbol(a), fsa_star(fsa_symbol(b)))
+    yc = fsa_concat(fsa_symbol(a), fsa_star(fsa_symbol(c)))
     assert not fsa_equivalent(xb, yc) and not fsa_equivalent(yc, xb)
 
 
@@ -347,8 +327,8 @@ def test_meet_walk_decides_like_built_images(seed):
 def test_meet_walk_edge_languages():
     t, a, b, c = table3()
     u = t.universe()
-    sym = {s.name: fsa_symbol(s, u) for s in (a, b, c)}
-    empty, unit = fsa_empty(u), fsa_unit(u)
+    sym = {s.name: fsa_symbol(s) for s in (a, b, c)}
+    empty, unit = fsa_empty(), fsa_unit()
     anything = fsa_star(fsa_union(fsa_union(sym["a"], sym["b"]), sym["c"]))
     a_then_bs = fsa_concat(sym["a"], fsa_star(sym["b"]))
     a_b = fsa_concat(sym["a"], sym["b"])
@@ -381,9 +361,8 @@ def test_meet_walk_edge_languages():
 def test_equivalence_of_one_machine_needs_no_walk(monkeypatch):
     # the same machine, or meets of the same two machines, by identity
     t, a, b, c = table3()
-    u = t.universe()
-    x = fsa_star(fsa_union(fsa_symbol(a, u), fsa_symbol(b, u)))
-    z = fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(b, u)))
+    x = fsa_star(fsa_union(fsa_symbol(a), fsa_symbol(b)))
+    z = fsa_concat(fsa_symbol(a), fsa_star(fsa_symbol(b)))
 
     def no_walk(*args, **kwargs):
         raise AssertionError("walked")
@@ -395,10 +374,9 @@ def test_equivalence_of_one_machine_needs_no_walk(monkeypatch):
 
 def test_meets_of_equal_languages_still_walk(monkeypatch):
     t, a, b, c = table3()
-    u = t.universe()
 
     def a_bs():
-        return fsa_concat(fsa_symbol(a, u), fsa_star(fsa_symbol(b, u)))
+        return fsa_concat(fsa_symbol(a), fsa_star(fsa_symbol(b)))
 
     walks = []
     walk = rela.automata._product
@@ -408,8 +386,8 @@ def test_meets_of_equal_languages_still_walk(monkeypatch):
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(rela.automata, "_product", counted)
-    x, y, z = a_bs(), a_bs(), fsa_star(fsa_symbol(b, u))
-    ab = fsa_concat(fsa_symbol(a, u), fsa_symbol(b, u))
+    x, y, z = a_bs(), a_bs(), fsa_star(fsa_symbol(b))
+    ab = fsa_concat(fsa_symbol(a), fsa_symbol(b))
     assert fsa_equivalent(Meet(x, ab), Meet(y, ab))
     assert fsa_equivalent(Meet(x, a_bs()), Meet(x, a_bs()))
     assert not fsa_equivalent(Meet(x, ab), Meet(x, a_bs()))
@@ -420,8 +398,7 @@ def test_meets_of_equal_languages_still_walk(monkeypatch):
 
 def test_meet_counts_left_operand_states():
     t, a, b, c = table3()
-    u = t.universe()
-    x, y = fsa_symbol(a, u), fsa_star(fsa_symbol(b, u))
+    x, y = fsa_symbol(a), fsa_star(fsa_symbol(b))
     assert Meet(x, y).num_states == x.num_states
     assert Meet(y, x).num_states == y.num_states
 
@@ -430,8 +407,8 @@ def test_intersect_with_complement_of_unit():
     # a* restricted to non-empty strings.
     t, a, b, c = table3()
     u = t.universe()
-    m = fsa_intersect(fsa_star(fsa_symbol(a, u)),
-                      complement(fsa_unit(u), u))
+    m = fsa_intersect(fsa_star(fsa_symbol(a)),
+                      complement(fsa_unit(), u))
     got = enumerate_shortest(m, 5)
     assert got.render() == ["a", "a a", "a a a", "a a a a", "a a a a a"]
     assert got.truncated
@@ -454,8 +431,7 @@ def test_enumerate_orders_by_length_then_symbol_id():
 
 def test_enumerate_finite_language_not_truncated():
     t, a, b, c = table3()
-    u = t.universe()
-    m = fsa_union(fsa_symbol(a, u), fsa_symbol(b, u))
+    m = fsa_union(fsa_symbol(a), fsa_symbol(b))
     got = enumerate_shortest(m, 2)
     assert len(got) == 2
     assert not got.truncated
@@ -463,8 +439,7 @@ def test_enumerate_finite_language_not_truncated():
 
 def test_enumerate_exact_limit_on_finite_language():
     t, a, b, c = table3()
-    u = t.universe()
-    m = fsa_union(fsa_symbol(a, u), fsa_symbol(b, u))
+    m = fsa_union(fsa_symbol(a), fsa_symbol(b))
     got = enumerate_shortest(m, 1)
     assert got.render() == ["a"]
     assert got.truncated
@@ -472,7 +447,7 @@ def test_enumerate_exact_limit_on_finite_language():
 
 def test_enumerate_empty_language():
     t, a, b, c = table3()
-    got = enumerate_shortest(fsa_empty(t.universe()), 5)
+    got = enumerate_shortest(fsa_empty(), 5)
     assert got.paths == ()
     assert not got.truncated
 
@@ -502,8 +477,7 @@ def test_enumerate_cost_follows_limit_not_fan_out():
                     for _ in range(width))
             + (((z, loop),),))
     last = frozenset(range(1 + (depth - 1) * width, loop))
-    fsa = Fsa(t.universe(), loop + 1, 0, last | {0, loop}, arcs,
-              deterministic=True)
+    fsa = Fsa(loop + 1, 0, last | {0, loop}, arcs, deterministic=True)
     got = enumerate_shortest(fsa, 100)
     head = tuple(syms[i][0] for i in range(depth - 2))
     dag = [head + (syms[depth - 2][x], syms[depth - 1][y])
@@ -518,32 +492,29 @@ def test_enumerate_cost_follows_limit_not_fan_out():
 
 def test_identity_image_is_intersection_domain():
     t, a, b, c = table3()
-    u = t.universe()
-    p = fsa_union(fsa_symbol(a, u), fsa_symbol(b, u))
-    img = apply_image(fsa_symbol(a, u), fst_identity(p))
+    p = fsa_union(fsa_symbol(a), fsa_symbol(b))
+    img = apply_image(fsa_symbol(a), fst_identity(p))
     assert sorted(enumerate_shortest(img, 5).render()) == ["a"]
 
 
 def test_cross_image_full_range():
     t, a, b, c = table3()
-    u = t.universe()
-    d = fsa_symbol(a, u)
-    p = fsa_union(fsa_symbol(b, u), fsa_symbol(c, u))
-    img = apply_image(fsa_symbol(a, u), fst_cross(d, p))
+    d = fsa_symbol(a)
+    p = fsa_union(fsa_symbol(b), fsa_symbol(c))
+    img = apply_image(fsa_symbol(a), fst_cross(d, p))
     assert sorted(enumerate_shortest(img, 5).render()) == ["b", "c"]
     # No pre-path in the domain: the image is empty.
-    img2 = apply_image(fsa_symbol(b, u), fst_cross(d, p))
+    img2 = apply_image(fsa_symbol(b), fst_cross(d, p))
     assert is_empty(img2)
 
 
 def test_compose_chains_crosses():
     # (a x b) . (b x c) relates a to c.
     t, a, b, c = table3()
-    u = t.universe()
-    r1 = fst_cross(fsa_symbol(a, u), fsa_symbol(b, u))
-    r2 = fst_cross(fsa_symbol(b, u), fsa_symbol(c, u))
+    r1 = fst_cross(fsa_symbol(a), fsa_symbol(b))
+    r2 = fst_cross(fsa_symbol(b), fsa_symbol(c))
     r = fst_compose(r1, r2)
-    img = apply_image(fsa_symbol(a, u), r)
+    img = apply_image(fsa_symbol(a), r)
     assert enumerate_shortest(img, 5).render() == ["c"]
 
 
@@ -552,59 +523,53 @@ def test_compose_joint_epsilon_moves():
     # is empty on both sides, which exercises the joint-epsilon move of
     # the composition filter.
     t, a, b, c = table3()
-    u = t.universe()
-    r1 = fst_cross(fsa_symbol(a, u), fsa_unit(u))
-    r2 = fst_cross(fsa_unit(u), fsa_symbol(c, u))
+    r1 = fst_cross(fsa_symbol(a), fsa_unit())
+    r2 = fst_cross(fsa_unit(), fsa_symbol(c))
     r = fst_compose(r1, r2)
-    img = apply_image(fsa_symbol(a, u), r)
+    img = apply_image(fsa_symbol(a), r)
     assert enumerate_shortest(img, 5).render() == ["c"]
 
 
 def test_compose_mismatched_middle_is_empty():
     t, a, b, c = table3()
-    u = t.universe()
-    r1 = fst_cross(fsa_symbol(a, u), fsa_symbol(b, u))
-    r2 = fst_cross(fsa_symbol(c, u), fsa_symbol(c, u))
-    img = apply_image(fsa_symbol(a, u), fst_compose(r1, r2))
+    r1 = fst_cross(fsa_symbol(a), fsa_symbol(b))
+    r2 = fst_cross(fsa_symbol(c), fsa_symbol(c))
+    img = apply_image(fsa_symbol(a), fst_compose(r1, r2))
     assert is_empty(img)
 
 
 def test_relation_concat_pairs_componentwise():
     # (a x b)(c x a) relates ac to ba.
     t, a, b, c = table3()
-    u = t.universe()
-    r = fsa_concat(fst_cross(fsa_symbol(a, u), fsa_symbol(b, u)),
-                   fst_cross(fsa_symbol(c, u), fsa_symbol(a, u)))
-    img = apply_image(fsa_concat(fsa_symbol(a, u), fsa_symbol(c, u)), r)
+    r = fsa_concat(fst_cross(fsa_symbol(a), fsa_symbol(b)),
+                   fst_cross(fsa_symbol(c), fsa_symbol(a)))
+    img = apply_image(fsa_concat(fsa_symbol(a), fsa_symbol(c)), r)
     assert enumerate_shortest(img, 5).render() == ["b a"]
-    assert is_empty(apply_image(fsa_concat(fsa_symbol(c, u),
-                                           fsa_symbol(a, u)), r))
+    assert is_empty(apply_image(fsa_concat(fsa_symbol(c),
+                                           fsa_symbol(a)), r))
 
 
 def test_relation_star_iterates_pairs():
     # (a x b)* maps a^n to b^n.
     t, a, b, c = table3()
-    u = t.universe()
-    r = fsa_star(fst_cross(fsa_symbol(a, u), fsa_symbol(b, u)))
-    img = apply_image(fsa_concat(fsa_symbol(a, u),
-                                 fsa_concat(fsa_symbol(a, u),
-                                            fsa_symbol(a, u))), r)
+    r = fsa_star(fst_cross(fsa_symbol(a), fsa_symbol(b)))
+    img = apply_image(fsa_concat(fsa_symbol(a),
+                                 fsa_concat(fsa_symbol(a),
+                                            fsa_symbol(a))), r)
     assert enumerate_shortest(img, 5).render() == ["b b b"]
 
 
 def test_unit_relation_is_identity_on_empty_path():
     t, a, b, c = table3()
-    u = t.universe()
-    img = apply_image(fsa_unit(u), fsa_unit(u))
+    img = apply_image(fsa_unit(), fsa_unit())
     assert enumerate_shortest(img, 5).render() == [""]
-    assert is_empty(apply_image(fsa_symbol(a, u), fsa_unit(u)))
+    assert is_empty(apply_image(fsa_symbol(a), fsa_unit()))
 
 
 def test_projections():
     t, a, b, c = table3()
-    u = t.universe()
-    r = fst_cross(fsa_symbol(a, u), fsa_union(fsa_symbol(b, u),
-                                              fsa_symbol(c, u)))
+    r = fst_cross(fsa_symbol(a), fsa_union(fsa_symbol(b),
+                                              fsa_symbol(c)))
     assert enumerate_shortest(project_input(r), 5).render() == ["a"]
     assert sorted(enumerate_shortest(project_output(r), 5).render()) == \
         ["b", "c"]
@@ -612,15 +577,14 @@ def test_projections():
 
 def test_build_fst_tree():
     t, a, b, c = table3()
-    u = t.universe()
     r = build_fst(("union",
-                   ("identity", fsa_symbol(a, u)),
+                   ("identity", fsa_symbol(a)),
                    ("compose",
-                    ("cross", fsa_symbol(b, u), fsa_symbol(a, u)),
-                    ("cross", fsa_symbol(a, u), fsa_symbol(c, u)))))
-    assert enumerate_shortest(apply_image(fsa_symbol(a, u), r), 5).render() \
+                    ("cross", fsa_symbol(b), fsa_symbol(a)),
+                    ("cross", fsa_symbol(a), fsa_symbol(c)))))
+    assert enumerate_shortest(apply_image(fsa_symbol(a), r), 5).render() \
         == ["a"]
-    assert enumerate_shortest(apply_image(fsa_symbol(b, u), r), 5).render() \
+    assert enumerate_shortest(apply_image(fsa_symbol(b), r), 5).render() \
         == ["c"]
 
 
@@ -630,9 +594,8 @@ def test_build_fst_tree():
 
 def test_determinize_preserves_language_and_flags():
     t, a, b, c = table3()
-    u = t.universe()
-    n = fsa_union(fsa_concat(fsa_symbol(a, u), fsa_symbol(b, u)),
-                  fsa_concat(fsa_symbol(a, u), fsa_symbol(c, u)))
+    n = fsa_union(fsa_concat(fsa_symbol(a), fsa_symbol(b)),
+                  fsa_concat(fsa_symbol(a), fsa_symbol(c)))
     d = determinize(n)
     assert d.deterministic
     seen = set()
@@ -646,11 +609,10 @@ def test_determinize_preserves_language_and_flags():
 
 def test_minimize_collapses_redundant_states():
     t, a, b, c = table3()
-    u = t.universe()
     # (ab)|(ac) built naively has duplicated suffix structure.
-    n = fsa_union(fsa_concat(fsa_symbol(a, u), fsa_symbol(b, u)),
-                  fsa_union(fsa_concat(fsa_symbol(a, u), fsa_symbol(b, u)),
-                            fsa_concat(fsa_symbol(a, u), fsa_symbol(b, u))))
+    n = fsa_union(fsa_concat(fsa_symbol(a), fsa_symbol(b)),
+                  fsa_union(fsa_concat(fsa_symbol(a), fsa_symbol(b)),
+                            fsa_concat(fsa_symbol(a), fsa_symbol(b))))
     m = minimize(n)
     assert m.num_states == 3
     assert fsa_equivalent(m, n)
@@ -659,7 +621,7 @@ def test_minimize_collapses_redundant_states():
 def test_minimize_memoizes_on_the_input_and_the_result():
     t, a, b, c = table3()
     u = t.universe()
-    n = fsa_union(fsa_star(fsa_symbol(a, u)), fsa_symbol(a, u))
+    n = fsa_union(fsa_star(fsa_symbol(a)), fsa_symbol(a))
     m = minimize(n)
     assert minimize(n) is m and minimize(m) is m
     assert fsa_equivalent(m, n)
@@ -669,8 +631,7 @@ def test_minimize_memoizes_on_the_input_and_the_result():
 
 def test_determinize_memoizes_on_the_input():
     t, a, b, c = table3()
-    u = t.universe()
-    n = fsa_union(fsa_symbol(a, u), fsa_symbol(a, u))
+    n = fsa_union(fsa_symbol(a), fsa_symbol(a))
     assert determinize(n) is determinize(n)
 
 
@@ -678,8 +639,7 @@ def test_pickling_drops_derived_caches():
     import pickle
 
     t, a, b, c = table3()
-    u = t.universe()
-    n = fsa_union(fsa_symbol(a, u), fsa_symbol(b, u))
+    n = fsa_union(fsa_symbol(a), fsa_symbol(b))
     determinize(n)
     fsa_intersect(n, n)
     minimize(n)
@@ -835,7 +795,8 @@ class TestSubstitute:
                                                  ("sym", b))), t.universe())
         out = substitute(base, {marker: inner})
         assert self.lang_of(out) == {(a, b, c), (a, b, b, c)}
-        assert marker not in out.alphabet
+        assert all(label != marker for state_arcs in out.arcs
+                   for label, _ in state_arcs)
 
     def test_unmapped_arcs_untouched(self):
         t, a, b, c = table3()
@@ -848,12 +809,20 @@ class TestSubstitute:
         base = build_fsa(("sym", a), t.universe())
         assert substitute(base, {}) is base
 
+    def test_machine_without_marker_arcs_is_returned_as_is(self):
+        t, a, b, c = table3()
+        marker = t.fresh_marker()
+        base = build_fsa(("concat", ("sym", a), ("star", ("sym", b))),
+                         t.universe())
+        assert substitute(base, {marker: build_fsa(("sym", c),
+                                                   t.universe())}) is base
+
     def test_substitution_by_empty_language_kills_paths(self):
         t, a, b, c = table3()
         marker = t.fresh_marker()
         base = build_fsa(("union", ("sym", a), ("sym", marker)),
                          t.universe())
-        out = substitute(base, {marker: fsa_empty(t.universe())})
+        out = substitute(base, {marker: fsa_empty()})
         assert self.lang_of(out) == {(a,)}
 
     def test_repeated_marker_arcs(self):

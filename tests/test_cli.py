@@ -194,6 +194,21 @@ class TestLargeSpecs:
         assert doc["per_subspec"] == {"main/#2": 1}
 
 
+    @pytest.mark.xfail(strict=True, reason="hashing and evaluating a rir "
+                       "node recurse once per nesting level; a chain of "
+                       "250 definitions overflows the stack")
+    def test_long_definition_chain(self, tmp_path, capsys):
+        # Each definition nests the one before it a level deeper, so the
+        # zone is a tree 250 levels deep that the parser built without
+        # recursion.
+        defs = ["regex r0 := x1"] + [f"regex r{i} := (r{i - 1} | a1) a2*"
+                                     for i in range(1, 250)]
+        spec_text = "\n".join(defs + [
+            "spec main := { r249 : preserve; } else { .* : preserve; }"])
+        argv = write_world(tmp_path, PASSING, spec_text=spec_text + "\n")
+        assert main(argv + ["--workers", "1"]) != 3
+
+
 class TestLongBooleanChains:
     """`and`/`or` chains are flat, so their length is not a nesting depth."""
 

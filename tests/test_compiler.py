@@ -58,11 +58,10 @@ class TestLowerRegex:
             rir.Union(sym(index, "a"), rir.One())
 
     def test_plus_compiles_like_its_expansion(self, index):
-        empty = fsa_empty(index.universe)
-        env = rir.SnapshotPair(empty, empty)
+        empty = fsa_empty()
         plus = compiled_for(index, "a+ : preserve").subspecs[0].zone
         spelled = compiled_for(index, "a a* : preserve").subspecs[0].zone
-        ev = rir.Evaluator(env)
+        ev = rir.Evaluator(empty, empty)
         assert fsa_equivalent(ev.pathset(plus), ev.pathset(spelled))
 
 
@@ -315,7 +314,7 @@ def test_constructors_preserve_languages_randomized():
         gen = TreeGen(rng, symbols, env_ml)
         p = gen.pathset(2)
         r = gen.rel(3)
-        ev = rir.Evaluator(env)
+        ev = rir.Evaluator(env.pre, env.post)
         plain = ev.pathset(rir.Image(p, r))
         slim = ev.pathset(rir.Image(rebuild(p), rebuild(r)))
         assert fsa_equivalent(plain, slim)

@@ -6,7 +6,9 @@ be reachable from a root: a name exported in `rela.__all__`, a name the
 outside a definition.  A definition reaches every name its own body
 reads, so two definitions that only name each other are both unused.
 Code only the tests need lives in `tests/`.  Likewise every `rela.rir`
-node class must be constructed by some call in `src/rela`.
+node class must be constructed by some call in `src/rela`, and every
+parameter of a function, method or lambda there must be read in its
+body.
 """
 
 from __future__ import annotations
@@ -82,3 +84,40 @@ def test_every_node_kind_is_built_outside_the_tests():
     # A node kind only the tests build is one the evaluator, the
     # renderer and the oracle carry for nothing.
     assert unbuilt_node_kinds() == []
+
+
+# Parameters kept unread on purpose, each with the caller that needs it.
+UNREAD_PARAMETERS = {
+    # bench/traced.py calls it with five arguments
+    "checker._process_item(options)",
+    # its public signature is in the README's library example
+    "snapshot.parse_fec(index)",
+}
+
+
+def unread_parameters() -> set[str]:
+    """Parameters of definitions in `src/rela` that their body never
+    reads; a method's `self` or `cls` is fixed by the protocol."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            a = f.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args,
+                                      *a.kwonlyargs, a.vararg, a.kwarg)
+                      if x is not None and x.arg not in ("self", "cls")]
+            body = f.body if isinstance(f.body, list) else [f.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            name = getattr(f, "name", "<lambda>")
+            out.update(f"{path.stem}.{name}({p})" for p in params
+                       if p not in read)
+    return out
+
+
+def test_every_parameter_is_read():
+    # A parameter nothing reads is plumbing that outlived its use.
+    assert unread_parameters() == UNREAD_PARAMETERS

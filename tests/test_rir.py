@@ -8,7 +8,7 @@ import pytest
 
 from _oracle import OracleEnv, oracle_eval_pathset
 from _treegen import (
-    TreeGen, bounded_language, fsa_from_paths, is_empty, make_env,
+    Env, TreeGen, bounded_language, fsa_from_paths, is_empty, make_env,
 )
 from rela.automata import (
     SymbolTable, accepts, apply_image, enumerate_shortest, fsa_equivalent,
@@ -16,14 +16,13 @@ from rela.automata import (
 )
 from rela.rir import (
     Compose, Concat, Cross, Difference, Equal, Evaluator, Identity, Image,
-    Intersect, One, PostState, PreState, SnapshotPair, Star, SymSet, Union,
-    Zero, pretty,
+    Intersect, One, PostState, PreState, Star, SymSet, Union, Zero, pretty,
 )
 
 
 def eval_pathset(p, env, ground_cache=None):
     """Evaluate one expression with a fresh `Evaluator`."""
-    return Evaluator(env, ground_cache).pathset(p)
+    return Evaluator(env.pre, env.post, ground_cache).pathset(p)
 
 
 def sym(s):
@@ -37,7 +36,7 @@ def small_world():
     u = t.universe()
     pre = frozenset({(a,), (a, b)})
     post = frozenset({(a,), (b, c)})
-    env = SnapshotPair(fsa_from_paths(pre, u), fsa_from_paths(post, u))
+    env = Env(fsa_from_paths(pre), fsa_from_paths(post), u)
     oenv = OracleEnv(pre, post, tuple(sorted(u)))
     return t, (a, b, c), env, oenv
 
@@ -160,8 +159,8 @@ def test_ground_cache_shared_across_envs():
     cache: dict = {}
     expr = Star(Union(sym(a), sym(b)))
     first = eval_pathset(expr, env, cache)
-    pre2 = fsa_from_paths(frozenset({(c,)}), env.universe)
-    env2 = SnapshotPair(pre2, pre2)
+    pre2 = fsa_from_paths(frozenset({(c,)}))
+    env2 = Env(pre2, pre2, env.universe)
     second = eval_pathset(expr, env2, cache)
     assert first is second
 
@@ -193,7 +192,7 @@ def test_ground_relation_union_keeps_its_image(shape):
     else:
         rel = Union(One(), Concat(Identity(sym(a)), swap))
         source, want = Union(One(), Concat(sym(a), sym(b))), {"", "a c"}
-    ev = Evaluator(env)
+    ev = Evaluator(env.pre, env.post)
     assert paths_of(apply_image(ev.pathset(source), ev.pathset(rel))) == want
     assert paths_of(ev.pathset(Image(source, rel))) == want
 
@@ -224,21 +223,10 @@ def test_snapshot_expressions_not_ground():
 
 def test_structurally_equal_subtrees_evaluate_once():
     t, (a, b, c), env, _ = small_world()
-    ev = Evaluator(env)
+    ev = Evaluator(env.pre, env.post)
     e1 = Union(sym(a), sym(b))
     e2 = Union(sym(a), sym(b))
     assert ev.pathset(e1) is ev.pathset(e2)
-
-
-def test_snapshot_pair_rejects_mismatched_universes():
-    t = SymbolTable()
-    a = t.location("a")
-    u1 = t.universe()
-    b = t.location("b")
-    u2 = t.universe()
-    with pytest.raises(ValueError):
-        SnapshotPair(fsa_from_paths(frozenset({(a,)}), u1),
-                     fsa_from_paths(frozenset({(b,)}), u2))
 
 
 # ---------------------------------------------------------------------------

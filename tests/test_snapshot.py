@@ -419,8 +419,9 @@ class TestUnchangedFec:
 
 
 def test_acceptors_read_only_universe_symbols():
-    # rir.SnapshotPair relies on this instead of scanning every arc for
-    # marker symbols: graph_to_fsa labels arcs with locations and drop.
+    # rir.Evaluator takes snapshot acceptors to carry no marker symbols
+    # and nothing checks that at run time: graph_to_fsa labels arcs with
+    # locations and drop alone.
     rng = random.Random(11)
     index = make_index(30, ports=2)
     devices = [f"d{i:04d}" for i in range(30)]
