@@ -12,9 +12,7 @@ its input when nothing changes.
 Intersection, difference, equivalence and `intersects` are clients of
 one walk over pairs of determinized states, `_product`; it builds the
 product or, for a yes/no question, stops at the first pair that decides
-it, and then a side may be a `Meet`: an intersection it never builds.
-`fsa_equivalent` needs no walk when both sides are one machine, or
-`Meet`s of the same two machines, by identity.
+it.  `fst_compose` likewise walks only the reachable pairs of states.
 `fst_identity`, `fst_cross` and `project_output` relabel via `_relabel`.
 
 Symbols are interned through a `SymbolTable`.  Three kinds exist:
@@ -34,7 +32,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 EPSILON = None  # transition-label value for the empty move
 
@@ -454,53 +452,7 @@ def _refine(d: Fsa) -> Fsa:
 _DEAD = -1  # the implicit rejecting sink of a partial DFA
 
 
-class Meet(NamedTuple):
-    """L(left) and L(right), walked by `_product` as state pairs unbuilt;
-    left's moves are looked up in right's, so put the smaller fan-out left.
-    Its size is left's: the walk moves, and stops, as left does."""
-
-    left: Fsa
-    right: Fsa
-    num_states = property(lambda m: m.left.num_states)
-
-
-def _walkable(m):
-    """(initial state, maps, accepting states, filter) of a side."""
-    if isinstance(m, Meet):
-        left, right = determinize(m.left), determinize(m.right)
-        return ((left.initial, right.initial), _state_maps(left),
-                left.accepting, (_state_maps(right), right.accepting))
-    d = determinize(m)
-    return d.initial, _state_maps(d), d.accepting, None
-
-
-def _at(q, maps, accepting, filter_):
-    """(symbol map, filter map or None, accepts) of one side's state q."""
-    if q == _DEAD:
-        return {}, None, False
-    if filter_ is None:
-        return maps[q], None, q in accepting
-    fmaps, faccepting = filter_
-    return maps[q[0]], fmaps[q[1]], q[0] in accepting and q[1] in faccepting
-
-
-def _filtered(moves, xf, yf) -> list:
-    """`moves` with each filtered side's target paired with its filter's,
-    or dead where the filter has no arc; moves killing both sides go."""
-    out = []
-    for label, (tx, ty) in moves:
-        if xf is not None and tx != _DEAD:
-            f = xf.get(label)
-            tx = _DEAD if f is None else (tx, f)
-        if yf is not None and ty != _DEAD:
-            f = yf.get(label)
-            ty = _DEAD if f is None else (ty, f)
-        if tx != _DEAD or ty != _DEAD:
-            out.append((label, (tx, ty)))
-    return out
-
-
-def _product(x, y, follow: str, accept, build: bool = True):
+def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
     """Walk the reachable pairs of states of the determinized operands.
 
     `follow` picks the symbols a pair moves on: ``"both"`` (symbols both
@@ -512,14 +464,13 @@ def _product(x, y, follow: str, accept, build: bool = True):
     complete machine over many symbols stays proportional to the smaller
     one.  A pair accepts when ``accept(x_accepts, y_accepts)``.
 
-    With `build` the walk returns the product of two `Fsa`s as a
-    deterministic `Fsa`; without it, whether an accepting pair is
-    reachable, stopping at the first one.  Then an operand may be a
-    `Meet`, which moves as its left operand does, paired by `_filtered`.
+    With `build` the walk returns the product as a deterministic `Fsa`;
+    without it, whether an accepting pair is reachable, stopping at the
+    first one.
     """
-    xstart, xmaps, xacc, xfilter = _walkable(x)
-    ystart, ymaps, yacc, yfilter = _walkable(y)
-    start = (xstart, ystart)
+    x, y = determinize(x), determinize(y)
+    xmaps, ymaps = _state_maps(x), _state_maps(y)
+    start = (x.initial, y.initial)
     index = {start: 0}
     work = deque([start])
     b = _Builder()
@@ -528,12 +479,12 @@ def _product(x, y, follow: str, accept, build: bool = True):
     while work:
         qx, qy = pair = work.popleft()
         sid = index[pair]
-        xmap, xf, ax = _at(qx, xmaps, xacc, xfilter)
-        ymap, yf, ay = _at(qy, ymaps, yacc, yfilter)
-        if accept(ax, ay):
+        if accept(qx in x.accepting, qy in y.accepting):
             if not build:
                 return True
             accepting.add(sid)
+        xmap = {} if qx == _DEAD else xmaps[qx]
+        ymap = {} if qy == _DEAD else ymaps[qy]
         if follow == "both":
             if len(xmap) <= len(ymap):
                 moves = [(label, (dst, ymap[label]))
@@ -547,8 +498,6 @@ def _product(x, y, follow: str, accept, build: bool = True):
             if follow == "either":
                 moves += [(label, (_DEAD, dst))
                           for label, dst in ymap.items() if label not in xmap]
-        if xf is not None or yf is not None:
-            moves = _filtered(moves, xf, yf)
         for label, target in moves:
             tid = index.get(target)
             if tid is None:
@@ -580,12 +529,7 @@ def fsa_difference(x: Fsa, y: Fsa) -> Fsa:
 
 
 def fsa_equivalent(x: Fsa, y: Fsa) -> bool:
-    """Language equality: no reachable pair where exactly one side accepts.
-    The same machine, or `Meet`s of the same two machines, is equal to
-    itself without a walk; the test is by identity and reads no arcs."""
-    if x is y or (isinstance(x, Meet) and isinstance(y, Meet)
-                  and x.left is y.left and x.right is y.right):
-        return True
+    """Language equality: no reachable pair where exactly one side accepts."""
     return not _product(x, y, "either", operator.ne, build=False)
 
 
@@ -734,14 +678,15 @@ _STILL = (EPSILON, EPSILON)  # the tapes of a joint-epsilon (None) label
 
 
 def fst_compose(x: Fsa, y: Fsa) -> Fsa:
-    """Relation composition with the standard three-mode epsilon filter.
+    """Relation composition over the reachable pairs of states.
 
-    The filter admits exactly one interleaving of the moves where x emits
-    epsilon (x advances alone) and the moves where y reads epsilon
-    (y advances alone); pairs of such moves may also be taken jointly
-    from mode 0.  A ``None`` label is read as a move on neither tape.
-    Language-level correctness is the contract here; path multiplicity
-    is not preserved.
+    A pair moves jointly where x writes the symbol y reads; x moves alone
+    on an arc that writes epsilon, and y alone on an arc that reads
+    epsilon, so every interleaving of those moves is kept.  A ``None``
+    label is read as a move on neither tape.  The result has at most
+    ``x.num_states * y.num_states`` states.  Rela's relations are
+    unweighted, so the language is the contract: how many paths relate
+    two strings is not preserved.
     """
     # Index y's arcs by input label once per state.
     y_by_in: list[dict] = []
@@ -752,7 +697,7 @@ def fst_compose(x: Fsa, y: Fsa) -> Fsa:
             m.setdefault(yin, []).append((yout, dst))
         y_by_in.append(m)
 
-    start = (x.initial, y.initial, 0)
+    start = (x.initial, y.initial)
     index = {start: 0}
     b = _Builder()
     b.state()
@@ -772,25 +717,20 @@ def fst_compose(x: Fsa, y: Fsa) -> Fsa:
             b.arc(sid, (xin, yout), tid)
 
     while work:
-        qx, qy, mode = state = work.popleft()
-        sid = index[state]
+        qx, qy = pair = work.popleft()
+        sid = index[pair]
         if qx in x.accepting and qy in y.accepting:
             accepting.add(sid)
         ymap = y_by_in[qy]
         for label, dx in x.arcs[qx]:
             xin, xout = _STILL if label is EPSILON else label
             if xout is EPSILON:
-                if mode != 2:
-                    push(sid, xin, EPSILON, (dx, qy, 1))
-                if mode == 0:
-                    for yout, dy in ymap.get(EPSILON, ()):
-                        push(sid, xin, yout, (dx, dy, 0))
+                push(sid, xin, EPSILON, (dx, qy))
             else:
                 for yout, dy in ymap.get(xout, ()):
-                    push(sid, xin, yout, (dx, dy, 0))
-        if mode != 1:
-            for yout, dy in ymap.get(EPSILON, ()):
-                push(sid, EPSILON, yout, (qx, dy, 2))
+                    push(sid, xin, yout, (dx, dy))
+        for yout, dy in ymap.get(EPSILON, ()):
+            push(sid, EPSILON, yout, (qx, dy))
     return Fsa(len(b.arcs), 0, frozenset(accepting), b.frozen_arcs())
 
 

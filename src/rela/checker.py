@@ -2,10 +2,9 @@
 
 `check_fec` is the one place a FEC is judged.  It checks and lowers both
 forwarding graphs and decides image(pre, Rpre) == image(post, Rpost) by
-automaton equivalence; two identity images (pre n Z, post n Z') are
-compared in one lazy walk and never built.  An unchanged FEC has one
-acceptor for both sides, so when the two zones are one object too, the
-two `Meet`s are over the same machines and `fsa_equivalent` answers
+automaton equivalence; two identity images are the intersections
+pre n Z and post n Z'.  An unchanged FEC has one acceptor for both
+sides, so when the two zones are one object too, the sides agree
 without a walk; a spec whose relations differ still walks.  A failure
 is explained from built images: the arms are replayed in priority order
 to find the one to blame, and the shortest paths on which the sides
@@ -25,8 +24,8 @@ from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from . import rir
-from .automata import (Meet, PathList, enumerate_shortest, fsa_difference,
-                       fsa_equivalent, intersects, substitute)
+from .automata import (PathList, enumerate_shortest, fsa_difference,
+                       fsa_equivalent, fsa_intersect, intersects, substitute)
 from .compiler import CompiledProgram, CompiledSpec
 from .frontend import LocationIndex, match_predicate
 from .snapshot import (Fec, FecError, SnapshotError, TrafficClass,
@@ -152,15 +151,20 @@ def check_fec(c: CompiledSpec, f: Fec, index: LocationIndex,
 
 def _agree(ev: rir.Evaluator, left: rir.Image, right: rir.Image) -> bool:
     """Whether the pre-change image `left` equals the post-change `right`.
-    img(S, I(Z)) is S n Z, so two identity images are compared as `Meet`s
-    in one walk that builds neither; other images are built first.  A
-    zone both sides share as one object is looked up once."""
+    img(S, I(Z)) is S n Z, so two identity images are the intersections
+    of each snapshot with its zone; they are equal without a walk when
+    the snapshots and the zones are one object each, as for an unchanged
+    FEC under a shared zone.  A zone both sides share as one object is
+    looked up once.  Other images are built by the evaluator."""
     rpre, rpost = left.rel, right.rel
     if isinstance(rpre, rir.Identity) and isinstance(rpost, rir.Identity):
         zone = ev.pathset(rpre.source)
         other = (zone if rpost.source is rpre.source
                  else ev.pathset(rpost.source))
-        return fsa_equivalent(Meet(ev.pre, zone), Meet(ev.post, other))
+        if ev.pre is ev.post and zone is other:
+            return True
+        return fsa_equivalent(fsa_intersect(ev.pre, zone),
+                              fsa_intersect(ev.post, other))
     return fsa_equivalent(ev.pathset(left), ev.pathset(right))
 
 

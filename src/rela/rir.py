@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import (
-    Fsa, Symbol, accepts, apply_image, fsa_concat, fsa_difference,
-    fsa_empty, fsa_intersect, fsa_star, fsa_symbol_class, fsa_union,
-    fsa_unit, fst_compose, fst_cross, fst_identity, intersects, minimize,
+    Fsa, Symbol, apply_image, fsa_concat, fsa_difference, fsa_empty,
+    fsa_intersect, fsa_star, fsa_symbol_class, fsa_union, fsa_unit,
+    fst_compose, fst_cross, fst_identity, intersects, minimize,
 )
 
 
@@ -385,7 +385,8 @@ class Evaluator:
             img(P, R . S)   = img(img(P, R), S)       (Compose)
 
         Concatenation and star would need P split at unknown points, so
-        they (and only they) fall back to transducer application.
+        they fall back to transducer application, as do `Zero` and `One`,
+        whose transducers have one state.
         """
         if isinstance(r, Identity):
             return fsa_intersect(source, self.pathset(r.source))
@@ -393,12 +394,6 @@ class Evaluator:
             if not intersects(source, self.pathset(r.left)):
                 return fsa_empty()
             return self.pathset(r.right)
-        if isinstance(r, Zero):
-            return fsa_empty()
-        if isinstance(r, One):
-            if accepts(source, ()):
-                return fsa_unit()
-            return fsa_empty()
         if isinstance(r, Union):
             return fsa_union(self._image(source, r.left),
                              self._image(source, r.right))

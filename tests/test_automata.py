@@ -14,11 +14,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import rela.automata
 from _treegen import is_empty
 from rela.automata import (
     substitute,
-    Fsa, Meet, PathList, Symbol, SymbolTable, accepts,
+    Fsa, PathList, Symbol, SymbolTable, accepts,
     apply_image, determinize, enumerate_shortest, fsa_concat,
     fsa_difference, fsa_empty, fsa_equivalent, fsa_intersect, fsa_star,
     fsa_symbol, fsa_symbol_class, fsa_union, fsa_unit, fst_compose,
@@ -274,54 +273,11 @@ def test_equivalence_walks_through_the_dead_state_on_both_sides():
 
 
 # ---------------------------------------------------------------------------
-# Lazy meets: an intersection the product walk never builds
+# Equations of intersections: pre n z1 against post n z2
 
 
 def built_decision(pre, z1, post, z2) -> bool:
     return fsa_equivalent(fsa_intersect(pre, z1), fsa_intersect(post, z2))
-
-
-def lazy_decision(pre, z1, post, z2) -> bool:
-    return fsa_equivalent(Meet(pre, z1), Meet(post, z2))
-
-
-def random_tree(rng, syms, depth=3):
-    if depth == 0 or rng.random() < 0.25:
-        return rng.choice([("sym", s) for s in syms] + [("empty",), ("unit",)])
-    op = rng.choice(["union", "union", "concat", "concat", "star",
-                     "intersect", "complement"])
-    if op in ("star", "complement"):
-        return (op, random_tree(rng, syms, depth - 1))
-    return (op, random_tree(rng, syms, depth - 1),
-            random_tree(rng, syms, depth - 1))
-
-
-def random_zone(rng, syms):
-    """A nondeterministic zone: epsilon arcs from `fsa_union`/`fsa_star`."""
-    return ("union", random_tree(rng, syms, 2),
-            ("star", random_tree(rng, syms, 2)))
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_meet_walk_decides_like_built_images(seed):
-    t, a, b, c = table3()
-    u = t.universe()
-    rng = random.Random(seed)
-    outcomes = set()
-    for _ in range(60):
-        pre = build_fsa(random_tree(rng, (a, b, c)), u)
-        post = (pre if rng.random() < 0.3
-                else build_fsa(random_tree(rng, (a, b, c)), u))
-        z1 = build_fsa(random_zone(rng, (a, b, c)), u)
-        z2 = (z1 if rng.random() < 0.5
-              else build_fsa(random_zone(rng, (a, b, c)), u))
-        want = built_decision(pre, z1, post, z2)
-        assert lazy_decision(pre, z1, post, z2) == want
-        assert lazy_decision(post, z2, pre, z1) == want
-        assert intersects(Meet(pre, z1), post) == \
-            intersects(fsa_intersect(pre, z1), post)
-        outcomes.add(want)
-    assert outcomes == {True, False}
 
 
 def test_meet_walk_edge_languages():
@@ -354,53 +310,7 @@ def test_meet_walk_edge_languages():
     ]
     for pre, z1, post, z2, holds in cases:
         assert built_decision(pre, z1, post, z2) == holds
-        assert lazy_decision(pre, z1, post, z2) == holds
-        assert lazy_decision(post, z2, pre, z1) == holds
-
-
-def test_equivalence_of_one_machine_needs_no_walk(monkeypatch):
-    # the same machine, or meets of the same two machines, by identity
-    t, a, b, c = table3()
-    x = fsa_star(fsa_union(fsa_symbol(a), fsa_symbol(b)))
-    z = fsa_concat(fsa_symbol(a), fsa_star(fsa_symbol(b)))
-
-    def no_walk(*args, **kwargs):
-        raise AssertionError("walked")
-
-    monkeypatch.setattr(rela.automata, "_product", no_walk)
-    assert fsa_equivalent(x, x)
-    assert fsa_equivalent(Meet(x, z), Meet(x, z))
-
-
-def test_meets_of_equal_languages_still_walk(monkeypatch):
-    t, a, b, c = table3()
-
-    def a_bs():
-        return fsa_concat(fsa_symbol(a), fsa_star(fsa_symbol(b)))
-
-    walks = []
-    walk = rela.automata._product
-
-    def counted(*args, **kwargs):
-        walks.append(args[2])
-        return walk(*args, **kwargs)
-
-    monkeypatch.setattr(rela.automata, "_product", counted)
-    x, y, z = a_bs(), a_bs(), fsa_star(fsa_symbol(b))
-    ab = fsa_concat(fsa_symbol(a), fsa_symbol(b))
-    assert fsa_equivalent(Meet(x, ab), Meet(y, ab))
-    assert fsa_equivalent(Meet(x, a_bs()), Meet(x, a_bs()))
-    assert not fsa_equivalent(Meet(x, ab), Meet(x, a_bs()))
-    # the same two machines in the other order are not the same meet
-    assert fsa_equivalent(Meet(x, z), Meet(z, x))
-    assert walks == ["either"] * 4
-
-
-def test_meet_counts_left_operand_states():
-    t, a, b, c = table3()
-    x, y = fsa_symbol(a), fsa_star(fsa_symbol(b))
-    assert Meet(x, y).num_states == x.num_states
-    assert Meet(y, x).num_states == y.num_states
+        assert built_decision(post, z2, pre, z1) == holds
 
 
 def test_intersect_with_complement_of_unit():
@@ -520,14 +430,71 @@ def test_compose_chains_crosses():
 
 def test_compose_joint_epsilon_moves():
     # (a x unit) . (unit x c) must still relate a to c: the middle tape
-    # is empty on both sides, which exercises the joint-epsilon move of
-    # the composition filter.
+    # is empty on both sides, so the first relation's epsilon-output move
+    # and the second's epsilon-input move are taken one after the other.
     t, a, b, c = table3()
     r1 = fst_cross(fsa_symbol(a), fsa_unit())
     r2 = fst_cross(fsa_unit(), fsa_symbol(c))
     r = fst_compose(r1, r2)
     img = apply_image(fsa_symbol(a), r)
     assert enumerate_shortest(img, 5).render() == ["c"]
+
+
+def random_transducer(rng, syms, states):
+    """A seeded acyclic transducer, so its relation is finite.  Arcs run
+    from lower to higher states with ``(i, o)``, ``(i, None)``,
+    ``(None, o)`` and bare ``None`` labels."""
+    arcs = []
+    for q in range(states - 1):
+        state_arcs = []
+        for _ in range(rng.randint(1, 3)):
+            i, o = rng.choice(syms), rng.choice(syms)
+            label = rng.choice([(i, o), (i, None), (None, o), None])
+            state_arcs.append((label, rng.randrange(q + 1, states)))
+        arcs.append(tuple(state_arcs))
+    arcs.append(())
+    accepting = {q for q in range(states) if rng.random() < 0.4}
+    return Fsa(states, 0, frozenset(accepting | {states - 1}), tuple(arcs))
+
+
+def relation_pairs(t: Fsa) -> set:
+    """Every (input, output) pair of an acyclic transducer, path by path."""
+    pairs = set()
+    stack = [(t.initial, (), ())]
+    while stack:
+        q, ins, outs = stack.pop()
+        if q in t.accepting:
+            pairs.add((ins, outs))
+        for label, dst in t.arcs[q]:
+            i, o = (None, None) if label is None else label
+            stack.append((dst, ins + (i,) * (i is not None),
+                          outs + (o,) * (o is not None)))
+    return pairs
+
+
+def word(path) -> Fsa:
+    out = fsa_unit()
+    for sym in path:
+        out = fsa_concat(out, fsa_symbol(sym))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compose_walks_pairs_of_states_and_keeps_the_relation(seed):
+    # Half the arc kinds move one tape only, so many interleavings of
+    # one-sided moves reach each pair of states.
+    t, a, b, c = table3()
+    rng = random.Random(seed)
+    for _ in range(50):
+        x = random_transducer(rng, (a, b), rng.randint(2, 5))
+        y = random_transducer(rng, (a, b), rng.randint(2, 5))
+        r = fst_compose(x, y)
+        assert r.num_states <= x.num_states * y.num_states
+        xy, yz = relation_pairs(x), relation_pairs(y)
+        for w in all_strings((a, b), 3):
+            want = {z for i, m in xy if i == w for n, z in yz if n == m}
+            got = enumerate_shortest(apply_image(word(w), r), len(want) + 1)
+            assert not got.truncated and set(got.paths) == want
 
 
 def test_compose_mismatched_middle_is_empty():

@@ -88,9 +88,10 @@ def test_tracing_overhead_stays_in_bound_on_else_chain(tmp_path):
 
 
 def test_tracing_overhead_stays_in_bound_on_preserve_scale(tmp_path):
-    # Preserve-scale decides each FEC in one lazy walk, so its per-FEC
-    # step is the next cheapest.  The lowest of three readings keeps a
-    # load spike from failing the test; a lasting breach still fails it.
+    # Preserve-scale passes each unchanged FEC without a walk, so its
+    # per-FEC step is the next cheapest.  The lowest of three readings
+    # keeps a load spike from failing the test; a lasting breach still
+    # fails it.
     corpus.write_corpus("preserve-scale", 1, str(tmp_path), 0.5)
     _, index, program, fecs = traced.load_stage(str(tmp_path),
                                                 traced.Tracer())

@@ -8,15 +8,16 @@ from dataclasses import replace
 
 import pytest
 
+import rela.automata
 import rela.checker
 from _fecgen import make_index as make_device_index
 from _fecgen import mutate_one_edge, random_fec_dict
 from rela import rir
 from rela.automata import fsa_equivalent
 from rela.checker import (
-    CheckOptions, FAIL, PASS, StrictInputError, check_all, check_fec,
-    counterexample_to_json_dict, report_to_json, report_to_json_dict,
-    report_to_text, select_spec,
+    CheckOptions, FAIL, PASS, FecVerdict, StrictInputError, check_all,
+    check_fec, counterexample_to_json_dict, report_to_json,
+    report_to_json_dict, report_to_text, select_spec,
 )
 from rela.compiler import compile_program
 from rela.frontend import Granularity, LocationDb, parse_program
@@ -217,6 +218,31 @@ class TestUnchangedFec:
         assert got["missing"] == self.paths(*missing)
         assert got["unexpected"] == self.paths(*unexpected)
 
+    def test_preserve_chain_passes_it_without_a_walk(self, monkeypatch):
+        # Both sides are one acceptor and both zones one cached machine,
+        # so the equation holds by identity; a changed FEC still walks.
+        index = make_device_index(12)
+        spec = compile_text(index, TestLazyDecision.SPECS["preserve"]).default
+        route = ("d0000", "d0001", "d0003")
+        same = make_fec(index, "f", route, route)
+        moved = make_fec(index, "g", route, ("d0000", "d0002", "d0003"))
+        cache = {}
+        check_fec(spec, same, index, cache)  # the zones, once per run
+        walks = []
+        walk = rela.automata._product
+
+        def counted(*args, **kwargs):
+            walks.append(args[2])
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(rela.automata, "_product", counted)
+        assert check_fec(spec, same, index, cache) == \
+            (FecVerdict("f", PASS, "s"), None)
+        assert walks == []
+        verdict, cx = check_fec(spec, moved, index, cache)
+        assert verdict.status == FAIL and cx.violated_subspec == "#1"
+        assert "either" in walks
+
     def test_shared_graphs_pickle_small(self):
         # the pool pickles each Fec; a shared graph goes once
         index = make_device_index(50)
@@ -230,11 +256,13 @@ class TestUnchangedFec:
 
 
 class TestLazyDecision:
-    """Identity-only equations are decided without building the images.
+    """Identity-only equations are decided by `_agree` as intersections of
+    each snapshot with its zone, not through the evaluator's images.
 
     Each verdict and counterexample must be the one built images give.
     `remove` compiles to two different identities, and the chained specs
-    have identity arms, so the arm replay of `_explain` walks lazily too.
+    have identity arms, so the arm replay of `_explain` takes that path
+    too.
     """
 
     SPECS = {

@@ -194,19 +194,35 @@ class TestLargeSpecs:
         assert doc["per_subspec"] == {"main/#2": 1}
 
 
+    @staticmethod
+    def definition_chain(count):
+        # Each definition nests the one before it a level deeper, so the
+        # zone is a tree `count` levels deep that the parser built
+        # without recursion.
+        last = f"r{count - 1}"
+        defs = ["regex r0 := x1"] + [f"regex r{i} := (r{i - 1} | a1) a2*"
+                                     for i in range(1, count)]
+        return "\n".join(defs + [
+            f"spec main := {{ {last} : preserve; }} else {{ .* : preserve; }}",
+            ""])
+
     @pytest.mark.xfail(strict=True, reason="hashing and evaluating a rir "
                        "node recurse once per nesting level; a chain of "
                        "250 definitions overflows the stack")
     def test_long_definition_chain(self, tmp_path, capsys):
-        # Each definition nests the one before it a level deeper, so the
-        # zone is a tree 250 levels deep that the parser built without
-        # recursion.
-        defs = ["regex r0 := x1"] + [f"regex r{i} := (r{i - 1} | a1) a2*"
-                                     for i in range(1, 250)]
-        spec_text = "\n".join(defs + [
-            "spec main := { r249 : preserve; } else { .* : preserve; }"])
-        argv = write_world(tmp_path, PASSING, spec_text=spec_text + "\n")
+        argv = write_world(tmp_path, PASSING,
+                           spec_text=self.definition_chain(250))
         assert main(argv + ["--workers", "1"]) != 3
+
+    @pytest.mark.xfail(strict=True, reason="rir.pretty recurses once per "
+                       "nesting level; --emit-rir of a chain of 150 "
+                       "definitions overflows the stack")
+    def test_long_definition_chain_emits_rir(self, tmp_path, capsys):
+        # the same chain checks without --emit-rir
+        argv = write_world(tmp_path, PASSING,
+                           spec_text=self.definition_chain(150))
+        assert main(argv + ["--workers", "1"]) == 0
+        assert main(argv + ["--workers", "1", "--emit-rir"]) == 0
 
 
 class TestLongBooleanChains:
@@ -478,3 +494,19 @@ class TestWorkers:
         assert main(argv + ["--workers", "4"]) == 1
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.xfail(strict=True, reason="the pool pickles each parsed "
+                       "Fec, raw graphs included, and pickling a list "
+                       "nested 500 deep overflows the stack")
+    def test_deeply_nested_extra_key_at_two_workers(self, tmp_path, capsys):
+        nested = []
+        for _ in range(500):
+            nested = [nested]
+        lines = [fec_line(f"f{i}", ("x1", "a1"), ("x1", "a1"))
+                 for i in range(5)]
+        obj = json.loads(lines[2])
+        obj["pre"]["extra"] = nested
+        lines[2] = json.dumps(obj)
+        argv = write_world(tmp_path, lines)
+        assert main(argv + ["--workers", "1"]) == 0
+        assert main(argv + ["--workers", "2"]) == 0
