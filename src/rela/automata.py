@@ -9,11 +9,15 @@ carries no symbol universe: its arcs alone fix its language.  Machines
 are immutable once constructed; every operation returns a fresh one, or
 its input when nothing changes.
 
-Intersection, difference, equivalence and `intersects` are clients of
-one walk over pairs of determinized states, `_product`; it builds the
-product or, for a yes/no question, stops at the first pair that decides
-it.  `fst_compose` likewise walks only the reachable pairs of states.
-`fst_identity`, `fst_cross` and `project_output` relabel via `_relabel`.
+One breadth-first walk, `_explore`, builds every machine whose states
+are keys discovered from a start key: `determinize` steps over
+epsilon-closed subsets, `_product` over pairs of determinized states
+(intersection, difference, equivalence and `intersects`; a yes/no
+question stops at the first accepting pair) and `fst_compose` over pairs
+of transducer states.  Union, concatenation, star, `trim`, `minimize`
+and `substitute` copy and renumber plain arc lists; `fst_identity`,
+`fst_cross` and `project_output` relabel via `_relabel`.  `accepts` is a
+direct NFA simulation that shares no code with these constructions.
 
 Symbols are interned through a `SymbolTable`.  Three kinds exist:
 
@@ -39,10 +43,6 @@ EPSILON = None  # transition-label value for the empty move
 LOCATION = "location"
 DROP = "drop"
 MARKER = "marker"
-
-
-class AlphabetError(ValueError):
-    """Raised by `SymbolTable.location` for a name interned as a marker."""
 
 
 class Symbol:
@@ -99,11 +99,7 @@ class SymbolTable:
     def location(self, name: str) -> Symbol:
         """Intern (or fetch) the location symbol called `name`."""
         sym = self._by_name.get(name)
-        if sym is not None:
-            if sym.kind not in (LOCATION, DROP):
-                raise AlphabetError(f"name {name!r} is not a location")
-            return sym
-        return self._intern(name, LOCATION)
+        return sym if sym is not None else self._intern(name, LOCATION)
 
     def fresh_marker(self) -> Symbol:
         self._marker_count += 1
@@ -185,23 +181,6 @@ class Fsa:
                 f"{'det' if self.deterministic else 'nondet'}>")
 
 
-class _Builder:
-    """Mutable accumulator used internally to assemble machines."""
-
-    def __init__(self):
-        self.arcs: list[list] = []
-
-    def state(self) -> int:
-        self.arcs.append([])
-        return len(self.arcs) - 1
-
-    def arc(self, src: int, label, dst: int) -> None:
-        self.arcs[src].append((label, dst))
-
-    def frozen_arcs(self) -> tuple:
-        return tuple(tuple(a) for a in self.arcs)
-
-
 # ---------------------------------------------------------------------------
 # Acceptor constructors
 
@@ -234,50 +213,78 @@ def fsa_symbol_class(symbols) -> Fsa:
 
 
 def fsa_union(x: Fsa, y: Fsa) -> Fsa:
-    b = _Builder()
-    start = b.state()
-    off_x = _copy_into(b, x)
-    off_y = _copy_into(b, y)
-    b.arc(start, EPSILON, x.initial + off_x)
-    b.arc(start, EPSILON, y.initial + off_y)
+    arcs: list[list] = [[]]
+    off_x = _copy_into(arcs, x)
+    off_y = _copy_into(arcs, y)
+    arcs[0] = [(EPSILON, x.initial + off_x), (EPSILON, y.initial + off_y)]
     accepting = frozenset(q + off_x for q in x.accepting) | \
         frozenset(q + off_y for q in y.accepting)
-    return Fsa(len(b.arcs), start, accepting, b.frozen_arcs())
+    return Fsa(len(arcs), 0, accepting, tuple(map(tuple, arcs)))
 
 
 def fsa_concat(x: Fsa, y: Fsa) -> Fsa:
-    b = _Builder()
-    off_x = _copy_into(b, x)
-    off_y = _copy_into(b, y)
+    arcs: list[list] = []
+    off_x = _copy_into(arcs, x)
+    off_y = _copy_into(arcs, y)
     for q in sorted(x.accepting):
-        b.arc(q + off_x, EPSILON, y.initial + off_y)
+        arcs[q + off_x].append((EPSILON, y.initial + off_y))
     accepting = frozenset(q + off_y for q in y.accepting)
-    return Fsa(len(b.arcs), x.initial + off_x, accepting, b.frozen_arcs())
+    return Fsa(len(arcs), x.initial + off_x, accepting,
+               tuple(map(tuple, arcs)))
 
 
 def fsa_star(x: Fsa) -> Fsa:
-    b = _Builder()
-    start = b.state()
-    off = _copy_into(b, x)
-    b.arc(start, EPSILON, x.initial + off)
+    arcs: list[list] = [[]]
+    off = _copy_into(arcs, x)
+    arcs[0].append((EPSILON, x.initial + off))
     for q in sorted(x.accepting):
-        b.arc(q + off, EPSILON, start)
-    return Fsa(len(b.arcs), start, frozenset([start]), b.frozen_arcs())
+        arcs[q + off].append((EPSILON, 0))
+    return Fsa(len(arcs), 0, frozenset([0]), tuple(map(tuple, arcs)))
 
 
-def _copy_into(b: _Builder, m: Fsa) -> int:
-    """Copy a machine's states and arcs into builder `b`; return the offset."""
-    offset = len(b.arcs)
-    for _ in range(m.num_states):
-        b.state()
-    for q in range(m.num_states):
-        for label, dst in m.arcs[q]:
-            b.arc(q + offset, label, dst + offset)
+def _copy_into(arcs: list[list], m: Fsa) -> int:
+    """Append a shifted copy of `m`'s arc lists to `arcs`; return the shift."""
+    offset = len(arcs)
+    arcs.extend([(label, dst + offset) for label, dst in state_arcs]
+                for state_arcs in m.arcs)
     return offset
 
 
 # ---------------------------------------------------------------------------
 # Core transformations
+
+
+def _explore(start, step, deterministic: bool = False, decide: bool = False):
+    """Build the machine whose states are the keys reachable from `start`.
+
+    Keys are numbered in discovery order, `start` as 0, and stepped in
+    that order, so the k-th key stepped is state k.  ``step(key)``
+    returns ``(accepts, moves)``, `moves` a list of ``(label,
+    target_key)`` pairs that become the state's arcs in order.  Returns
+    the `Fsa`; with `decide`, whether an accepting key is reachable,
+    stopping at the first one.
+    """
+    index = {start: 0}
+    work = deque([start])
+    arcs: list[tuple] = []
+    accepting = []
+    while work:
+        accepts, moves = step(work.popleft())
+        if accepts:
+            if decide:
+                return True
+            accepting.append(len(arcs))
+        state_arcs = []
+        for label, target in moves:
+            tid = index.get(target)
+            if tid is None:
+                tid = index[target] = len(index)
+                work.append(target)
+            state_arcs.append((label, tid))
+        arcs.append(tuple(state_arcs))
+    if decide:
+        return False
+    return Fsa(len(arcs), 0, frozenset(accepting), tuple(arcs), deterministic)
 
 
 def _epsilon_closures(fsa: Fsa) -> list[tuple[int, ...]]:
@@ -307,19 +314,8 @@ def determinize(fsa: Fsa) -> Fsa:
     if fsa._dfa is not None:
         return fsa._dfa
     closures = _epsilon_closures(fsa)
-    start = closures[fsa.initial]
-    index: dict[tuple[int, ...], int] = {start: 0}
-    order: list[tuple[int, ...]] = [start]
-    b = _Builder()
-    b.state()
-    accepting = set()
-    work = deque([start])
-    acc = fsa.accepting
-    while work:
-        subset = work.popleft()
-        sid = index[subset]
-        if any(q in acc for q in subset):
-            accepting.add(sid)
+
+    def step(subset):
         # Group member arcs by symbol; dict preserves first-seen order, so
         # re-sort by symbol id to keep state numbering input-independent.
         by_sym: dict[Symbol, set[int]] = {}
@@ -327,20 +323,12 @@ def determinize(fsa: Fsa) -> Fsa:
             for label, dst in fsa.arcs[q]:
                 if label is not EPSILON:
                     by_sym.setdefault(label, set()).update(closures[dst])
-        for sym in sorted(by_sym, key=lambda s: s.id):
-            target = tuple(sorted(by_sym[sym]))
-            tid = index.get(target)
-            if tid is None:
-                tid = len(order)
-                index[target] = tid
-                order.append(target)
-                b.state()
-                work.append(target)
-            b.arc(sid, sym, tid)
-    d = Fsa(len(b.arcs), 0, frozenset(accepting), b.frozen_arcs(),
-            deterministic=True)
-    fsa._dfa = d
-    return d
+        return (not fsa.accepting.isdisjoint(subset),
+                [(sym, tuple(sorted(by_sym[sym])))
+                 for sym in sorted(by_sym, key=lambda s: s.id)])
+
+    fsa._dfa = _explore(closures[fsa.initial], step, deterministic=True)
+    return fsa._dfa
 
 
 def _state_maps(dfa: Fsa) -> list[dict]:
@@ -379,19 +367,11 @@ def trim(fsa: Fsa) -> Fsa:
         return fsa_empty()
     if len(live) == fsa.num_states:
         return fsa
-    remap = {}
-    for q in range(fsa.num_states):
-        if q in live:
-            remap[q] = len(remap)
-    b = _Builder()
-    for _ in remap:
-        b.state()
-    for q, nq in remap.items():
-        for label, dst in fsa.arcs[q]:
-            if dst in live:
-                b.arc(nq, label, remap[dst])
+    remap = {q: n for n, q in enumerate(sorted(live))}
+    arcs = tuple(tuple((label, remap[dst]) for label, dst in fsa.arcs[q]
+                       if dst in live) for q in remap)
     accepting = frozenset(remap[q] for q in fsa.accepting if q in live)
-    return Fsa(len(b.arcs), remap[fsa.initial], accepting, b.frozen_arcs(),
+    return Fsa(len(arcs), remap[fsa.initial], accepting, arcs,
                deterministic=fsa.deterministic)
 
 
@@ -433,19 +413,13 @@ def _refine(d: Fsa) -> Fsa:
         cls, ncls = new_cls, len(sigs)
         if stable:
             break
-    b = _Builder()
-    for _ in range(ncls):
-        b.state()
-    seen = set()
+    # Each class takes the arcs of its first member.
+    arcs: list = [None] * ncls
     for q in range(d.num_states):
-        c = cls[q]
-        if c in seen:
-            continue
-        seen.add(c)
-        for label, dst in d.arcs[q]:
-            b.arc(c, label, cls[dst])
+        if arcs[cls[q]] is None:
+            arcs[cls[q]] = tuple((label, cls[dst]) for label, dst in d.arcs[q])
     accepting = frozenset(cls[q] for q in d.accepting)
-    return Fsa(ncls, cls[d.initial], accepting, b.frozen_arcs(),
+    return Fsa(ncls, cls[d.initial], accepting, tuple(arcs),
                deterministic=True)
 
 
@@ -470,19 +444,9 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
     """
     x, y = determinize(x), determinize(y)
     xmaps, ymaps = _state_maps(x), _state_maps(y)
-    start = (x.initial, y.initial)
-    index = {start: 0}
-    work = deque([start])
-    b = _Builder()
-    b.state()
-    accepting = set()
-    while work:
-        qx, qy = pair = work.popleft()
-        sid = index[pair]
-        if accept(qx in x.accepting, qy in y.accepting):
-            if not build:
-                return True
-            accepting.add(sid)
+
+    def step(pair):
+        qx, qy = pair
         xmap = {} if qx == _DEAD else xmaps[qx]
         ymap = {} if qy == _DEAD else ymaps[qy]
         if follow == "both":
@@ -498,19 +462,10 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
             if follow == "either":
                 moves += [(label, (_DEAD, dst))
                           for label, dst in ymap.items() if label not in xmap]
-        for label, target in moves:
-            tid = index.get(target)
-            if tid is None:
-                tid = index[target] = len(index)
-                work.append(target)
-                if build:
-                    b.state()
-            if build:
-                b.arc(sid, label, tid)
-    if not build:
-        return False
-    return Fsa(len(b.arcs), 0, frozenset(accepting), b.frozen_arcs(),
-               deterministic=True)
+        return accept(qx in x.accepting, qy in y.accepting), moves
+
+    return _explore((x.initial, y.initial), step, deterministic=True,
+                    decide=not build)
 
 
 def fsa_intersect(x: Fsa, y: Fsa) -> Fsa:
@@ -630,20 +585,18 @@ def substitute(fsa: Fsa, mapping: dict) -> Fsa:
     if not any(label in mapping for state_arcs in fsa.arcs
                for label, _ in state_arcs):
         return fsa
-    b = _Builder()
-    for _ in range(fsa.num_states):
-        b.state()
-    for q in range(fsa.num_states):
-        for label, dst in fsa.arcs[q]:
+    arcs: list[list] = [[] for _ in range(fsa.num_states)]
+    for q, state_arcs in enumerate(fsa.arcs):
+        for label, dst in state_arcs:
             if label is not None and label in mapping:
                 inner = mapping[label]
-                off = _copy_into(b, inner)
-                b.arc(q, EPSILON, inner.initial + off)
+                off = _copy_into(arcs, inner)
+                arcs[q].append((EPSILON, inner.initial + off))
                 for acc in sorted(inner.accepting):
-                    b.arc(acc + off, EPSILON, dst)
+                    arcs[acc + off].append((EPSILON, dst))
             else:
-                b.arc(q, label, dst)
-    return Fsa(len(b.arcs), fsa.initial, fsa.accepting, b.frozen_arcs())
+                arcs[q].append((label, dst))
+    return Fsa(len(arcs), fsa.initial, fsa.accepting, tuple(map(tuple, arcs)))
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +630,12 @@ def fst_cross(p1: Fsa, p2: Fsa) -> Fsa:
 _STILL = (EPSILON, EPSILON)  # the tapes of a joint-epsilon (None) label
 
 
+def _tapes(xin, yout):
+    """The label that reads `xin` and writes `yout`; a bare ``None`` for
+    a move on neither tape."""
+    return EPSILON if xin is EPSILON and yout is EPSILON else (xin, yout)
+
+
 def fst_compose(x: Fsa, y: Fsa) -> Fsa:
     """Relation composition over the reachable pairs of states.
 
@@ -697,41 +656,22 @@ def fst_compose(x: Fsa, y: Fsa) -> Fsa:
             m.setdefault(yin, []).append((yout, dst))
         y_by_in.append(m)
 
-    start = (x.initial, y.initial)
-    index = {start: 0}
-    b = _Builder()
-    b.state()
-    work = deque([start])
-    accepting = set()
-
-    def push(sid, xin, yout, target):
-        tid = index.get(target)
-        if tid is None:
-            tid = len(index)
-            index[target] = tid
-            b.state()
-            work.append(target)
-        if xin is EPSILON and yout is EPSILON:
-            b.arc(sid, EPSILON, tid)
-        else:
-            b.arc(sid, (xin, yout), tid)
-
-    while work:
-        qx, qy = pair = work.popleft()
-        sid = index[pair]
-        if qx in x.accepting and qy in y.accepting:
-            accepting.add(sid)
+    def step(pair):
+        qx, qy = pair
         ymap = y_by_in[qy]
+        moves = []
         for label, dx in x.arcs[qx]:
             xin, xout = _STILL if label is EPSILON else label
             if xout is EPSILON:
-                push(sid, xin, EPSILON, (dx, qy))
+                moves.append((_tapes(xin, EPSILON), (dx, qy)))
             else:
-                for yout, dy in ymap.get(xout, ()):
-                    push(sid, xin, yout, (dx, dy))
-        for yout, dy in ymap.get(EPSILON, ()):
-            push(sid, EPSILON, yout, (qx, dy))
-    return Fsa(len(b.arcs), 0, frozenset(accepting), b.frozen_arcs())
+                moves += [(_tapes(xin, yout), (dx, dy))
+                          for yout, dy in ymap.get(xout, ())]
+        moves += [(_tapes(EPSILON, yout), (qx, dy))
+                  for yout, dy in ymap.get(EPSILON, ())]
+        return qx in x.accepting and qy in y.accepting, moves
+
+    return _explore((x.initial, y.initial), step)
 
 
 def project_output(t: Fsa) -> Fsa:

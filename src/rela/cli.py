@@ -24,7 +24,7 @@ from .checker import (CheckOptions, StrictInputError, check_all,
 from .compiler import compile_program
 from .frontend import (Granularity, LocationDb, LocationDbError, SpecError,
                        parse_program)
-from .snapshot import load_fecs
+from .snapshot import iter_fec_lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,12 +67,16 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
+def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return fh.read()
+
+
+def _hashed(lines, digest):
+    """`lines` as they are, each fed to `digest` on the way through."""
+    for line in lines:
+        digest.update(line)
+        yield line
 
 
 def _named_specs(program):
@@ -91,45 +95,54 @@ def _run_check(args) -> int:
     if args.max_counterexamples < 0:
         return _fail("--max-counterexamples must not be negative")
 
+    # Each input is read once and hashed as read, so a pipe works too.
     t0 = time.monotonic()
     try:
-        db = LocationDb.load(args.locations)
-        index = db.build_index(Granularity(args.granularity))
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec_text = fh.read()
-        program = compile_program(parse_program(spec_text, index), index)
-        metadata = {
-            "granularity": args.granularity,
-            "spec_sha256": _sha256_file(args.spec),
-            "locations_sha256": _sha256_file(args.locations),
-            "fecs_sha256": _sha256_file(args.fecs),
-        }
+        locations = _read(args.locations)
+        index = LocationDb.from_json(locations).build_index(
+            Granularity(args.granularity))
+        spec = _read(args.spec)
+        program = compile_program(
+            parse_program(spec.decode("utf-8"), index), index)
+        fecs = open(args.fecs, "rb")
     except OSError as e:
         return _fail(str(e))
     except LocationDbError as e:
         return _fail(f"{args.locations}: {e}")
+    except UnicodeDecodeError as e:
+        return _fail(f"{args.spec}: not valid UTF-8: {e}")
     except SpecError as e:
         where = f":{e.line}:{e.col}" if e.line else ""
         return _fail(f"{args.spec}{where}: {e.message}")
-    t1 = time.monotonic()
-    nspecs = len(program.guards) + (1 if program.default is not None else 0)
-    _log(f"compiled {nspecs} spec(s) over {len(index.universe)} symbols "
-         f"in {t1 - t0:.2f}s")
+    metadata = {
+        "granularity": args.granularity,
+        "spec_sha256": hashlib.sha256(spec).hexdigest(),
+        "locations_sha256": hashlib.sha256(locations).hexdigest(),
+    }
+    digest = hashlib.sha256()
+    with fecs:
+        t1 = time.monotonic()
+        nspecs = len(program.guards) + (program.default is not None)
+        _log(f"compiled {nspecs} spec(s) over {len(index.universe)} "
+             f"symbols in {t1 - t0:.2f}s")
 
-    if args.emit_rir:
-        for label, spec in _named_specs(program):
-            print(f"// {label}", file=sys.stderr)
-            print(rir.pretty(spec.top), file=sys.stderr)
+        if args.emit_rir:
+            for label, named in _named_specs(program):
+                print(f"// {label}", file=sys.stderr)
+                print(rir.pretty(named.top), file=sys.stderr)
 
-    options = CheckOptions(max_counterexamples=args.max_counterexamples,
-                           workers=workers, strict=args.strict)
-    try:
-        report = check_all(program, index, load_fecs(args.fecs, index),
-                           options, metadata)
-    except OSError as e:
-        return _fail(str(e))
-    except StrictInputError as e:
-        return _fail(str(e))
+        options = CheckOptions(max_counterexamples=args.max_counterexamples,
+                               workers=workers, strict=args.strict)
+        try:
+            report = check_all(program, index,
+                               iter_fec_lines(_hashed(fecs, digest), index),
+                               options, metadata)
+        except OSError as e:
+            return _fail(str(e))
+        except StrictInputError as e:
+            return _fail(str(e))
+    # check_all has drained the stream, so the digest covers every byte.
+    report.metadata["fecs_sha256"] = digest.hexdigest()
     t2 = time.monotonic()
     t = report.totals
     _log(f"checked {sum(t.values())} FECs in {t2 - t1:.2f}s "

@@ -103,10 +103,12 @@ class LocationDb:
             self.attributes.update(r.attrs)
 
     @classmethod
-    def from_json(cls, text: str) -> "LocationDb":
+    def from_json(cls, text: str | bytes) -> "LocationDb":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as e:
+            # RecursionError: nested deeper than the decoder's limit
             raise LocationDbError(f"location database is not valid JSON: {e}")
         if not isinstance(raw, list):
             raise LocationDbError("location database must be a JSON array")
@@ -126,7 +128,7 @@ class LocationDb:
 
     @classmethod
     def load(cls, path: str) -> "LocationDb":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return cls.from_json(fh.read())
 
     def build_index(self, granularity: Granularity) -> "LocationIndex":

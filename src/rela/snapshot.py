@@ -113,9 +113,12 @@ def parse_fec(obj, index: LocationIndex, fallback_id: str = "?") -> Fec:
     return Fec(fec_id, TrafficClass(dst, src), pre, post)
 
 
-def iter_fec_lines(lines: Iterable[str],
+def iter_fec_lines(lines: Iterable[str | bytes],
                    index: LocationIndex) -> Iterator[Union[Fec, FecError]]:
     """Parse NDJSON lines, yielding a Fec or a FecError per line.
+
+    Lines may be text or the raw lines of a binary file, which end at
+    the newline byte alone; a line that is not UTF-8 is an error entry.
 
     A line claims its id before anything else is checked, so a later
     line with that id is a duplicate even if the first one failed.
@@ -129,7 +132,8 @@ def iter_fec_lines(lines: Iterable[str],
         fallback = f"line {n}"
         try:
             obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as e:
             # RecursionError: nested deeper than the decoder's limit
             yield FecError(fallback, f"invalid JSON: {e}")
             continue
@@ -152,7 +156,7 @@ def iter_fec_lines(lines: Iterable[str],
 def load_fecs(path: str,
               index: LocationIndex) -> Iterator[Union[Fec, FecError]]:
     """`iter_fec_lines` over the lines of the file at `path`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         yield from iter_fec_lines(fh, index)
 
 

@@ -621,6 +621,119 @@ def test_pickling_drops_derived_caches():
 SYMS = None
 
 
+def pinned_operands():
+    """Hand-built operands: an NFA with epsilon arcs and two arcs on one
+    symbol, two partial DFAs, and two transducers whose arcs move one
+    tape, both tapes or neither."""
+    t, a, b, c = table3()
+    nfa = Fsa(5, 0, frozenset({3, 4}), (
+        ((None, 1), (a, 2), (a, 3)),
+        ((b, 3), (None, 4)),
+        ((b, 4), (c, 2), (a, 3)),
+        ((a, 4), (c, 0)),
+        ((b, 1),),
+    ))
+    d1 = Fsa(3, 0, frozenset({2}), (
+        ((a, 1), (b, 2)),
+        ((b, 2), (c, 0)),
+        ((a, 2),),
+    ), deterministic=True)
+    d2 = Fsa(3, 0, frozenset({1, 2}), (
+        ((a, 1),),
+        ((b, 2), (a, 1)),
+        ((c, 0),),
+    ), deterministic=True)
+    t1 = Fsa(3, 0, frozenset({2}), (
+        (((a, None), 1), ((a, b), 2)),
+        (((None, c), 2), (None, 0)),
+        (((b, a), 2),),
+    ))
+    t2 = Fsa(3, 0, frozenset({1, 2}), (
+        (((None, a), 1), ((b, c), 2)),
+        (((c, None), 2), ((a, b), 1)),
+        (((None, b), 0),),
+    ))
+    return a, nfa, d1, d2, t1, t2
+
+
+def machine_table(m: Fsa):
+    """``(num_states, initial, accepting, arcs)`` with each state's arcs
+    as ``label>target`` words: a symbol's name, ``in:out`` for a pair and
+    ``-`` for epsilon."""
+    def name(label):
+        if label is None:
+            return "-"
+        if isinstance(label, tuple):
+            return ":".join(name(s) for s in label)
+        return label.name
+    return (m.num_states, m.initial, tuple(sorted(m.accepting)),
+            tuple(" ".join(f"{name(label)}>{dst}" for label, dst in arcs)
+                  for arcs in m.arcs))
+
+
+# State numbering and arc order are part of the kernel's contract: the
+# reports, --emit-rir and the bench's state counters all read them.
+PINNED_MACHINES = {
+    "determinize": (9, 0, (0, 1, 2, 3, 4, 5, 6, 8), (
+        "a>1 b>2", "a>3 b>4 c>5", "a>4 b>2 c>0", "a>4 b>6 c>0", "b>6",
+        "a>1 b>2 c>7", "b>2", "a>8 b>4 c>7", "a>4 c>0",
+    )),
+    "minimize": (5, 0, (3, 4), (
+        "a>1 b>2", "b>2 c>0", "a>3", "a>3 b>4", "c>2",
+    )),
+    "intersect": (3, 0, (2,), (
+        "a>1", "b>2", "",
+    )),
+    "intersect_nfa": (6, 0, (1, 2, 3, 4, 5), (
+        "a>1", "b>2 a>3", "", "b>4 a>5", "", "b>4",
+    )),
+    "difference": (6, 0, (2,), (
+        "a>1 b>2", "b>3 c>4", "a>2", "a>2", "a>5 b>2", "b>2 c>4",
+    )),
+    "difference_nfa": (9, 0, (7, 8), (
+        "a>1", "b>2 a>3", "c>4", "b>5 a>6", "a>7", "c>4", "b>5 a>7",
+        "b>8 a>7", "c>4",
+    )),
+    "compose": (7, 0, (2, 6), (
+        "a:->1 a:c>2 -:a>3", "->0 -:a>4", "-:b>5", "a:->4", "->2 ->3",
+        "-:a>6", "b:b>6",
+    )),
+    "substitute": (17, 0, (3, 4), (
+        "->1 ->5 ->8", "b>3 ->4", "b>4 c>2 ->11", "->14 c>0", "b>1", "a>6",
+        "b>7 a>6 ->2", "c>5 ->2", "a>9", "b>10 a>9 ->3", "c>8 ->3", "a>12",
+        "b>13 a>12 ->3", "c>11 ->3", "a>15", "b>16 a>15 ->4", "c>14 ->4",
+    )),
+    "union": (9, 0, (3, 7, 8), (
+        "->1 ->4", "a>2 b>3", "b>3 c>1", "a>3", "->5 a>6 a>7", "b>7 ->8",
+        "b>8 c>6 a>7", "a>8 c>4", "b>5",
+    )),
+    "concat": (6, 0, (4, 5), (
+        "a>1 b>2", "b>2 c>0", "a>2 ->3", "a>4", "b>5 a>4", "c>3",
+    )),
+    "star": (4, 0, (0,), (
+        "->1", "a>2 b>3", "b>3 c>1", "a>3 ->0",
+    )),
+}
+
+
+def test_constructions_keep_their_state_numbering():
+    a, nfa, d1, d2, t1, t2 = pinned_operands()
+    got = {
+        "determinize": determinize(nfa),
+        "minimize": minimize(fsa_concat(d1, d2)),
+        "intersect": fsa_intersect(d1, d2),
+        "intersect_nfa": fsa_intersect(nfa, d2),
+        "difference": fsa_difference(d1, d2),
+        "difference_nfa": fsa_difference(d2, nfa),
+        "compose": fst_compose(t1, t2),
+        "substitute": substitute(nfa, {a: d2}),
+        "union": fsa_union(d1, nfa),
+        "concat": fsa_concat(d1, d2),
+        "star": fsa_star(d1),
+    }
+    assert {k: machine_table(m) for k, m in got.items()} == PINNED_MACHINES
+
+
 def _sym_objects():
     global SYMS
     if SYMS is None:

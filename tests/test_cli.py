@@ -1,6 +1,9 @@
 """End-to-end command tests, run in process through main()."""
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -374,6 +377,88 @@ class TestStrict:
         [error] = doc["errors"]
         assert error["fec_id"] == "line 2"
         assert error["message"].startswith("invalid JSON: ")
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is an input error, never an internal one."""
+
+    def test_spec_is_two(self, tmp_path, capsys):
+        argv = write_world(tmp_path, PASSING)
+        spec = tmp_path / "change.spec"
+        spec.write_bytes(PRESERVE_ALL.encode() + b"// \xff\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"rela: error: {spec}: not valid UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_locations_is_two(self, tmp_path, capsys):
+        argv = write_world(tmp_path, PASSING)
+        locations = tmp_path / "locations.json"
+        locations.write_bytes(
+            locations.read_bytes().replace(b"d1:eth0", b"d1:eth\xff"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"rela: error: {locations}: location database is not " \
+            "valid JSON" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_fec_line_is_an_error_entry(self, tmp_path, capsys, workers):
+        lines = [fec_line(f"f{i}", ("x1", "a1"), ("x1", "a1"))
+                 for i in range(3)]
+        argv = write_world(tmp_path, lines)
+        fecs = tmp_path / "fecs.ndjson"
+        fecs.write_bytes(fecs.read_bytes().replace(b'"f1"', b'"f\xff"'))
+        assert main(argv + ["--workers", workers]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"]["pass"] == 2
+        [error] = doc["errors"]
+        assert error["fec_id"] == "line 2"
+        assert error["message"].startswith("invalid JSON: ")
+        assert main(argv + ["--workers", workers, "--strict"]) == 2
+        assert "line 2: invalid JSON" in capsys.readouterr().err
+
+
+def run_cli(args, stdin: bytes):
+    """`python -m rela.cli` in a child process, with `stdin` piped in."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(TESTS.parent / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rela.cli", *args],
+                          input=stdin, capture_output=True, env=env,
+                          timeout=120)
+
+
+class TestPipedInput:
+    """An input read from a pipe is read once, for checking and hashing."""
+
+    @pytest.fixture
+    def world(self, tmp_path):
+        answer = corpus.write_corpus("reroute-explain", 1, str(tmp_path), 0.1)
+        return {"--spec": tmp_path / "change.spec",
+                "--locations": tmp_path / "locations.json",
+                "--fecs": tmp_path / "fecs.ndjson"}, answer
+
+    def check_piped(self, world, flag, workers="1"):
+        paths, answer = world
+        argv = ["check", "--workers", workers]
+        for name, path in paths.items():
+            argv += [name, "/dev/stdin" if name == flag else str(path)]
+        data = paths[flag].read_bytes()
+        done = run_cli(argv, data)
+        assert done.returncode == answer["exit_code"], done.stderr
+        doc = json.loads(done.stdout)
+        assert doc["totals"] == answer["totals"]
+        return doc["metadata"], hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_fecs(self, world, workers):
+        meta, digest = self.check_piped(world, "--fecs", workers)
+        assert meta["fecs_sha256"] == digest
+
+    def test_spec(self, world):
+        meta, digest = self.check_piped(world, "--spec")
+        assert meta["spec_sha256"] == digest
 
 
 class TestOutputs:

@@ -86,6 +86,16 @@ class TestLocationDb:
         with pytest.raises(LocationDbError, match="JSON"):
             LocationDb.from_json("[")
 
+    @pytest.mark.parametrize("data", [
+        b'[{"name": "p\xff", "device": "d", "group": "g"}]',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # past the decoder's nesting limit
+    ])
+    def test_undecodable_file_rejected(self, tmp_path, data):
+        path = tmp_path / "locations.json"
+        path.write_bytes(data)
+        with pytest.raises(LocationDbError, match="JSON"):
+            LocationDb.load(str(path))
+
     def test_drop_is_a_reserved_name(self):
         rows = [{"name": "drop", "device": "drop", "group": "g"}]
         with pytest.raises(LocationDbError, match="reserved"):

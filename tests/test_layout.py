@@ -6,9 +6,9 @@ be reachable from a root: a name exported in `rela.__all__`, a name the
 outside a definition.  A definition reaches every name its own body
 reads, so two definitions that only name each other are both unused.
 Code only the tests need lives in `tests/`.  Likewise every `rela.rir`
-node class must be constructed by some call in `src/rela`, and every
+node class must be constructed by some call in `src/rela`, every
 parameter of a function, method or lambda there must be read in its
-body.
+body, and `rela.automata` keeps a single work list.
 """
 
 from __future__ import annotations
@@ -121,3 +121,18 @@ def unread_parameters() -> set[str]:
 def test_every_parameter_is_read():
     # A parameter nothing reads is plumbing that outlived its use.
     assert unread_parameters() == UNREAD_PARAMETERS
+
+
+def work_list_owners() -> list[str]:
+    """Top-level definitions of `rela.automata` that read
+    `collections.deque`, bare or as an attribute."""
+    tree = ast.parse((SRC / "automata.py").read_text(encoding="utf-8"))
+    return [top.name for top in tree.body if isinstance(top, _DEFS)
+            and "deque" in _names_used(top)]
+
+
+def test_automata_keeps_one_work_list():
+    # Every machine built state by state from discovered keys (subsets,
+    # pairs) goes through `_explore`; a new construction is a step
+    # function for it, not another breadth-first loop.
+    assert work_list_owners() == ["_explore"]
