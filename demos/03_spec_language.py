@@ -28,7 +28,7 @@ db = LocationDb.from_json(json.dumps(rows))
 # Granularity picks the alphabet: device-level names here; group-level
 # coarsens every location to its group.
 index = db.build_index(Granularity.DEVICE)
-print("alphabet:", sorted(n for n in index.symbol_of if n != "drop"))
+print("alphabet:", sorted(s.name for s in index.universe if s.name != "drop"))
 
 # The change: pod1's spine1 is being drained.  Paths through it must
 # move to spine2, everything else must stay put.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import multiprocessing
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional, Union
@@ -287,6 +286,7 @@ def check_all(program: CompiledProgram, index: LocationIndex,
                 kept.pop()
 
     if options.workers > 1:
+        import multiprocessing  # only here: importing it slows start-up
         with multiprocessing.Pool(options.workers,
                                   initializer=_init_worker,
                                   initargs=(program, index, options)) as pool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import multiprocessing
+import os
 import sys
 import time
 import traceback
@@ -89,7 +89,7 @@ def _named_specs(program):
 def _run_check(args) -> int:
     workers = args.workers
     if workers is None:
-        workers = multiprocessing.cpu_count()
+        workers = os.cpu_count() or 1
     if workers < 1:
         return _fail("--workers must be at least 1")
     if args.max_counterexamples < 0:

@@ -62,45 +62,21 @@ class Granularity(str, Enum):
     GROUP = "group"
 
 
-@dataclass(frozen=True)
-class LocationRecord:
-    """One interface-level row of the location database."""
-
-    name: str
-    device: str
-    group: str
-    attrs: dict = field(default_factory=dict, compare=False)
-
-    def coarse(self, granularity: Granularity) -> str:
-        if granularity is Granularity.INTERFACE:
-            return self.name
-        if granularity is Granularity.DEVICE:
-            return self.device
-        return self.group
-
-    def get(self, attr: str):
-        if attr == "name":
-            return self.name
-        if attr == "device":
-            return self.device
-        if attr == "group":
-            return self.group
-        return self.attrs.get(attr)
-
-
 class LocationDb:
-    """The run's location inventory, loaded from a JSON array."""
+    """The run's location inventory, loaded from a JSON array.
 
-    def __init__(self, records: list[LocationRecord]):
+    `records` are the validated rows: dicts whose `name`, `device` and
+    `group` are non-empty strings, plus any further attributes.
+    """
+
+    def __init__(self, records: list[dict]):
         names = set()
         for r in records:
-            if r.name in names:
-                raise LocationDbError(f"duplicate location name {r.name!r}")
-            names.add(r.name)
+            if r["name"] in names:
+                raise LocationDbError(f"duplicate location name {r['name']!r}")
+            names.add(r["name"])
         self.records = tuple(records)
-        self.attributes = {"name", "device", "group"}
-        for r in records:
-            self.attributes.update(r.attrs)
+        self.attributes = {"name", "device", "group"}.union(*records)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "LocationDb":
@@ -112,7 +88,6 @@ class LocationDb:
             raise LocationDbError(f"location database is not valid JSON: {e}")
         if not isinstance(raw, list):
             raise LocationDbError("location database must be a JSON array")
-        records = []
         for i, item in enumerate(raw):
             if not isinstance(item, dict):
                 raise LocationDbError(f"record {i} is not an object")
@@ -120,11 +95,7 @@ class LocationDb:
                 if not isinstance(item.get(key), str) or not item[key]:
                     raise LocationDbError(
                         f"record {i} needs a non-empty string {key!r}")
-            extras = {k: v for k, v in item.items()
-                      if k not in ("name", "device", "group")}
-            records.append(LocationRecord(item["name"], item["device"],
-                                          item["group"], extras))
-        return cls(records)
+        return cls(raw)
 
     @classmethod
     def load(cls, path: str) -> "LocationDb":
@@ -132,26 +103,32 @@ class LocationDb:
             return cls.from_json(fh.read())
 
     def build_index(self, granularity: Granularity) -> "LocationIndex":
-        coarse_of = {}
-        coarse_names = set()
+        """One map from every interface name, every coarse name and
+        "drop" to its symbol; coarse names are interned in sorted order.
+
+        A name that would mean two locations is rejected: `drop` as any
+        record's name or coarse name, and an interface named like another
+        entity's coarse name.
+        """
+        key = "name" if granularity is Granularity.INTERFACE \
+            else granularity.value
         for r in self.records:
-            cname = r.coarse(granularity)
-            if cname == "drop":
+            if "drop" in (r["name"], r[key]):
                 raise LocationDbError(
                     "location name 'drop' is reserved for dropped traffic")
-            coarse_of[r.name] = cname
-            coarse_names.add(cname)
-        for name, cname in coarse_of.items():
-            if name != cname and name in coarse_names:
-                raise LocationDbError(
-                    f"location name {name!r} is also a {granularity.value} "
-                    "name, so it would name two locations")
         table = SymbolTable()
         symbol_of = {"drop": table.drop}
-        for cname in sorted(coarse_names):
+        for cname in sorted({r[key] for r in self.records}):
             symbol_of[cname] = table.location(cname)
+        for r in self.records:
+            sym = symbol_of[r[key]]
+            if symbol_of.setdefault(r["name"], sym) is not sym:
+                raise LocationDbError(
+                    f"location name {r['name']!r} is also a "
+                    f"{granularity.value} name, so it would name two "
+                    "locations")
         return LocationIndex(self, granularity, table, table.universe(),
-                             coarse_of, symbol_of)
+                             symbol_of)
 
 
 @dataclass
@@ -162,22 +139,12 @@ class LocationIndex:
     granularity: Granularity
     table: SymbolTable
     universe: frozenset[Symbol]
-    coarse_of: dict  # interface name -> coarse name
-    symbol_of: dict  # coarse name -> Symbol (plus "drop")
+    symbol_of: dict  # interface name, coarse name or "drop" -> Symbol
 
     def lookup(self, name: str) -> Optional[Symbol]:
-        """Resolve a location token: coarse name, or interface name.
-
-        Spec atoms and FEC node locations both resolve here.  The order
-        of the two tries never matters, because `build_index` rejects an
-        interface name that is another entity's coarse name.
-        """
-        sym = self.symbol_of.get(name)
-        if sym is None:
-            cname = self.coarse_of.get(name)
-            if cname is not None:
-                sym = self.symbol_of[cname]
-        return sym
+        """Resolve a location name: spec atoms, where() filters and FEC
+        node locations all resolve here."""
+        return self.symbol_of.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -652,15 +619,12 @@ class _Parser:
             return rir.SymSet(frozenset([self.index.table.drop]))
         if t.kind == "KEYWORD" and t.value == "where":
             self.expect("(")
-            records = self.where_or()
+            names = self.where_or()
             self.expect(")")
-            if not records:
+            if not names:
                 raise SpecResolveError("where() matches no locations",
                                        t.line, t.col)
-            index = self.index
-            return rir.SymSet(frozenset(
-                index.symbol_of[r.coarse(index.granularity)]
-                for r in records))
+            return rir.SymSet(frozenset(map(self.index.lookup, names)))
         if t.kind in ("NAME", "STRING"):
             if t.kind == "NAME" and t.value in self.regex_defs:
                 return self.regex_defs[t.value]
@@ -678,9 +642,9 @@ class _Parser:
 
     # -- where() filters
     #
-    # A filter resolves as it parses, to the set of location records it
-    # matches: `and` and `or` combine per record, before the records are
-    # coarsened to symbols.
+    # A filter resolves as it parses, to the interface names of the
+    # records it matches: `and` and `or` combine per record, before the
+    # names resolve to symbols.
 
     def where_or(self) -> frozenset:
         return self.flat_chain("or", self.where_and,
@@ -714,7 +678,7 @@ class _Parser:
                 attr.line, attr.col)
         # `!=` matches only the records that carry the attribute
         equal = op.kind == "=="
-        return frozenset(r for r in self.index.db.records
+        return frozenset(r["name"] for r in self.index.db.records
                          if (got := r.get(attr.value)) is not None
                          and (got == value.value) == equal)
 

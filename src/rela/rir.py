@@ -287,11 +287,13 @@ def fold(parts, join):
 
 def flatten(node, join):
     """The operands of a tree of `join` nodes, left to right."""
-    if isinstance(node, join):
-        yield from flatten(node.left, join)
-        yield from flatten(node.right, join)
-    else:
-        yield node
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, join):
+            stack += (node.right, node.left)
+        else:
+            yield node
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +412,15 @@ class Evaluator:
 # concatenation: atoms, and the relation forms that bracket themselves.
 _BARE = (SymSet, Zero, One, PreState, PostState, Identity, Cross)
 
+# Each other node renders as prefix + operands joined + suffix; a leaf is
+# its prefix alone.
+_FORMS = {Zero: ("0", "", ""), One: ("1", "", ""),
+          PreState: ("PreState", "", ""), PostState: ("PostState", "", ""),
+          Union: ("(", " | ", ")"), Intersect: ("(", " ∩ ", ")"),
+          Difference: ("(", " ∖ ", ")"), Image: ("(", " ▷ ", ")"),
+          Cross: ("(", " × ", ")"), Identity: ("I(", "", ")"),
+          Compose: ("(", " ∘ ", ")"), Equal: ("", " = ", "")}
+
 
 def pretty(expr) -> str:
     """Render an expression tree in compact relational notation.
@@ -417,18 +428,44 @@ def pretty(expr) -> str:
     Unions inside a path-set concatenation get an extra pair of brackets
     and those inside a relation concatenation do not, so the renderer
     follows each node's sort down from its position; the root's sort is
-    its `relation` flag.
+    its `relation` flag.  Operands render first, from an explicit stack,
+    and each (node, sort) pair once, so no call recurses per level.
     """
-    return _show(expr, expr.relation)
+    done = {}  # (id(node), sort) -> text
+    stack = [(expr, expr.relation)]
+    while stack:
+        node, rel = stack[-1]
+        if (id(node), rel) in done:
+            stack.pop()
+            continue
+        parts = _operands(node, rel)
+        todo = [(p, r) for p, r in parts if (id(p), r) not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        done[id(node), rel] = _text(
+            node, rel, [(p, done[id(p), r]) for p, r in parts])
+    return done[id(expr), expr.relation]
 
 
-def _operand(p, rel: bool) -> str:
-    text = _show(p, rel)
-    return text if isinstance(p, _BARE) else "(" + text + ")"
+def _operands(expr, rel: bool) -> list:
+    """The operands `expr` renders from, each with the sort it takes."""
+    if isinstance(expr, (Union, Concat)):
+        return [(t, rel) for t in flatten(expr, type(expr))]
+    if isinstance(expr, (Intersect, Compose)):
+        sort = isinstance(expr, Compose)
+        return [(t, sort) for t in flatten(expr, type(expr))]
+    if isinstance(expr, Star):
+        return [(expr.inner, rel)]
+    if isinstance(expr, Image):
+        return [(expr.source, False), (expr.rel, True)]
+    return [(v, False) for v in vars(expr).values() if isinstance(v, _Node)]
 
 
-def _show(expr, rel: bool) -> str:
-    """`expr` rendered as a relation when `rel`, else as a path set."""
+def _text(expr, rel: bool, parts: list) -> str:
+    """`expr` rendered as a relation when `rel`, else as a path set,
+    from its operands paired with their texts."""
     if isinstance(expr, SymSet):
         names = sorted(s.name for s in expr.symbols)
         if len(names) == 1:
@@ -436,39 +473,13 @@ def _show(expr, rel: bool) -> str:
         if len(names) > 8:
             return f"[{len(names)} locations]"
         return "(" + " | ".join(names) + ")"
-    if isinstance(expr, Zero):
-        return "0"
-    if isinstance(expr, One):
-        return "1"
-    if isinstance(expr, PreState):
-        return "PreState"
-    if isinstance(expr, PostState):
-        return "PostState"
-    if isinstance(expr, Union):
-        return ("(" + " | ".join(_show(t, rel) for t in flatten(expr, Union))
-                + ")")
     if isinstance(expr, Concat):
-        return " ".join(_show(t, rel) if rel or isinstance(t, (Star, Concat))
-                        else _operand(t, rel) for t in flatten(expr, Concat))
+        return " ".join(t if rel or isinstance(p, (Star, *_BARE))
+                        else "(" + t + ")" for p, t in parts)
     if isinstance(expr, Star):
-        return _operand(expr.inner, rel) + "*"
-    if isinstance(expr, Intersect):
-        return ("(" + " ∩ ".join(_show(t, False)
-                                 for t in flatten(expr, Intersect)) + ")")
-    if isinstance(expr, Difference):
-        return ("(" + _show(expr.left, False) + " ∖ "
-                + _show(expr.right, False) + ")")
-    if isinstance(expr, Image):
-        return ("(" + _show(expr.source, False) + " ▷ "
-                + _show(expr.rel, True) + ")")
-    if isinstance(expr, Cross):
-        return ("(" + _show(expr.left, False) + " × "
-                + _show(expr.right, False) + ")")
-    if isinstance(expr, Identity):
-        return "I(" + _show(expr.source, False) + ")"
-    if isinstance(expr, Compose):
-        return ("(" + " ∘ ".join(_show(t, True)
-                                 for t in flatten(expr, Compose)) + ")")
-    if isinstance(expr, Equal):
-        return _show(expr.left, False) + " = " + _show(expr.right, False)
-    raise TypeError(f"not an expression: {expr!r}")
+        [(p, t)] = parts
+        return (t if isinstance(p, _BARE) else "(" + t + ")") + "*"
+    form = _FORMS.get(type(expr))
+    if form is None:
+        raise TypeError(f"not an expression: {expr!r}")
+    return form[0] + form[1].join(t for _, t in parts) + form[2]

@@ -217,9 +217,6 @@ class TestLargeSpecs:
                            spec_text=self.definition_chain(250))
         assert main(argv + ["--workers", "1"]) != 3
 
-    @pytest.mark.xfail(strict=True, reason="rir.pretty recurses once per "
-                       "nesting level; --emit-rir of a chain of 150 "
-                       "definitions overflows the stack")
     def test_long_definition_chain_emits_rir(self, tmp_path, capsys):
         # the same chain checks without --emit-rir
         argv = write_world(tmp_path, PASSING,
@@ -506,6 +503,14 @@ class TestOutputs:
         assert doc["counterexamples_truncated"] is True
         assert doc["per_subspec"] == {"main/main": 4}
 
+    def test_text_with_no_counterexamples_kept(self, tmp_path, capsys):
+        argv = write_world(tmp_path, FAILING) + [
+            "--format", "text", "--max-counterexamples", "0"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "fail: 1" in out and "FEC f2" not in out
+        assert out.endswith("\n\ncounterexample list truncated\n")
+
 
 class TestEmitRirGoldens:
     """`--emit-rir` prints what the compiler built, unchanged over time.
@@ -570,6 +575,64 @@ class TestGranularity:
         assert main(argv) == 0
 
 
+    @pytest.mark.parametrize("granularity", ["interface", "device", "group"])
+    def test_interface_named_drop_is_two(self, tmp_path, capsys,
+                                         granularity):
+        # `drop` names the drop symbol wherever a name resolves, so no
+        # record may take it, whatever becomes the alphabet.
+        argv = write_world(tmp_path, PASSING)
+        locations = tmp_path / "locations.json"
+        rows = json.loads(locations.read_text(encoding="utf-8"))
+        rows.append({"name": "drop", "device": "b1", "group": "B"})
+        locations.write_text(json.dumps(rows), encoding="utf-8")
+        assert main(argv + ["--granularity", granularity]) == 2
+        assert "'drop' is reserved" in capsys.readouterr().err
+
+
+class TestGuards:
+    SPEC = """spec keep := { .* : preserve; }
+pspec lab := srcPrefix == 172.16.0.0/12 -> keep
+pspec other := srcPrefix != 172.16.0.0/12 and dstPrefix == 10.0.0.0/8 -> keep
+pspec outside := dstPrefix != 10.0.0.0/8 and not srcPrefix == 192.168.0.0/16
+    -> keep
+"""
+
+    # (id, dstPrefix, srcPrefix, guard).  A missing srcPrefix is in no
+    # block, so `!=` holds and `==` does not; an IPv6 prefix is in no
+    # IPv4 block.  f5 fails `other` on its IPv6 destination and
+    # `outside` on its source, so it is unmatched.
+    FECS = [("f1", "10.1.0.0/16", "172.16.5.0/24", "lab"),
+            ("f2", "10.1.0.0/16", None, "other"),
+            ("f3", "10.1.0.0/16", "192.168.1.0/24", "other"),
+            ("f4", "2001:db8::/32", None, "outside"),
+            ("f5", "2001:db8::/32", "192.168.1.0/24", None),
+            ("f6", "192.0.2.0/24", "172.16.0.0/16", "lab")]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_prefix_guards_pick_each_fec_spec(self, tmp_path, capsys,
+                                              workers):
+        # every FEC moves off a1, so each matched one fails and its
+        # counterexample names the guard that picked its spec
+        lines = []
+        for fec_id, dst, src, _ in self.FECS:
+            obj = json.loads(fec_line(fec_id, ("x1", "a1"), ("x1", "a2"),
+                                      dst=dst))
+            if src is not None:
+                obj["traffic"]["srcPrefix"] = src
+            lines.append(json.dumps(obj))
+        argv = write_world(tmp_path, lines, spec_text=self.SPEC)
+        assert main(argv + ["--workers", workers]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"] == {"pass": 0, "fail": 5, "unmatched": 1,
+                                 "error": 0}
+        assert doc["per_subspec"] == {"lab/keep": 2, "other/keep": 2,
+                                      "outside/keep": 1}
+        got = {cx["fec_id"]: (cx["guard"], cx["traffic"].get("srcPrefix"))
+               for cx in doc["counterexamples"]}
+        assert got == {fec_id: (guard, src)
+                       for fec_id, _, src, guard in self.FECS if guard}
+
+
 class TestWorkers:
     def test_reports_byte_identical_across_workers(self, tmp_path, capsys):
         lines = FAILING + [fec_line("f3", ("x1", "b1"), ("x1", "b1"))]
@@ -595,3 +658,15 @@ class TestWorkers:
         argv = write_world(tmp_path, lines)
         assert main(argv + ["--workers", "1"]) == 0
         assert main(argv + ["--workers", "2"]) == 0
+
+    def test_importing_the_cli_leaves_multiprocessing_out(self):
+        # the pool's module loads only when a pool starts
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(TESTS.parent / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rela.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"

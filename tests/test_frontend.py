@@ -64,7 +64,7 @@ def loc(index, *names):
 class TestLocationDb:
     def test_loads_records_with_extra_attributes(self, db):
         assert len(db.records) == 18
-        assert db.records[0].name == "x1:eth0"
+        assert db.records[0]["name"] == "x1:eth0"
         assert db.records[0].get("vendor") == "blue"
         assert db.records[2].get("vendor") == "acme"
         assert "vendor" in db.attributes
@@ -115,8 +115,8 @@ class TestLocationDb:
 
 class TestLocationIndex:
     def test_device_granularity_merges_interfaces(self, index):
-        assert index.coarse_of["x1:eth0"] == "x1"
-        assert index.coarse_of["x1:eth1"] == "x1"
+        assert index.lookup("x1:eth0") is index.symbol_of["x1"]
+        assert index.lookup("x1:eth1") is index.symbol_of["x1"]
         # 9 devices plus drop
         assert len(index.universe) == 10
 
