@@ -10,8 +10,8 @@ is explained from built images: the arms are replayed in priority order
 to find the one to blame, and the shortest paths on which the sides
 disagree are listed.
 `check_all` picks each FEC's spec, runs `check_fec` over a stream of
-FECs, optionally on a process pool, and aggregates a deterministic
-report.
+FECs or raw NDJSON lines, optionally on a process pool whose workers
+parse the lines too, and aggregates a deterministic report.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .automata import (PathList, enumerate_shortest, fsa_difference,
                        fsa_equivalent, fsa_intersect, intersects, substitute)
 from .compiler import CompiledProgram, CompiledSpec
 from .frontend import LocationIndex, match_predicate
-from .snapshot import (Fec, FecError, SnapshotError, TrafficClass,
-                       fec_acceptors)
+from .snapshot import (Fec, FecError, SnapshotError, TrafficClass, claim,
+                       fec_acceptors, read_line)
 
 PASS = "pass"
 FAIL = "fail"
@@ -217,7 +217,7 @@ def _explain(c: CompiledSpec, fec_id: str, traffic: TrafficClass,
 # ---------------------------------------------------------------------------
 # Whole-run driver
 
-# A worker processes one item into one of:
+# `_process_item` judges one FEC into one of:
 #   FecError                      (bad input line, or a graph is bad)
 #   (FecVerdict, None)            (pass or unmatched)
 #   (FecVerdict, Counterexample)  (fail, with its explanation)
@@ -239,6 +239,22 @@ def _process_item(program: CompiledProgram, index: LocationIndex,
         return FecError(item.fec_id, str(e))
 
 
+def _judge(program: CompiledProgram, index: LocationIndex, n: int,
+           item: Union[str, bytes, Fec, FecError], options: CheckOptions,
+           ground_cache: dict):
+    """Item `n` of `check_all`'s stream: None for a blank line, else the
+    raw id for `claim` (None unless the item is a raw line) and what
+    `_process_item` made of it.  A raw line is parsed here, so at more
+    than one worker the workers parse, not the parent."""
+    raw_id = None
+    if isinstance(item, (str, bytes)):
+        read = read_line(n, item, index)
+        if read is None:
+            return None
+        raw_id, item = read
+    return raw_id, _process_item(program, index, item, options, ground_cache)
+
+
 _WORK = None
 
 
@@ -247,20 +263,30 @@ def _init_worker(program, index, options):
     _WORK = (program, index, options, {})
 
 
-def _run_item(item):
+def _run_item(numbered):
     program, index, options, cache = _WORK
-    return _process_item(program, index, item, options, cache)
+    n, item = numbered
+    return _judge(program, index, n, item, options, cache)
 
 
 def check_all(program: CompiledProgram, index: LocationIndex,
-              items: Iterable[Union[Fec, FecError]],
+              items: Iterable[Union[str, bytes, Fec, FecError]],
               options: Optional[CheckOptions] = None,
               metadata: Optional[dict] = None) -> Report:
     """Check every FEC and aggregate a deterministic report.
 
     `items` is consumed lazily, so it can stream straight from a file.
+    An item is a raw NDJSON line (text, or bytes as a binary file yields
+    them) or an already parsed Fec or FecError.  Items are numbered from
+    1, blank lines included, so a line without a usable id is named
+    `line N` by its line number.  Raw lines are parsed where they are
+    judged, in the workers when there are several, and the parent
+    resolves their ids in line order as `iter_fec_lines` does: a
+    repeated id is an error.  Parsed items are taken as they are.
     Input errors become report entries unless `options.strict`, which
-    raises StrictInputError at the first one.
+    raises StrictInputError at the first one in line order.
+
+    At one worker each item is judged before the next is pulled.
     """
     options = options if options is not None else CheckOptions()
     cap = max(options.max_counterexamples, 0)
@@ -268,8 +294,12 @@ def check_all(program: CompiledProgram, index: LocationIndex,
     per_subspec: dict = {}
     kept = []           # the `cap` smallest fec ids seen so far, sorted
     errors = []
+    seen: set = set()   # ids claimed so far, in line order
 
-    def take(out):
+    def take(judged):
+        if judged is None:
+            return
+        out = claim(seen, *judged)
         if isinstance(out, FecError):
             if options.strict:
                 raise StrictInputError(out)
@@ -285,17 +315,18 @@ def check_all(program: CompiledProgram, index: LocationIndex,
             if len(kept) > cap:
                 kept.pop()
 
+    numbered = enumerate(items, start=1)
     if options.workers > 1:
         import multiprocessing  # only here: importing it slows start-up
         with multiprocessing.Pool(options.workers,
                                   initializer=_init_worker,
                                   initargs=(program, index, options)) as pool:
-            for out in pool.imap(_run_item, items, chunksize=16):
-                take(out)
+            for judged in pool.imap(_run_item, numbered, chunksize=16):
+                take(judged)
     else:
         cache: dict = {}
-        for item in items:
-            take(_process_item(program, index, item, options, cache))
+        for n, item in numbered:
+            take(_judge(program, index, n, item, options, cache))
 
     errors.sort(key=attrgetter("fec_id"))
     truncated = totals[FAIL] > len(kept)

@@ -24,7 +24,6 @@ from .checker import (CheckOptions, StrictInputError, check_all,
 from .compiler import compile_program
 from .frontend import (Granularity, LocationDb, LocationDbError, SpecError,
                        parse_program)
-from .snapshot import iter_fec_lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,8 +133,8 @@ def _run_check(args) -> int:
         options = CheckOptions(max_counterexamples=args.max_counterexamples,
                                workers=workers, strict=args.strict)
         try:
-            report = check_all(program, index,
-                               iter_fec_lines(_hashed(fecs, digest), index),
+            # raw lines: at several workers, the workers parse them
+            report = check_all(program, index, _hashed(fecs, digest),
                                options, metadata)
         except OSError as e:
             return _fail(str(e))

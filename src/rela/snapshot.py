@@ -19,6 +19,10 @@ a source-to-sink walk, starting with the source's own location.
 
 Loading checks a line's id and traffic and keeps its two graphs as raw
 JSON; when the two are equal, both fields hold one shared object.
+`read_line` parses one numbered line on its own, so lines can be parsed
+anywhere, in pool workers too; `claim` then resolves ids in line order,
+where a repeated id is an error.  `iter_fec_lines` is the two in
+sequence.
 `graph_to_fsa` checks a graph in the one walk that coarsens it to the
 granularity the run checks at, merging every vertex of the same device
 (or group) into one, and lowers it to an acceptor.  So a bad graph is
@@ -113,44 +117,60 @@ def parse_fec(obj, index: LocationIndex, fallback_id: str = "?") -> Fec:
     return Fec(fec_id, TrafficClass(dst, src), pre, post)
 
 
-def iter_fec_lines(lines: Iterable[str | bytes],
-                   index: LocationIndex) -> Iterator[Union[Fec, FecError]]:
-    """Parse NDJSON lines, yielding a Fec or a FecError per line.
+def read_line(n: int, line: str | bytes, index: LocationIndex):
+    """Parse line `n` of an NDJSON stream: None for a blank line, else
+    (raw id, Fec or FecError).  The raw id is the line's `id` when that
+    is a non-empty string, else None, and then an error names the line
+    `line n`.  The line is parsed whether or not its id is taken; see
+    `claim`.
 
-    Lines may be text or the raw lines of a binary file, which end at
-    the newline byte alone; a line that is not UTF-8 is an error entry.
-
-    A line claims its id before anything else is checked, so a later
-    line with that id is a duplicate even if the first one failed.
+    A line may be text or a raw line of a binary file, which ends at the
+    newline byte alone; a line that is not UTF-8 is an error entry.
     `index` is the table the graphs are checked against when lowered.
     """
-    seen = set()
+    text = line.strip()
+    if not text:
+        return None
+    fallback = f"line {n}"
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as e:
+        # RecursionError: nested deeper than the decoder's limit
+        return None, FecError(fallback, f"invalid JSON: {e}")
+    raw_id = obj.get("id") if isinstance(obj, dict) else None
+    if not isinstance(raw_id, str) or not raw_id:
+        raw_id = None
+    try:
+        return raw_id, parse_fec(obj, index, fallback)
+    except SnapshotError as e:
+        return raw_id, FecError(raw_id or fallback, str(e))
+
+
+def claim(seen: set, raw_id: Optional[str], outcome):
+    """`outcome` for a line with id `raw_id`, unless an earlier line took
+    that id; `seen` holds the ids taken so far.  Lines claim in line
+    order, each before anything else about it counts, so a later line
+    with the id is a duplicate even if the first one failed.  A line
+    without an id (`raw_id` None) takes none."""
+    if raw_id is None:
+        return outcome
+    if raw_id in seen:
+        return FecError(raw_id, f"FEC {raw_id}: duplicate id")
+    seen.add(raw_id)
+    return outcome
+
+
+def iter_fec_lines(lines: Iterable[str | bytes],
+                   index: LocationIndex) -> Iterator[Union[Fec, FecError]]:
+    """Parse NDJSON lines with `read_line`, numbered from 1, yielding a
+    Fec or a FecError per line that is not blank; ids are claimed in
+    line order (`claim`)."""
+    seen: set = set()
     for n, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        fallback = f"line {n}"
-        try:
-            obj = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError,
-                RecursionError) as e:
-            # RecursionError: nested deeper than the decoder's limit
-            yield FecError(fallback, f"invalid JSON: {e}")
-            continue
-        raw_id = obj.get("id") if isinstance(obj, dict) else None
-        if isinstance(raw_id, str) and raw_id:
-            if raw_id in seen:
-                yield FecError(raw_id, f"FEC {raw_id}: duplicate id")
-                continue
-            seen.add(raw_id)
-        else:
-            raw_id = fallback
-        try:
-            fec = parse_fec(obj, index, fallback)
-        except SnapshotError as e:
-            yield FecError(raw_id, str(e))
-            continue
-        yield fec
+        read = read_line(n, line, index)
+        if read is not None:
+            yield claim(seen, *read)
 
 
 def load_fecs(path: str,
@@ -269,7 +289,7 @@ def graph_to_fsa(raw, index: LocationIndex,
             reached.update(out[u])
     drains = set(sinks)
     for u in reversed(order):
-        if any(v in drains for v in out[u]):
+        if not drains.isdisjoint(out[u]):
             drains.add(u)
     for good, what in ((reached, "is unreachable from the sources"),
                        (drains, "cannot reach a sink")):
@@ -285,7 +305,10 @@ def graph_to_fsa(raw, index: LocationIndex,
             seen.add((su, sv))
             arcs[su].append((labels[sv], sv))
             succ[su].append(sv)
-    if _topological(range(len(labels)), succ) is None:
+    # With no two nodes merged, the coarse graph is the node graph plus
+    # state 0, which has no in-arcs, so it is acyclic already.
+    if len(labels) != len(state) + 1 and \
+            _topological(range(len(labels)), succ) is None:
         raise err(f"coarsened to {index.granularity.value} granularity "
                   "has a cycle")
     return Fsa(len(labels), 0, frozenset(state[n] for n in sinks),

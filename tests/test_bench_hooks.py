@@ -49,6 +49,38 @@ def test_traced_check_all_hooks_every_layer(tmp_path, workload):
     assert LAYERS <= {span[2] for span in tracer.spans[root:]}
 
 
+@pytest.mark.parametrize("form", ["parsed", "raw"])
+def test_one_worker_judges_each_item_before_the_next_pull(tmp_path,
+                                                          monkeypatch, form):
+    # `checker.fec_p50_ms` takes the gap between two pulls from the
+    # stream as one item's cost, so at one worker `check_all` must pull
+    # item k+1 only after `_process_item` has returned for item k.
+    corpus.write_corpus("reroute-explain", 1, str(tmp_path), 0.05)
+    _, index, program, fecs = traced.load_stage(str(tmp_path),
+                                                traced.Tracer())
+    items = fecs if form == "parsed" else \
+        (tmp_path / "fecs.ndjson").read_bytes().splitlines(keepends=True)
+    events = []
+
+    def pulls():
+        for k, item in enumerate(items):
+            events.append(("pull", k))
+            yield item
+
+    process = rela.checker._process_item
+
+    def recorded(program, index, item, options, cache):
+        out = process(program, index, item, options, cache)
+        events.append(("done", item.fec_id))
+        return out
+
+    monkeypatch.setattr(rela.checker, "_process_item", recorded)
+    report = check_all(program, index, pulls(), CheckOptions(workers=1))
+    assert report.totals["fail"] > 0
+    assert events == [event for k, fec in enumerate(fecs)
+                      for event in (("pull", k), ("done", fec.fec_id))]
+
+
 def count_nodes(node) -> int:
     """Nodes in a tree, found through each node's attributes."""
     count, stack = 0, [node]

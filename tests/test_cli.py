@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import rela.checker
 from rela.cli import main
 
 TESTS = Path(__file__).resolve().parent
@@ -643,9 +644,6 @@ class TestWorkers:
         second = capsys.readouterr().out
         assert first == second
 
-    @pytest.mark.xfail(strict=True, reason="the pool pickles each parsed "
-                       "Fec, raw graphs included, and pickling a list "
-                       "nested 500 deep overflows the stack")
     def test_deeply_nested_extra_key_at_two_workers(self, tmp_path, capsys):
         nested = []
         for _ in range(500):
@@ -670,3 +668,122 @@ class TestWorkers:
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
+
+
+def forty_lines():
+    """Forty passing FEC lines, more than two of the pool's chunks."""
+    return [fec_line(f"f{i:02d}", ("x1", "a1"), ("x1", "a1"))
+            for i in range(40)]
+
+
+class TestPoolAcrossChunks:
+    """The pool hands the workers raw lines, 16 at a time, and the
+    parent resolves ids in line order: every report must be the one
+    judged at one worker, byte for byte."""
+
+    def run_each(self, tmp_path, capsys, lines, extra=()):
+        """(exit code, stdout, error lines) at 1 worker, the same at 2
+        and 4 workers."""
+        argv = write_world(tmp_path, lines) + list(extra)
+        runs = []
+        for workers in ("1", "2", "4"):
+            code = main(argv + ["--workers", workers])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out,
+                         [line for line in captured.err.splitlines()
+                          if line.startswith("rela: error:")]))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        return runs[0]
+
+    def errors(self, out):
+        return [(e["fec_id"], e["message"]) for e in json.loads(out)["errors"]]
+
+    def test_duplicate_after_a_valid_line_in_another_chunk(self, tmp_path,
+                                                           capsys):
+        lines = forty_lines()
+        lines[30] = fec_line("f03", ("x1", "a1"), ("x1", "a1"), dst="nope")
+        code, out, _ = self.run_each(tmp_path, capsys, lines)
+        assert code == 2
+        assert self.errors(out) == [("f03", "FEC f03: duplicate id")]
+        assert json.loads(out)["totals"]["pass"] == 39
+
+    def test_duplicate_after_a_failing_line_in_another_chunk(self, tmp_path,
+                                                             capsys):
+        # the failing line 4 claims its id, so the valid line 31 repeats it
+        lines = forty_lines()
+        lines[3] = fec_line("f30", ("x1", "a1"), ("x1", "a1"), dst="nope")
+        code, out, _ = self.run_each(tmp_path, capsys, lines)
+        assert code == 2
+        assert self.errors(out) == [
+            ("f30", "FEC f30: bad dstPrefix 'nope'"),
+            ("f30", "FEC f30: duplicate id")]
+        assert json.loads(out)["totals"]["pass"] == 38
+
+    def test_a_real_id_equal_to_an_earlier_fallback_id(self, tmp_path,
+                                                       capsys):
+        # a fallback id names a line; it claims no id
+        lines = forty_lines()
+        lines[2] = "not json"
+        lines[25] = fec_line("line 3", ("x1", "a1"), ("x1", "a2"))
+        code, out, _ = self.run_each(tmp_path, capsys, lines)
+        assert code == 1
+        doc = json.loads(out)
+        assert [e[0] for e in self.errors(out)] == ["line 3"]
+        assert [cx["fec_id"] for cx in doc["counterexamples"]] == ["line 3"]
+
+    def test_fallback_ids_keep_file_line_numbers(self, tmp_path, capsys):
+        lines = []
+        for i, line in enumerate(forty_lines()):
+            if i % 5 == 0:
+                lines += ["", "   "]
+            lines.append(line)
+        # each run of five FEC lines is led by two blank ones
+        assert lines[9] == forty_lines()[5]
+        assert lines[40] == forty_lines()[28]
+        lines[9] = "[]"
+        lines[40] = "{broken"
+        code, out, _ = self.run_each(tmp_path, capsys, lines)
+        assert code == 2
+        errors = self.errors(out)
+        assert [e[0] for e in errors] == ["line 10", "line 41"]
+        assert errors[0][1] == \
+            "FEC line 10: each line must be a JSON object"
+        assert json.loads(out)["totals"]["pass"] == 38
+
+    BAD_GRAPH = fec_line("bad", ("x1", "a1"), ("x1", "zz"))
+
+    @pytest.mark.parametrize("first, last, message", [
+        (BAD_GRAPH, "garbage",
+         "rela: error: FEC bad: post graph node 'n1' has unknown "
+         "location 'zz'"),
+        ("garbage", BAD_GRAPH,
+         "rela: error: line 6: invalid JSON: Expecting value: "
+         "line 1 column 1 (char 0)"),
+    ], ids=["graph-first", "garbage-first"])
+    def test_strict_names_the_first_bad_line(self, tmp_path, capsys, first,
+                                             last, message):
+        lines = forty_lines()
+        lines[5], lines[37] = first, last
+        code, out, errors = self.run_each(tmp_path, capsys, lines,
+                                          ["--strict"])
+        assert (code, out, errors) == (2, "", [message])
+
+    def test_the_parent_parses_no_line(self, tmp_path, capsys, monkeypatch):
+        log = tmp_path / "pids"
+        read_line = rela.checker.read_line
+
+        def logged(*args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return read_line(*args)
+
+        monkeypatch.setattr(rela.checker, "read_line", logged)
+        argv = write_world(tmp_path, forty_lines())
+        assert main(argv + ["--workers", "1"]) == 0
+        assert log.read_text().split() == [str(os.getpid())] * 40
+        log.unlink()
+        assert main(argv + ["--workers", "2"]) == 0
+        pids = log.read_text().split()
+        assert len(pids) == 40
+        assert str(os.getpid()) not in pids
