@@ -10,13 +10,15 @@ them with the usual language algebra, and lists members shortest first.
 from rela.automata import (
     SymbolTable, accepts, enumerate_shortest, fsa_concat,
     fsa_difference, fsa_equivalent, fsa_intersect, fsa_star, fsa_symbol,
-    fsa_symbol_class, fsa_union,
+    fsa_symbol_class, fsa_union, minimize,
 )
 
 # Every run works over one interned set of locations.  The table hands
 # out symbols; its universe is the snapshot of everything interned so
 # far plus the reserved "drop" endpoint.  A machine holds no universe of
-# its own: its arcs alone fix its language.
+# its own: its arcs alone fix its language, a state's default arc
+# included.  A default arc reads every location the state lists no
+# other arc for, and `table.others` is its label.
 table = SymbolTable()
 leaf1 = table.location("leaf1")
 leaf2 = table.location("leaf2")
@@ -55,6 +57,15 @@ pingpong = fsa_star(fsa_concat(fsa_symbol(spine1), fsa_symbol(spine2)))
 listing = enumerate_shortest(pingpong, 4)
 print("(spine1 spine2)* members:", listing.render(),
       "... truncated:", listing.truncated)
+
+# Given the table's default label, a class holding more than half of
+# the locations is one default arc plus the locations it leaves out,
+# so `.*` (any path of locations) is one state and one arc however many
+# locations the table holds.
+dot = fsa_symbol_class([leaf1, leaf2, spine1, spine2], table.others)
+dot_star = minimize(fsa_star(dot))
+print("arcs in the minimal DFA of .*:",
+      sum(len(arcs) for arcs in dot_star.arcs))
 
 # "Everything but" is a difference too: take it from the star of the
 # whole universe.  The walk follows only the left side's arcs.

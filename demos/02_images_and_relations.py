@@ -42,7 +42,8 @@ def paths_fsa(paths):
 
 # Two snapshots of one traffic class: before, traffic crossed b; after,
 # it crosses c.
-ev = rir.Evaluator(paths_fsa([(a, b, d)]), paths_fsa([(a, c, d)]))
+ev = rir.Evaluator(paths_fsa([(a, b, d)]), paths_fsa([(a, c, d)]),
+                   table.others)
 
 
 def show(label, expr):

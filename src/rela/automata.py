@@ -5,19 +5,30 @@ This module is the kernel the rest of the checker is built on.  Path sets
 A path relation is an `Fsa` too, a transducer whose arc labels are
 ``(in, out)`` symbol pairs (``None`` on a tape that stands still);
 `fsa_union`, `fsa_concat` and `fsa_star` build both kinds.  A machine
-carries no symbol universe: its arcs alone fix its language.  Machines
-are immutable once constructed; every operation returns a fresh one, or
-its input when nothing changes.
+carries no symbol universe: its arcs alone fix its language, a state's
+default arc included.  A default arc, labelled with its table's
+`Others`, is read on every location the state lists no arc of its own
+for, so `.` is one arc and a machine's size does not grow with the
+number of locations; an arc to `_DEAD` lists a location the default
+leaves out.  Drop and markers are never covered by a default.
+`fsa_symbol_class` writes a default for a class holding more than half
+of the locations.  Acceptors alone carry defaults: `_relabel` spells a
+default out, so transducers have none.  Machines are immutable once
+constructed; every operation returns a fresh one, or its input when
+nothing changes.
 
 One breadth-first walk, `_explore`, builds every machine whose states
 are keys discovered from a start key: `determinize` steps over
 epsilon-closed subsets, `_product` over pairs of determinized states
 (intersection, difference, equivalence and `intersects`; a yes/no
 question stops at the first accepting pair) and `fst_compose` over pairs
-of transducer states.  Union, concatenation, star, `trim`, `minimize`
-and `substitute` copy and renumber plain arc lists; `fst_identity`,
-`fst_cross` and `project_output` relabel via `_relabel`.  `accepts` is a
-direct NFA simulation that shares no code with these constructions.
+of transducer states.  The subset and pair steps resolve defaults
+themselves.  Union, concatenation, star, `trim`, `minimize` and
+`substitute` copy and renumber plain arc lists, a default like any other
+arc; `fst_identity`, `fst_cross` and `project_output` relabel via
+`_relabel`.  `accepts` is a direct NFA simulation that shares no code
+with these constructions, and `enumerate_shortest` lists members in
+symbol-id order with defaults spelled out.
 
 Symbols are interned through a `SymbolTable`.  Three kinds exist:
 
@@ -75,18 +86,36 @@ class Symbol:
         return (Symbol, (self.id, self.name, self.kind))
 
 
+class Others:
+    """The label of a default arc: every location of one `SymbolTable`
+    that the arc's state lists no arc of its own for.
+
+    `locations` is the table's location symbols in id order, extended as
+    the table interns more.
+    """
+
+    __slots__ = ("locations",)
+
+    def __init__(self):
+        self.locations: list[Symbol] = []
+
+    def __repr__(self) -> str:
+        return f"<Others: {len(self.locations)} locations>"
+
+
 class SymbolTable:
     """Interns symbols for one run.
 
     The drop symbol is pre-interned with id 0.  Location ids follow in
     interning order, so callers that want stable ids across runs should
     intern locations in sorted order.  Markers are allocated last, during
-    spec compilation.
+    spec compilation.  `others` is the table's default-arc label.
     """
 
     def __init__(self):
         self._by_name: dict[str, Symbol] = {}
         self._symbols: list[Symbol] = []
+        self.others = Others()
         self.drop = self._intern("drop", DROP)
         self._marker_count = 0
 
@@ -94,6 +123,8 @@ class SymbolTable:
         sym = Symbol(len(self._symbols), name, kind)
         self._by_name[name] = sym
         self._symbols.append(sym)
+        if kind == LOCATION:
+            self.others.locations.append(sym)
         return sym
 
     def location(self, name: str) -> Symbol:
@@ -139,9 +170,12 @@ class Fsa:
     """A finite-state acceptor.  Treat instances as immutable.
 
     `arcs[q]` is a tuple of ``(label, target)`` pairs where label is a
-    `Symbol` (a symbol pair in a transducer) or ``None`` for epsilon.
-    `deterministic` promises there are no epsilon arcs and at most one
-    arc per (state, symbol).
+    `Symbol` (a symbol pair in a transducer) or ``None`` for epsilon.  A
+    state of an acceptor may have one default arc, labelled with an
+    `Others` and listed first, which reads every location the state has
+    no other arc on; a location arc whose target is `_DEAD` is an
+    exception to it.  `deterministic` promises there are no epsilon arcs
+    and at most one arc per (state, symbol).
 
     The three trailing slots memoize derived views (the determinized
     twin, per-state transition maps and the minimal twin); they are
@@ -200,16 +234,27 @@ def fsa_symbol(sym: Symbol) -> Fsa:
     return fsa_symbol_class((sym,))
 
 
-def fsa_symbol_class(symbols) -> Fsa:
+def fsa_symbol_class(symbols, others: Optional[Others] = None) -> Fsa:
     """The length-one strings over a set of symbols, as one flat machine.
 
     Equivalent to a union of `fsa_symbol` machines but deterministic and
-    two states regardless of the class width.
+    two states regardless of the class width.  Given `others`, the
+    default label of the symbols' table, a class holding more than half
+    of its locations is one default arc plus an arc to `_DEAD` for each
+    location it leaves out, so its size follows what it leaves out.
     """
     ordered = sorted(symbols, key=lambda s: s.id)
-    return Fsa(2, 0, frozenset([1]),
-               (tuple((sym, 1) for sym in ordered), ()),
-               deterministic=True)
+    if others is not None and 2 * sum(
+            s.kind == LOCATION for s in ordered) > len(others.locations):
+        members = frozenset(ordered)
+        listed = [s for s in ordered if s.kind != LOCATION] + \
+            [s for s in others.locations if s not in members]
+        arcs = ((others, 1),) + tuple(
+            (sym, 1 if sym in members else _DEAD)
+            for sym in sorted(listed, key=lambda s: s.id))
+    else:
+        arcs = tuple((sym, 1) for sym in ordered)
+    return Fsa(2, 0, frozenset([1]), (arcs, ()), deterministic=True)
 
 
 def fsa_union(x: Fsa, y: Fsa) -> Fsa:
@@ -243,15 +288,40 @@ def fsa_star(x: Fsa) -> Fsa:
 
 
 def _copy_into(arcs: list[list], m: Fsa) -> int:
-    """Append a shifted copy of `m`'s arc lists to `arcs`; return the shift."""
+    """Append a shifted copy of `m`'s arc lists to `arcs`; return the
+    shift.  Arcs to `_DEAD` stay there."""
     offset = len(arcs)
-    arcs.extend([(label, dst + offset) for label, dst in state_arcs]
+    arcs.extend([(label, dst + offset if dst != _DEAD else _DEAD)
+                 for label, dst in state_arcs]
                 for state_arcs in m.arcs)
     return offset
 
 
+def _default(state_arcs):
+    """The target of a state's default arc, or `_DEAD` when it has none."""
+    if state_arcs and state_arcs[0][0].__class__ is Others:
+        return state_arcs[0][1]
+    return _DEAD
+
+
+def _expand(state_arcs):
+    """A state's arcs with its default spelled out, one arc per location
+    it covers in symbol-id order after the explicit arcs, and without
+    the arcs to `_DEAD`."""
+    if not state_arcs or state_arcs[0][0].__class__ is not Others:
+        return state_arcs
+    (others, target), rest = state_arcs[0], state_arcs[1:]
+    listed = {label for label, _ in rest}
+    return [arc for arc in rest if arc[1] != _DEAD] + \
+        [(sym, target) for sym in others.locations if sym not in listed]
+
+
 # ---------------------------------------------------------------------------
 # Core transformations
+
+# The rejecting sink: a partial DFA's missing arcs lead there, and an
+# arc to it lists a location that its state's default does not read.
+_DEAD = -1
 
 
 def _explore(start, step, deterministic: bool = False, decide: bool = False):
@@ -260,11 +330,11 @@ def _explore(start, step, deterministic: bool = False, decide: bool = False):
     Keys are numbered in discovery order, `start` as 0, and stepped in
     that order, so the k-th key stepped is state k.  ``step(key)``
     returns ``(accepts, moves)``, `moves` a list of ``(label,
-    target_key)`` pairs that become the state's arcs in order.  Returns
-    the `Fsa`; with `decide`, whether an accepting key is reachable,
-    stopping at the first one.
+    target_key)`` pairs that become the state's arcs in order; a move to
+    `_DEAD` stays an arc to `_DEAD`.  Returns the `Fsa`; with `decide`,
+    whether an accepting key is reachable, stopping at the first one.
     """
-    index = {start: 0}
+    index = {_DEAD: _DEAD, start: 0}
     work = deque([start])
     arcs: list[tuple] = []
     accepting = []
@@ -278,7 +348,7 @@ def _explore(start, step, deterministic: bool = False, decide: bool = False):
         for label, target in moves:
             tid = index.get(target)
             if tid is None:
-                tid = index[target] = len(index)
+                tid = index[target] = len(index) - 1
                 work.append(target)
             state_arcs.append((label, tid))
         arcs.append(tuple(state_arcs))
@@ -303,8 +373,22 @@ def _epsilon_closures(fsa: Fsa) -> list[tuple[int, ...]]:
     return closures
 
 
+def _others_of(fsa: Fsa) -> Optional[Others]:
+    """The label of `fsa`'s default arcs, None when it has none."""
+    for state_arcs in fsa.arcs:
+        if state_arcs and state_arcs[0][0].__class__ is Others:
+            return state_arcs[0][0]
+    return None
+
+
 def determinize(fsa: Fsa) -> Fsa:
     """Powerset construction; the result has a partial transition function.
+
+    A subset's default arc goes to the union of its members' defaults.
+    A location some member lists goes where the members listing it go,
+    and where the other members' defaults go; if that is where the
+    subset's default goes the arc is left out, and if it is nowhere the
+    arc goes to `_DEAD`.
 
     The result is memoized on the input machine, so repeated product
     constructions against a shared operand pay for one determinization.
@@ -314,6 +398,7 @@ def determinize(fsa: Fsa) -> Fsa:
     if fsa._dfa is not None:
         return fsa._dfa
     closures = _epsilon_closures(fsa)
+    others = _others_of(fsa)
 
     def step(subset):
         # Group member arcs by symbol; dict preserves first-seen order, so
@@ -327,33 +412,85 @@ def determinize(fsa: Fsa) -> Fsa:
                 [(sym, tuple(sorted(by_sym[sym])))
                  for sym in sorted(by_sym, key=lambda s: s.id)])
 
+    def step_with_defaults(subset):
+        by_sym: dict[Symbol, set[int]] = {}
+        default: set[int] = set()
+        for q in subset:
+            for label, dst in fsa.arcs[q]:
+                if label is others:
+                    default.update(closures[dst])
+                elif label is not EPSILON:
+                    targets = by_sym.setdefault(label, set())
+                    if dst != _DEAD:
+                        targets.update(closures[dst])
+        for q in subset:
+            target = _default(fsa.arcs[q])
+            if target != _DEAD:
+                for sym, targets in by_sym.items():
+                    if sym.kind == LOCATION and sym not in lists[q]:
+                        targets.update(closures[target])
+        keys = [(sym, tuple(sorted(by_sym[sym])))
+                for sym in sorted(by_sym, key=lambda s: s.id)]
+        to_default = tuple(sorted(default))
+        if to_default:
+            listed = [key for sym, key in keys if sym.kind == LOCATION]
+            if len(listed) == len(others.locations) and \
+                    to_default not in listed:
+                to_default = ()  # the default would read no location
+        moves = [(others, to_default)] if to_default else []
+        for sym, key in keys:
+            if to_default and sym.kind == LOCATION:
+                if key != to_default:
+                    moves.append((sym, key or _DEAD))
+            elif key:
+                moves.append((sym, key))
+        return not fsa.accepting.isdisjoint(subset), moves
+
+    if others is not None:
+        lists = [{label for label, _ in state_arcs}
+                 for state_arcs in fsa.arcs]
+        step = step_with_defaults
     fsa._dfa = _explore(closures[fsa.initial], step, deterministic=True)
     return fsa._dfa
 
 
-def _state_maps(dfa: Fsa) -> list[dict]:
-    """Per-state symbol-to-target maps of a deterministic machine, memoized."""
-    maps = dfa._maps
-    if maps is None:
+def _state_maps(dfa: Fsa):
+    """Per-state symbol-to-target maps of a deterministic machine, each
+    with its default arc's target under ``None`` (a DFA has no epsilon
+    arcs), and the machine's default label, None when it has none;
+    memoized."""
+    got = dfa._maps
+    if got is None:
         maps = [dict(state_arcs) for state_arcs in dfa.arcs]
-        dfa._maps = maps
-    return maps
+        others = _others_of(dfa)
+        if others is not None:
+            for m in maps:
+                if others in m:
+                    m[None] = m.pop(others)
+        got = dfa._maps = (maps, others)
+    return got
 
 
 def trim(fsa: Fsa) -> Fsa:
-    """Drop states that are unreachable or cannot reach acceptance."""
+    """Drop states that are unreachable or cannot reach acceptance.
+
+    Under a default arc that is kept, a location arc into a dropped
+    state becomes an arc to `_DEAD`, so the default does not take that
+    location over.
+    """
     forward = {fsa.initial}
     stack = [fsa.initial]
     while stack:
         q = stack.pop()
         for _, dst in fsa.arcs[q]:
-            if dst not in forward:
+            if dst not in forward and dst != _DEAD:
                 forward.add(dst)
                 stack.append(dst)
     rev: list[list[int]] = [[] for _ in range(fsa.num_states)]
     for q in range(fsa.num_states):
         for _, dst in fsa.arcs[q]:
-            rev[dst].append(q)
+            if dst != _DEAD:
+                rev[dst].append(q)
     backward = set(fsa.accepting)
     stack = [q for q in fsa.accepting]
     while stack:
@@ -368,10 +505,17 @@ def trim(fsa: Fsa) -> Fsa:
     if len(live) == fsa.num_states:
         return fsa
     remap = {q: n for n, q in enumerate(sorted(live))}
-    arcs = tuple(tuple((label, remap[dst]) for label, dst in fsa.arcs[q]
-                       if dst in live) for q in remap)
+    arcs = []
+    for q in remap:
+        state_arcs = fsa.arcs[q]
+        kept = _default(state_arcs) in remap
+        arcs.append(tuple(
+            (label, remap[dst]) if dst in remap else (label, _DEAD)
+            for label, dst in state_arcs
+            if dst in remap or kept and label is not EPSILON
+            and label.kind == LOCATION))
     accepting = frozenset(remap[q] for q in fsa.accepting if q in live)
-    return Fsa(len(arcs), remap[fsa.initial], accepting, arcs,
+    return Fsa(len(arcs), remap[fsa.initial], accepting, tuple(arcs),
                deterministic=fsa.deterministic)
 
 
@@ -394,19 +538,38 @@ def _refine(d: Fsa) -> Fsa:
     signatures alone is sound."""
     if not d.accepting:
         return d
-    # A state's signature is its class, its symbol ids in id order and
-    # the classes of the targets in that order; a DFA has one arc per
-    # symbol, so the id order is fixed once.
-    ordered = [sorted(arcs, key=lambda arc: arc[0].id) for arcs in d.arcs]
-    ids = [tuple(label.id for label, _ in arcs) for arcs in ordered]
-    targets = [[dst for _, dst in arcs] for arcs in ordered]
+    # A state's signature is its class, its default's class and its
+    # other arcs' symbol ids and target classes in id order; a DFA has
+    # one arc per symbol, so the id order is fixed once.  A state with
+    # a default, or with arcs on more than half of the locations, first
+    # has its arcs put in the one form `_over_classes` gives every
+    # successor function, so states that read alike share a signature;
+    # the arcs of any other state are in that form already.  `_DEAD`'s
+    # class is `_DEAD`, the last entry of `cls`.
+    others = _others_of(d)
+    default = [_default(arcs) for arcs in d.arcs]
+    explicit = [sorted((arc for arc in arcs if arc[0].__class__ is not Others),
+                       key=lambda arc: arc[0].id) for arcs in d.arcs]
+    ids = [tuple(label.id for label, _ in arcs) for arcs in explicit]
+    targets = [[dst for _, dst in arcs] for arcs in explicit]
+    plain = [others is None or to_default == _DEAD and 2 * sum(
+        label.kind == LOCATION for label, _ in arcs) <= len(others.locations)
+        for arcs, to_default in zip(explicit, default)]
     cls = [1 if q in d.accepting else 0 for q in range(d.num_states)]
     ncls = len(set(cls))
     while True:
+        cls.append(_DEAD)
         sigs: dict[tuple, int] = {}
         new_cls = [0] * d.num_states
         for q in range(d.num_states):
-            sig = (cls[q], ids[q], tuple(map(cls.__getitem__, targets[q])))
+            if plain[q]:
+                sig = (cls[q], _DEAD, ids[q],
+                       tuple(map(cls.__getitem__, targets[q])))
+            else:
+                to_default, arcs = _over_classes(explicit[q], cls[default[q]],
+                                                 cls, others)
+                sig = (cls[q], to_default, tuple(label.id for label, _ in arcs),
+                       tuple(c for _, c in arcs))
             nid = sigs.setdefault(sig, len(sigs))
             new_cls[q] = nid
         stable = len(sigs) == ncls
@@ -414,16 +577,51 @@ def _refine(d: Fsa) -> Fsa:
         if stable:
             break
     # Each class takes the arcs of its first member.
+    cls.append(_DEAD)
     arcs: list = [None] * ncls
     for q in range(d.num_states):
-        if arcs[cls[q]] is None:
+        if arcs[cls[q]] is not None:
+            continue
+        if plain[q]:
             arcs[cls[q]] = tuple((label, cls[dst]) for label, dst in d.arcs[q])
+            continue
+        to_default, out = _over_classes(explicit[q], cls[default[q]], cls,
+                                        others)
+        if to_default != _DEAD:
+            out = ((others, to_default),) + out
+        arcs[cls[q]] = out
     accepting = frozenset(cls[q] for q in d.accepting)
     return Fsa(ncls, cls[d.initial], accepting, tuple(arcs),
                deterministic=True)
 
 
-_DEAD = -1  # the implicit rejecting sink of a partial DFA
+def _over_classes(arcs, to_default: int, cls: list, others: Others):
+    """One DFA state's successor function over the classes `cls`, in its
+    one form: ``(default class, ((label, class), ...))`` in id order.
+
+    `arcs` are the state's arcs other than its default, by id, and
+    `to_default` is the class its default goes to (`_DEAD` for none).
+    The default goes to the class more than half of the locations go
+    to, or is `_DEAD` when no class has that many, and the arcs list
+    every symbol that goes elsewhere, locations the old default read
+    included.
+    """
+    counts = {to_default: len(others.locations)}
+    for label, dst in arcs:
+        if label.kind == LOCATION:
+            counts[to_default] -= 1
+            counts[cls[dst]] = counts.get(cls[dst], 0) + 1
+    best = max(counts, key=counts.get)
+    if 2 * counts[best] <= len(others.locations):
+        best = _DEAD
+    out = [(label, cls[dst]) for label, dst in arcs
+           if cls[dst] != (best if label.kind == LOCATION else _DEAD)]
+    if best != to_default:
+        listed = {label for label, _ in arcs}
+        out += [(sym, to_default) for sym in others.locations
+                if sym not in listed]
+        out.sort(key=lambda arc: arc[0].id)
+    return best, tuple(out)
 
 
 def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
@@ -438,12 +636,20 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
     complete machine over many symbols stays proportional to the smaller
     one.  A pair accepts when ``accept(x_accepts, y_accepts)``.
 
+    When an operand has default arcs, a pair moves on the symbols either
+    side lists, or only those of a side with no default where that side
+    decides, and on a default to the pair of the two defaults' targets
+    when some location goes there.  A listed location that goes where
+    that default goes is left out, and one under the default that can no
+    longer decide goes to `_DEAD`.
+
     With `build` the walk returns the product as a deterministic `Fsa`;
     without it, whether an accepting pair is reachable, stopping at the
     first one.
     """
     x, y = determinize(x), determinize(y)
-    xmaps, ymaps = _state_maps(x), _state_maps(y)
+    (xmaps, x_others), (ymaps, y_others) = _state_maps(x), _state_maps(y)
+    others = x_others or y_others
 
     def step(pair):
         qx, qy = pair
@@ -464,8 +670,57 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
                           for label, dst in ymap.items() if label not in xmap]
         return accept(qx in x.accepting, qy in y.accepting), moves
 
-    return _explore((x.initial, y.initial), step, deterministic=True,
-                    decide=not build)
+    def alive(tx, ty):
+        # whether a pair of targets can still reach a deciding pair
+        if follow == "both":
+            return tx != _DEAD and ty != _DEAD
+        if follow == "left":
+            return tx != _DEAD
+        return tx != _DEAD or ty != _DEAD
+
+    def step_with_defaults(pair):
+        qx, qy = pair
+        xmap = {} if qx == _DEAD else xmaps[qx]
+        ymap = {} if qy == _DEAD else ymaps[qy]
+        dx, dy = xmap.get(None, _DEAD), ymap.get(None, _DEAD)
+        accepts = accept(qx in x.accepting, qy in y.accepting)
+        if dx == _DEAD and follow != "either":
+            # Only x's symbols move the pair, and y reads on its default
+            # the locations it does not list.
+            moves = []
+            for label, tx in xmap.items():
+                ty = ymap.get(label)
+                if ty is None:
+                    ty = dy if label.kind == LOCATION else _DEAD
+                if ty != _DEAD or follow == "left":
+                    moves.append((label, (tx, ty)))
+            return accepts, moves
+        default = (dx, dy) if alive(dx, dy) else None
+        labels = ymap if dy == _DEAD and follow == "both" else \
+            {**xmap, **ymap}
+        moves = []
+        listed, covered = 0, False
+        for label in labels:
+            if label is None:
+                continue
+            location = label.kind == LOCATION
+            listed += location
+            target = (xmap.get(label, dx if location else _DEAD),
+                      ymap.get(label, dy if location else _DEAD))
+            if not alive(*target):
+                if location:
+                    moves.append((label, _DEAD))
+            elif location and target == default:
+                covered = True
+            else:
+                moves.append((label, target))
+        if default and (covered or listed < len(others.locations)):
+            return accepts, [(others, default)] + moves
+        return accepts, [move for move in moves if move[1] != _DEAD]
+
+    return _explore((x.initial, y.initial),
+                    step if others is None else step_with_defaults,
+                    deterministic=True, decide=not build)
 
 
 def fsa_intersect(x: Fsa, y: Fsa) -> Fsa:
@@ -489,15 +744,22 @@ def fsa_equivalent(x: Fsa, y: Fsa) -> bool:
 
 
 def accepts(fsa: Fsa, path: Sequence[Symbol]) -> bool:
-    """Membership test by direct NFA simulation."""
+    """Membership test by direct NFA simulation.  A state reads a
+    location it lists no arc for on its default arc, if it has one."""
     closures = _epsilon_closures(fsa)
     current = set(closures[fsa.initial])
     for sym in path:
         nxt: set[int] = set()
         for q in current:
+            listed = False
             for label, dst in fsa.arcs[q]:
                 if label is not EPSILON and label == sym:
-                    nxt.update(closures[dst])
+                    listed = True
+                    if dst != _DEAD:
+                        nxt.update(closures[dst])
+            target = _default(fsa.arcs[q])
+            if not listed and target != _DEAD and sym.kind == LOCATION:
+                nxt.update(closures[target])
         if not nxt:
             return False
         current = nxt
@@ -519,17 +781,17 @@ def enumerate_shortest(fsa: Fsa, limit: int) -> PathList:
     stops after `limit` + 1 members, or once no state is reachable in n
     steps.  With L the longest length listed, the cost is
     O(L * arcs + (limit + 1) * L * fan-out), whatever the size of the
-    language.
+    language.  A default arc counts as one arc per location it covers.
     """
     d = trim(determinize(fsa))
     if not d.accepting:
         return PathList((), False)
     limit = max(limit, 0)
     # Arcs of an input DFA (graph_to_fsa's, say) come in input order.
-    arcs = [sorted(state_arcs, key=lambda arc: arc[0].id)
+    arcs = [sorted(_expand(state_arcs), key=lambda arc: arc[0].id)
             for state_arcs in d.arcs]
     rev: list[list[int]] = [[] for _ in range(d.num_states)]
-    for q, state_arcs in enumerate(d.arcs):
+    for q, state_arcs in enumerate(arcs):
         for _, dst in state_arcs:
             rev[dst].append(q)
     live = [d.accepting]
@@ -537,7 +799,7 @@ def enumerate_shortest(fsa: Fsa, limit: int) -> PathList:
     reach = {d.initial}
     n = 0
     while len(out) <= limit:
-        reach = {dst for q in reach for _, dst in d.arcs[q]}
+        reach = {dst for q in reach for _, dst in arcs[q]}
         if not reach:
             break
         live.append(frozenset(src for q in live[n] for src in rev[q]))
@@ -604,11 +866,14 @@ def substitute(fsa: Fsa, mapping: dict) -> Fsa:
 
 
 def _relabel(fsa: Fsa, label_of) -> Fsa:
-    """`fsa` with each non-epsilon arc label replaced by ``label_of(label)``."""
+    """`fsa` with each non-epsilon arc label replaced by ``label_of(label)``,
+    a default arc first spelled out in symbol-id order."""
+    spelled = fsa.arcs if _others_of(fsa) is None else \
+        map(_expand, fsa.arcs)
     arcs = tuple(
         tuple((label if label is EPSILON else label_of(label), dst)
               for label, dst in state_arcs)
-        for state_arcs in fsa.arcs)
+        for state_arcs in spelled)
     return Fsa(fsa.num_states, fsa.initial, fsa.accepting, arcs)
 
 

@@ -141,7 +141,7 @@ def check_fec(c: CompiledSpec, f: Fec, index: LocationIndex,
     """
     guard = guard or c.name
     pre, post = fec_acceptors(f, index)
-    ev = rir.Evaluator(pre, post, ground_cache)
+    ev = rir.Evaluator(pre, post, index.table.others, ground_cache)
     if _agree(ev, c.top.left, c.top.right):
         return FecVerdict(f.fec_id, PASS, guard), None
     cx = _explain(c, f.fec_id, f.traffic, ev, guard, limit)

@@ -22,12 +22,15 @@ Nodes are built in normal form: `union`, `concat`, `star`, `identity`,
 `cross` and `compose` apply the algebraic rewrites as they build, so no
 separate pass simplifies a tree.
 
-`Evaluator` is given the two snapshot acceptors and lowers either sort
-to an `Fsa` from :mod:`rela.automata` with the same constructors;
+`Evaluator` is given the two snapshot acceptors and the table's default
+label, and lowers either sort to an `Fsa` from :mod:`rela.automata`
+with the same constructors; a wide `SymSet`, `.` among them, becomes a
+default arc, so no machine grows with the number of locations;
 deciding and explaining an equation is left to :mod:`rela.checker`.  A
 ground path-set `Union` is cached as the trimmed minimal DFA of its
-language, so an `else` chain's masks do not copy every earlier zone;
-relations are kept as built.
+language, and a `Difference` takes a union's operands away one at a
+time, so an `else` chain's masks neither copy nor build the union of
+the earlier zones; relations are kept as built.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import (
-    Fsa, Symbol, apply_image, fsa_concat, fsa_difference, fsa_empty,
+    Fsa, Others, Symbol, apply_image, fsa_concat, fsa_difference, fsa_empty,
     fsa_intersect, fsa_star, fsa_symbol_class, fsa_union, fsa_unit,
     fst_compose, fst_cross, fst_identity, intersects, minimize,
 )
@@ -307,7 +310,9 @@ class Evaluator:
     against, the values of `PreState` and `PostState`.  They carry no
     marker symbols (markers belong to compiled relations only), which
     holds because `rela.snapshot.graph_to_fsa` labels arcs with location
-    and drop symbols alone.
+    and drop symbols alone.  `others` is the default label of the
+    symbols' table: a `SymSet` holding more than half of its locations
+    becomes a default arc and its exceptions, so `.` is one arc.
 
     Structurally identical subexpressions evaluate once per snapshot
     pair.  Ground subexpressions (no PreState/PostState) may additionally
@@ -318,10 +323,11 @@ class Evaluator:
     minimized, and neither is any other node.
     """
 
-    def __init__(self, pre: Fsa, post: Fsa,
+    def __init__(self, pre: Fsa, post: Fsa, others: Others,
                  ground_cache: Optional[dict] = None):
         self.pre = pre
         self.post = post
+        self.others = others
         self._ground = ground_cache if ground_cache is not None else {}
         self._local: dict = {}
 
@@ -341,7 +347,7 @@ class Evaluator:
 
     def _evaluate(self, p: _Node) -> Fsa:
         if isinstance(p, SymSet):
-            return fsa_symbol_class(p.symbols)
+            return fsa_symbol_class(p.symbols, self.others)
         if isinstance(p, Zero):
             return fsa_empty()
         if isinstance(p, One):
@@ -362,8 +368,13 @@ class Evaluator:
         if isinstance(p, Intersect):
             return fsa_intersect(self.pathset(p.left), self.pathset(p.right))
         if isinstance(p, Difference):
-            return fsa_difference(self.pathset(p.left),
-                                  self.pathset(p.right))
+            # x - (a | b) is (x - a) - b, so an else arm's mask takes the
+            # earlier zones away one at a time and their union, a DFA
+            # with an arc per earlier arm, is never built.
+            left = self.pathset(p.left)
+            for part in flatten(p.right, Union):
+                left = fsa_difference(left, self.pathset(part))
+            return left
         if isinstance(p, Image):
             return self._image(self.pathset(p.source), p.rel)
         if isinstance(p, Cross):

@@ -17,7 +17,8 @@ import random
 from collections import deque
 from typing import NamedTuple
 
-from rela.automata import Fsa, Symbol, SymbolTable, determinize, trim
+from rela.automata import (_DEAD, Fsa, Others, Symbol, SymbolTable,
+                           determinize, trim)
 from rela import rir
 from rela.rir import (
     Compose, Concat, Cross, Difference, Identity, Image, Intersect, One,
@@ -268,8 +269,28 @@ def fsa_from_paths(paths) -> Fsa:
                tuple(tuple(a) for a in arcs))
 
 
+def expand_defaults(fsa: Fsa) -> Fsa:
+    """`fsa` with each default arc spelled out: one arc per location of
+    its label's table that the state lists no arc for, in id order after
+    the state's other arcs, and no arcs to `_DEAD`.  The twin carries no
+    default, so an operation can be checked against it."""
+    arcs = []
+    for state_arcs in fsa.arcs:
+        listed = {label for label, _ in state_arcs}
+        out = [(label, dst) for label, dst in state_arcs
+               if not isinstance(label, Others) and dst != _DEAD]
+        for label, dst in state_arcs:
+            if isinstance(label, Others):
+                out += [(sym, dst) for sym in label.locations
+                        if sym not in listed]
+        arcs.append(tuple(out))
+    return Fsa(fsa.num_states, fsa.initial, fsa.accepting, tuple(arcs),
+               fsa.deterministic)
+
+
 def is_empty(fsa: Fsa) -> bool:
     """True when the language is empty (no accepting state reachable)."""
+    fsa = expand_defaults(fsa)
     seen = {fsa.initial}
     stack = [fsa.initial]
     while stack:
@@ -285,7 +306,7 @@ def is_empty(fsa: Fsa) -> bool:
 
 def bounded_language(fsa: Fsa, maxlen: int) -> frozenset:
     """All accepted strings of length <= maxlen, by BFS over the DFA."""
-    d = trim(determinize(fsa))
+    d = expand_defaults(trim(determinize(fsa)))
     out = []
     work = deque([(d.initial, ())])
     while work:
@@ -300,13 +321,14 @@ def bounded_language(fsa: Fsa, maxlen: int) -> frozenset:
 
 
 class Env(NamedTuple):
-    """A snapshot pair's two acceptors and the universe they range over;
-    an `Evaluator` takes the acceptors, the oracle's complements the
-    universe."""
+    """A snapshot pair's two acceptors, the universe they range over and
+    its table's default label; an `Evaluator` takes the acceptors and the
+    label, the oracle's complements the universe."""
 
     pre: Fsa
     post: Fsa
     universe: frozenset[Symbol]
+    others: Others
 
 
 def make_env(rng, n_locations=2):
@@ -318,7 +340,8 @@ def make_env(rng, n_locations=2):
     universe = table.universe()
     pre = random_paths(rng, symbols)
     post = random_paths(rng, symbols)
-    env = Env(fsa_from_paths(pre), fsa_from_paths(post), universe)
+    env = Env(fsa_from_paths(pre), fsa_from_paths(post), universe,
+              table.others)
     oenv = OracleEnv(pre, post, tuple(sorted(universe)))
     env_ml = (max((len(p) for p in pre), default=0),
               max((len(p) for p in post), default=0))

@@ -141,6 +141,7 @@ def run_case(spec_text, pre_texts, post_texts):
     program = parse_program(f"spec s := {spec_text}", index)
     compiled = compile_spec(program.default, index)
     ev = Evaluator(fsa_from_paths(paths_from_text(index, pre_texts)),
-                   fsa_from_paths(paths_from_text(index, post_texts)))
+                   fsa_from_paths(paths_from_text(index, post_texts)),
+                   index.table.others)
     return fsa_equivalent(ev.pathset(compiled.top.left),
                           ev.pathset(compiled.top.right))

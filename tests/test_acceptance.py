@@ -46,7 +46,7 @@ def test_1_oracle_equivalence():
         gen = TreeGen(rng, symbols, env_ml, bound=6)
         for _ in range(10):
             tree = gen.tree(depth=4)
-            ev = Evaluator(env.pre, env.post)
+            ev = Evaluator(env.pre, env.post, table.others)
             got = bounded_language(ev.pathset(tree), 6)
             want = oracle_eval_pathset(tree, oenv, 6)
             assert got == want, f"disagreement on {pretty(tree)}"
@@ -247,7 +247,7 @@ def test_6_counterexample_exhaustiveness():
     missing, unexpected = cx.missing, cx.unexpected
     assert missing.truncated
     assert len(missing.paths) == 40
-    ev = Evaluator(*fec_acceptors(fec2, index))
+    ev = Evaluator(*fec_acceptors(fec2, index), index.table.others)
     left = ev.pathset(star.default.top.left)
     right = ev.pathset(star.default.top.right)
     for path in missing.paths:

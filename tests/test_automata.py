@@ -14,10 +14,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _treegen import is_empty
+from _treegen import expand_defaults, is_empty
 from rela.automata import (
-    substitute,
-    Fsa, PathList, Symbol, SymbolTable, accepts,
+    _DEAD, substitute,
+    Fsa, Others, PathList, Symbol, SymbolTable, accepts,
     apply_image, determinize, enumerate_shortest, fsa_concat,
     fsa_difference, fsa_empty, fsa_equivalent, fsa_intersect, fsa_star,
     fsa_symbol, fsa_symbol_class, fsa_union, fsa_unit, fst_compose,
@@ -913,3 +913,215 @@ class TestSubstitute:
         out = substitute(base, {marker: inner})
         expected = build_fsa(("star", ("sym", b)), t.universe())
         assert fsa_equivalent(out, expected)
+
+
+# ---------------------------------------------------------------------------
+# Default arcs: sizes that do not follow the location universe
+
+
+def locations_table(n):
+    t = SymbolTable()
+    return t, [t.location(f"l{i:04d}") for i in range(n)]
+
+
+def arc_count(m: Fsa) -> int:
+    return sum(len(arcs) for arcs in m.arcs)
+
+
+@pytest.mark.parametrize("n", [3, 200, 2000])
+def test_minimal_dfa_of_dot_star_has_at_most_two_arcs(n):
+    t, locs = locations_table(n)
+    anything = minimize(fsa_star(fsa_symbol_class(locs, t.others)))
+    assert arc_count(anything) <= 2
+    assert accepts(anything, (locs[-1], locs[0], locs[-1]))
+    assert not accepts(anything, (locs[0], t.drop))
+
+
+@pytest.mark.parametrize("n,k", [(3, 0), (3, 1), (200, 0), (200, 7),
+                                 (2000, 1), (2000, 999)])
+def test_symbol_class_of_all_but_k_locations_has_k_plus_two_arcs(n, k):
+    t, locs = locations_table(n)
+    left_out = set(random.Random(n + k).sample(locs, k))
+    held = [s for s in locs if s not in left_out] + [t.drop]
+    m = fsa_symbol_class(held, t.others)
+    assert arc_count(m) <= k + 2
+    assert all(accepts(m, (s,)) == (s not in left_out) for s in locs)
+    assert accepts(m, (t.drop,))
+
+
+def test_symbol_class_of_half_the_locations_lists_them():
+    t, locs = locations_table(4)
+    assert fsa_symbol_class(locs[:2], t.others).arcs == \
+        fsa_symbol_class(locs[:2]).arcs
+
+
+# ---------------------------------------------------------------------------
+# Default arcs against their expansion: every operation gives the same
+# language and the same listing on a machine with defaults as on its
+# expanded twin (`expand_defaults`), over universes of four symbols.
+
+DEFAULTS_WORLD = None
+
+
+def defaults_world():
+    """Three locations and drop; a second table of two locations, drop
+    and one marker for substitution."""
+    global DEFAULTS_WORLD
+    if DEFAULTS_WORLD is None:
+        t = SymbolTable()
+        syms = [t.drop] + [t.location(x) for x in "abc"]
+        tm = SymbolTable()
+        msyms = [tm.drop] + [tm.location(x) for x in "ab"]
+        DEFAULTS_WORLD = (t, syms, tm, msyms + [tm.fresh_marker()])
+    return DEFAULTS_WORLD
+
+
+@st.composite
+def default_machines(draw, table, symbols, deterministic=None):
+    """A random acceptor of up to four states in which states may have a
+    default arc, with exceptions, besides arcs on `symbols` and, unless
+    deterministic, epsilon arcs and several arcs per symbol."""
+    det = draw(st.booleans()) if deterministic is None else deterministic
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    arcs = []
+    for _ in range(n):
+        default = draw(st.one_of(st.none(), state))
+        out = [] if default is None else [(table.others, default)]
+        for sym in symbols:
+            covered = default is not None and sym.kind == "location"
+            count = draw(st.integers(0, 1 if det else 2))
+            if covered and draw(st.booleans()):
+                out.append((sym, _DEAD))
+                count = 0 if det else count
+            out += [(sym, draw(state)) for _ in range(count)]
+        if not det:
+            out += [(None, draw(state))
+                    for _ in range(draw(st.integers(0, 1)))]
+        arcs.append(tuple(out))
+    accepting = frozenset(draw(st.sets(state, max_size=n)))
+    return Fsa(n, 0, accepting, tuple(arcs), deterministic=det)
+
+
+def words(m: Fsa, maxlen: int = 4) -> frozenset:
+    """The members of L(m) up to `maxlen` long, read off m's expanded
+    twin by a direct simulation that shares no code with the kernel."""
+    e = expand_defaults(m)
+
+    def closed(states):
+        stack, seen = list(states), set(states)
+        while stack:
+            for label, dst in e.arcs[stack.pop()]:
+                if label is None and dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        return frozenset(seen)
+
+    out, frontier = set(), {(): closed({e.initial})}
+    for n in range(maxlen + 1):
+        step: dict = {}
+        for path, states in frontier.items():
+            if states & e.accepting:
+                out.add(path)
+            if n < maxlen:
+                for q in states:
+                    for label, dst in e.arcs[q]:
+                        if label is not None:
+                            step.setdefault(path + (label,), set()).add(dst)
+        frontier = {p: closed(s) for p, s in step.items()}
+    return frozenset(out)
+
+
+def assert_same_as_twin(got: Fsa, want: Fsa):
+    """Same language as far as the oracle reads, and the same listing."""
+    assert words(got) == words(want)
+    assert enumerate_shortest(got, 12) == enumerate_shortest(want, 12)
+
+
+def pair_of_machines():
+    t, syms, _, _ = defaults_world()
+    one = default_machines(t, syms)
+    return st.tuples(one, one)
+
+
+DEFAULT_SETTINGS = settings(max_examples=120, derandomize=True,
+                            deadline=None)
+
+
+@DEFAULT_SETTINGS
+@given(pair_of_machines())
+def test_default_arcs_in_regular_constructions(pair):
+    x, y = pair
+    ex, ey = expand_defaults(x), expand_defaults(y)
+    assert_same_as_twin(x, ex)
+    assert_same_as_twin(fsa_union(x, y), fsa_union(ex, ey))
+    assert_same_as_twin(fsa_concat(x, y), fsa_concat(ex, ey))
+    assert_same_as_twin(fsa_star(x), fsa_star(ex))
+    assert words(fsa_union(x, y)) == words(x) | words(y)
+
+
+@DEFAULT_SETTINGS
+@given(pair_of_machines())
+def test_default_arcs_in_determinize_and_minimize(pair):
+    x, y = pair
+    m = fsa_union(x, fsa_concat(y, x))
+    twin = expand_defaults(m)
+    d = determinize(m)
+    assert d.deterministic
+    assert_same_as_twin(d, twin)
+    small = minimize(m)
+    assert_same_as_twin(small, twin)
+    assert small.num_states <= minimize(twin).num_states
+    assert fsa_equivalent(small, twin) and fsa_equivalent(d, small)
+
+
+@DEFAULT_SETTINGS
+@given(pair_of_machines())
+def test_default_arcs_in_products(pair):
+    x, y = pair
+    ex, ey = expand_defaults(x), expand_defaults(y)
+    assert_same_as_twin(fsa_intersect(x, y), fsa_intersect(ex, ey))
+    assert_same_as_twin(fsa_difference(x, y), fsa_difference(ex, ey))
+    assert_same_as_twin(fsa_difference(y, x), fsa_difference(ey, ex))
+    assert words(fsa_intersect(x, y)) == words(x) & words(y)
+    assert words(fsa_difference(x, y)) == words(x) - words(y)
+    assert intersects(x, y) == intersects(ex, ey)
+    assert fsa_equivalent(x, y) == fsa_equivalent(ex, ey)
+    assert fsa_equivalent(x, ex) and fsa_equivalent(ey, y)
+
+
+@DEFAULT_SETTINGS
+@given(default_machines(*defaults_world()[:2]))
+def test_default_arcs_in_accepts(m):
+    t, syms, _, _ = defaults_world()
+    twin = expand_defaults(m)
+    for path in all_strings(tuple(syms), 3):
+        assert accepts(m, path) == accepts(twin, path)
+
+
+@DEFAULT_SETTINGS
+@given(st.data())
+def test_default_arcs_in_substitute(data):
+    _, _, tm, syms = defaults_world()
+    marker = syms[-1]
+    base = data.draw(default_machines(tm, syms))
+    inner = data.draw(default_machines(tm, syms[:-1]))
+    got = substitute(base, {marker: inner})
+    want = substitute(expand_defaults(base), {marker: expand_defaults(inner)})
+    assert_same_as_twin(got, want)
+
+
+@DEFAULT_SETTINGS
+@given(pair_of_machines(), default_machines(*defaults_world()[:2]))
+def test_default_arcs_in_transducers(pair, source):
+    x, y = pair
+    ex, ey, es = map(expand_defaults, (x, y, source))
+    assert_same_as_twin(project_output(fst_identity(x)), ex)
+    assert_same_as_twin(project_output(fst_cross(x, y)),
+                        project_output(fst_cross(ex, ey)))
+    assert_same_as_twin(apply_image(source, fst_identity(x)),
+                        apply_image(es, fst_identity(ex)))
+    assert_same_as_twin(apply_image(source, fst_cross(x, y)),
+                        apply_image(es, fst_cross(ex, ey)))
+    assert not any(label.__class__ is Others or dst == _DEAD
+                   for arcs in fst_identity(x).arcs for label, dst in arcs)

@@ -176,6 +176,30 @@ class TestCheckFec:
         assert small > 0 and large > 0
         assert large <= 2.5 * small
 
+    @staticmethod
+    def bench_chain_arcs(devices):
+        """Arcs in the ground cache after one changed FEC is checked
+        against the bench's else-chain shape over `devices` devices: 40
+        per-device `d .*` arms drawn from the first 200, then `.*`."""
+        index = make_device_index(devices)
+        arms = random.Random(1).sample(range(200), 40)
+        text = "spec s := " + " else ".join(
+            [f"{{ d{i:04d} .* : preserve; }}" for i in arms]
+            + ["{ .* : preserve; }"])
+        fec = make_fec(index, "f", ("d0000", "d0001"), ("d0000", "d0002"))
+        cache = {}
+        verdict, _ = check_fec(compile_text(index, text).default, fec,
+                               index, cache)
+        assert verdict.status == FAIL
+        return sum(len(arcs) for m in cache.values() for arcs in m.arcs)
+
+    def test_ground_cache_does_not_grow_with_the_locations(self):
+        # `.` is one default arc, so 1,600 devices hold the arcs 200 do.
+        # With an arc per location per state they held 48,534 and
+        # 378,934 arcs.
+        small = self.bench_chain_arcs(200)
+        assert 0 < self.bench_chain_arcs(1600) <= 1.1 * small
+
     def test_else_masks_hold_no_universe_wide_machines(self):
         # Arm i's mask is its zone minus the earlier zones, walked along
         # the zone's arcs.  Taken as the universe minus the earlier zones

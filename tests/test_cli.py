@@ -557,6 +557,37 @@ class TestEmitRirGoldens:
         assert got == golden.read_text(encoding="utf-8")
 
 
+class TestUniverseWideListings:
+    """Reports that list paths drawn from `.`, a wide `where()` class and
+    their complements, over the scenario's locations.
+
+    The goldens in tests/data/universe_wide were written before `.`
+    became one default arc; a listing must spell a default out in
+    symbol-id order to reproduce them.
+    """
+
+    GOLDENS = TESTS / "data" / "universe_wide"
+
+    @pytest.mark.parametrize("name", ["add-anything", "replace-hop-by-drop",
+                                      "remove-one-hop", "wide-where"])
+    @pytest.mark.parametrize("fmt,suffix", [("json", "json"),
+                                            ("text", "txt")])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_report_bytes(self, tmp_path, capsys, name, fmt, suffix,
+                          workers):
+        scenario = TESTS / "data" / "scenario"
+        out = tmp_path / f"report.{suffix}"
+        code = main(["check", "--spec", str(self.GOLDENS / f"{name}.spec"),
+                     "--locations", str(scenario / "locations.json"),
+                     "--fecs", str(scenario / "fecs_v2.ndjson"),
+                     "--format", fmt, "--workers", workers,
+                     "--output", str(out)])
+        capsys.readouterr()
+        assert code == 1
+        golden = self.GOLDENS / f"{name}.{suffix}"
+        assert out.read_bytes() == golden.read_bytes()
+
+
 class TestGranularity:
     def test_group_level_masks_device_shift(self, tmp_path, capsys):
         # a1 and a2 are one group, so the shift is invisible at group

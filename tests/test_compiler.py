@@ -61,7 +61,7 @@ class TestLowerRegex:
         empty = fsa_empty()
         plus = compiled_for(index, "a+ : preserve").subspecs[0].zone
         spelled = compiled_for(index, "a a* : preserve").subspecs[0].zone
-        ev = rir.Evaluator(empty, empty)
+        ev = rir.Evaluator(empty, empty, index.table.others)
         assert fsa_equivalent(ev.pathset(plus), ev.pathset(spelled))
 
 
@@ -314,7 +314,7 @@ def test_constructors_preserve_languages_randomized():
         gen = TreeGen(rng, symbols, env_ml)
         p = gen.pathset(2)
         r = gen.rel(3)
-        ev = rir.Evaluator(env.pre, env.post)
+        ev = rir.Evaluator(env.pre, env.post, table.others)
         plain = ev.pathset(rir.Image(p, r))
         slim = ev.pathset(rir.Image(rebuild(p), rebuild(r)))
         assert fsa_equivalent(plain, slim)

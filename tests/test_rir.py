@@ -22,7 +22,7 @@ from rela.rir import (
 
 def eval_pathset(p, env, ground_cache=None):
     """Evaluate one expression with a fresh `Evaluator`."""
-    return Evaluator(env.pre, env.post, ground_cache).pathset(p)
+    return Evaluator(env.pre, env.post, env.others, ground_cache).pathset(p)
 
 
 def sym(s):
@@ -36,7 +36,7 @@ def small_world():
     u = t.universe()
     pre = frozenset({(a,), (a, b)})
     post = frozenset({(a,), (b, c)})
-    env = Env(fsa_from_paths(pre), fsa_from_paths(post), u)
+    env = Env(fsa_from_paths(pre), fsa_from_paths(post), u, t.others)
     oenv = OracleEnv(pre, post, tuple(sorted(u)))
     return t, (a, b, c), env, oenv
 
@@ -160,7 +160,7 @@ def test_ground_cache_shared_across_envs():
     expr = Star(Union(sym(a), sym(b)))
     first = eval_pathset(expr, env, cache)
     pre2 = fsa_from_paths(frozenset({(c,)}))
-    env2 = Env(pre2, pre2, env.universe)
+    env2 = Env(pre2, pre2, env.universe, env.others)
     second = eval_pathset(expr, env2, cache)
     assert first is second
 
@@ -192,7 +192,7 @@ def test_ground_relation_union_keeps_its_image(shape):
     else:
         rel = Union(One(), Concat(Identity(sym(a)), swap))
         source, want = Union(One(), Concat(sym(a), sym(b))), {"", "a c"}
-    ev = Evaluator(env.pre, env.post)
+    ev = Evaluator(env.pre, env.post, env.others)
     assert paths_of(apply_image(ev.pathset(source), ev.pathset(rel))) == want
     assert paths_of(ev.pathset(Image(source, rel))) == want
 
@@ -223,7 +223,7 @@ def test_snapshot_expressions_not_ground():
 
 def test_structurally_equal_subtrees_evaluate_once():
     t, (a, b, c), env, _ = small_world()
-    ev = Evaluator(env.pre, env.post)
+    ev = Evaluator(env.pre, env.post, env.others)
     e1 = Union(sym(a), sym(b))
     e2 = Union(sym(a), sym(b))
     assert ev.pathset(e1) is ev.pathset(e2)
