@@ -397,59 +397,50 @@ def determinize(fsa: Fsa) -> Fsa:
         return fsa
     if fsa._dfa is not None:
         return fsa._dfa
-    closures = _epsilon_closures(fsa)
+    closures = _epsilon_closures(fsa) + [()]  # closures[_DEAD] is empty
     others = _others_of(fsa)
+    lists: dict[int, set] = {}   # a member's listed labels, once asked
 
     def step(subset):
-        # Group member arcs by symbol; dict preserves first-seen order, so
-        # re-sort by symbol id to keep state numbering input-independent.
-        by_sym: dict[Symbol, set[int]] = {}
+        # Group member arcs by symbol, the defaults under `others` and an
+        # exception as no target; re-sort by symbol id to keep state
+        # numbering input-independent.
+        by_sym: dict = {}
         for q in subset:
             for label, dst in fsa.arcs[q]:
                 if label is not EPSILON:
                     by_sym.setdefault(label, set()).update(closures[dst])
-        return (not fsa.accepting.isdisjoint(subset),
-                [(sym, tuple(sorted(by_sym[sym])))
-                 for sym in sorted(by_sym, key=lambda s: s.id)])
-
-    def step_with_defaults(subset):
-        by_sym: dict[Symbol, set[int]] = {}
-        default: set[int] = set()
-        for q in subset:
-            for label, dst in fsa.arcs[q]:
-                if label is others:
-                    default.update(closures[dst])
-                elif label is not EPSILON:
-                    targets = by_sym.setdefault(label, set())
-                    if dst != _DEAD:
-                        targets.update(closures[dst])
-        for q in subset:
-            target = _default(fsa.arcs[q])
-            if target != _DEAD:
+        accepts = not fsa.accepting.isdisjoint(subset)
+        default = by_sym.pop(others, None)
+        if default is not None:
+            for q in subset:
+                target = _default(fsa.arcs[q])
+                if target == _DEAD:
+                    continue
+                listed = lists.get(q)
+                if listed is None:
+                    listed = lists[q] = {label for label, _ in fsa.arcs[q]}
                 for sym, targets in by_sym.items():
-                    if sym.kind == LOCATION and sym not in lists[q]:
+                    if sym.kind == LOCATION and sym not in listed:
                         targets.update(closures[target])
         keys = [(sym, tuple(sorted(by_sym[sym])))
                 for sym in sorted(by_sym, key=lambda s: s.id)]
+        if default is None:
+            return accepts, keys
         to_default = tuple(sorted(default))
-        if to_default:
-            listed = [key for sym, key in keys if sym.kind == LOCATION]
-            if len(listed) == len(others.locations) and \
-                    to_default not in listed:
-                to_default = ()  # the default would read no location
-        moves = [(others, to_default)] if to_default else []
+        listed = [key for sym, key in keys if sym.kind == LOCATION]
+        if len(listed) == len(others.locations) and to_default not in listed:
+            # the default would read no location
+            return accepts, [(sym, key) for sym, key in keys if key]
+        moves = [(others, to_default)]
         for sym, key in keys:
-            if to_default and sym.kind == LOCATION:
-                if key != to_default:
-                    moves.append((sym, key or _DEAD))
-            elif key:
-                moves.append((sym, key))
-        return not fsa.accepting.isdisjoint(subset), moves
+            if sym.kind != LOCATION:
+                if key:
+                    moves.append((sym, key))
+            elif key != to_default:
+                moves.append((sym, key or _DEAD))
+        return accepts, moves
 
-    if others is not None:
-        lists = [{label for label, _ in state_arcs}
-                 for state_arcs in fsa.arcs]
-        step = step_with_defaults
     fsa._dfa = _explore(closures[fsa.initial], step, deterministic=True)
     return fsa._dfa
 
@@ -634,7 +625,8 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
     ``"both"`` each pair scans whichever side has the smaller fan-out
     and looks the labels up in the other side's map, so a product with a
     complete machine over many symbols stays proportional to the smaller
-    one.  A pair accepts when ``accept(x_accepts, y_accepts)``.
+    one.  A pair accepts when ``accept(x_accepts, y_accepts)``.  `y`
+    may be a `_Union`, whose states are built as the walk reaches them.
 
     When an operand has default arcs, a pair moves on the symbols either
     side lists, or only those of a side with no default where that side
@@ -647,8 +639,13 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
     without it, whether an accepting pair is reachable, stopping at the
     first one.
     """
-    x, y = determinize(x), determinize(y)
-    (xmaps, x_others), (ymaps, y_others) = _state_maps(x), _state_maps(y)
+    x = determinize(x)
+    xmaps, x_others = _state_maps(x)
+    if isinstance(y, _Union):
+        ymaps, y_others = y, y.others
+    else:
+        y = determinize(y)
+        ymaps, y_others = _state_maps(y)
     others = x_others or y_others
 
     def step(pair):
@@ -723,6 +720,59 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
                     deterministic=True, decide=not build)
 
 
+class _Union(dict):
+    """The union of several machines as the second operand of a product,
+    determinized only as far as the walk reads it.
+
+    A state is a tuple of ``(part, state)`` pairs in part order, at most
+    one per part since each part is determinized.  The union maps a state
+    to its symbol-to-target map, the default's target under ``None``, as
+    `_state_maps` maps a DFA's states, and builds that map the first time
+    the walk asks for it; the state joins `accepting` then if a member
+    accepts.  A location a member lists goes where the members listing
+    it go and where the other members' defaults go, and to `_DEAD` where
+    that is nowhere.
+    """
+
+    def __init__(self, parts):
+        super().__init__()
+        dfas = [determinize(part) for part in parts]
+        self.finals = [dfa.accepting for dfa in dfas]
+        self.maps = []
+        self.others = None
+        for dfa in dfas:
+            maps, others = _state_maps(dfa)
+            self.maps.append(maps)
+            self.others = self.others or others
+        self.initial = tuple((k, dfa.initial) for k, dfa in enumerate(dfas))
+        self.accepting = set()
+
+    def __missing__(self, state):
+        by_sym: dict = {}
+        defaults = []
+        for k, q in state:
+            if q in self.finals[k]:
+                self.accepting.add(state)
+            m = self.maps[k][q]
+            for label, dst in m.items():
+                if label is None:
+                    defaults.append((k, dst, m))
+                else:
+                    targets = by_sym.setdefault(label, [])
+                    if dst != _DEAD:
+                        targets.append((k, dst))
+        for k, dst, m in defaults:
+            for label, targets in by_sym.items():
+                if label.kind == LOCATION and label not in m:
+                    targets.append((k, dst))
+        out = {label: tuple(sorted(targets)) or _DEAD
+               for label, targets in by_sym.items()}
+        if defaults:
+            out[None] = tuple((k, dst) for k, dst, _ in defaults)
+        self[state] = out
+        return out
+
+
 def fsa_intersect(x: Fsa, y: Fsa) -> Fsa:
     """L(x) and L(y), as a deterministic product."""
     return _product(x, y, "both", operator.and_)
@@ -733,8 +783,11 @@ def intersects(x: Fsa, y: Fsa) -> bool:
     return _product(x, y, "both", operator.and_, build=False)
 
 
-def fsa_difference(x: Fsa, y: Fsa) -> Fsa:
-    """L(x) minus L(y), with y's complement kept implicit."""
+def fsa_difference(x: Fsa, *ys: Fsa) -> Fsa:
+    """L(x) minus the languages of `ys`, with their complement kept
+    implicit.  Several machines are taken away in one walk of x against
+    their union, which is determinized only where the walk goes."""
+    y = ys[0] if len(ys) == 1 else _Union(ys)
     return _product(x, y, "left", lambda ax, ay: ax and not ay)
 
 
@@ -868,12 +921,10 @@ def substitute(fsa: Fsa, mapping: dict) -> Fsa:
 def _relabel(fsa: Fsa, label_of) -> Fsa:
     """`fsa` with each non-epsilon arc label replaced by ``label_of(label)``,
     a default arc first spelled out in symbol-id order."""
-    spelled = fsa.arcs if _others_of(fsa) is None else \
-        map(_expand, fsa.arcs)
     arcs = tuple(
         tuple((label if label is EPSILON else label_of(label), dst)
               for label, dst in state_arcs)
-        for state_arcs in spelled)
+        for state_arcs in map(_expand, fsa.arcs))
     return Fsa(fsa.num_states, fsa.initial, fsa.accepting, arcs)
 
 

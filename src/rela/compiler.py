@@ -131,8 +131,10 @@ class _Lowerer:
                 # As in a Fenwick tree, the union of the first i zones
                 # joins the union of the first j, i with its lowest bit
                 # cleared, to a balanced block of the zones from j on:
-                # each union reuses an earlier one, as a left-deep chain
-                # would, yet is O(log i) deep.
+                # each union shares the nodes of an earlier one, as a
+                # left-deep chain would, yet is O(log i) deep.  The
+                # evaluator reads such a union's zones and takes them
+                # away in one walk; it never builds the union itself.
                 j = i & (i - 1)
                 block = rir.fold(zones[j:], rir.union)
                 unions.append(

@@ -28,9 +28,9 @@ with the same constructors; a wide `SymSet`, `.` among them, becomes a
 default arc, so no machine grows with the number of locations;
 deciding and explaining an equation is left to :mod:`rela.checker`.  A
 ground path-set `Union` is cached as the trimmed minimal DFA of its
-language, and a `Difference` takes a union's operands away one at a
-time, so an `else` chain's masks neither copy nor build the union of
-the earlier zones; relations are kept as built.
+language, and a `Difference` takes a union's operands away together in
+one walk, so an `else` chain's masks neither copy nor build the union
+of the earlier zones; relations are kept as built.
 """
 
 from __future__ import annotations
@@ -368,13 +368,11 @@ class Evaluator:
         if isinstance(p, Intersect):
             return fsa_intersect(self.pathset(p.left), self.pathset(p.right))
         if isinstance(p, Difference):
-            # x - (a | b) is (x - a) - b, so an else arm's mask takes the
-            # earlier zones away one at a time and their union, a DFA
-            # with an arc per earlier arm, is never built.
-            left = self.pathset(p.left)
-            for part in flatten(p.right, Union):
-                left = fsa_difference(left, self.pathset(part))
-            return left
+            # x - (a | b) takes a and b away in one walk of x, so an else
+            # arm's mask neither builds nor caches the union of the
+            # earlier zones, a DFA with an arc per earlier arm.
+            return fsa_difference(self.pathset(p.left),
+                                  *map(self.pathset, flatten(p.right, Union)))
         if isinstance(p, Image):
             return self._image(self.pathset(p.source), p.rel)
         if isinstance(p, Cross):

@@ -1091,6 +1091,21 @@ def test_default_arcs_in_products(pair):
 
 
 @DEFAULT_SETTINGS
+@given(pair_of_machines(), pair_of_machines())
+def test_difference_from_several_machines(pair, more):
+    # taken away together, the machines' union is determinized only as
+    # far as the walk of x reads it
+    (x, y), (z, w) = pair, more
+    ex, ey, ez, ew = map(expand_defaults, (x, y, z, w))
+    got = fsa_difference(x, y, z, w)
+    twin = fsa_difference(ex, fsa_union(ey, fsa_union(ez, ew)))
+    assert_same_as_twin(got, twin)
+    assert words(got) == words(x) - words(y) - words(z) - words(w)
+    assert fsa_equivalent(fsa_difference(x, y, z),
+                          fsa_difference(fsa_difference(x, y), z))
+
+
+@DEFAULT_SETTINGS
 @given(default_machines(*defaults_world()[:2]))
 def test_default_arcs_in_accepts(m):
     t, syms, _, _ = defaults_world()

@@ -176,6 +176,20 @@ class TestCheckFec:
         assert small > 0 and large > 0
         assert large <= 2.5 * small
 
+    def test_else_masks_take_one_walk_each(self, monkeypatch):
+        # Arm i's mask takes the i - 1 earlier zones away in one walk of
+        # its zone: 40 and 80 walks.  One walk per earlier zone took 820
+        # and 3,240, growing with the square of the arms.
+        walks = []
+        product = rela.automata._product
+        monkeypatch.setattr(rela.automata, "_product",
+                            lambda *a, **k: walks.append(1) or product(*a, **k))
+        self.cached_arcs(40)
+        small = len(walks)
+        walks.clear()
+        self.cached_arcs(80)
+        assert 0 < small and len(walks) <= 2.5 * small
+
     @staticmethod
     def bench_chain_arcs(devices):
         """Arcs in the ground cache after one changed FEC is checked
