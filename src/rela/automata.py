@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 EPSILON = None  # transition-label value for the empty move
@@ -144,8 +143,48 @@ class SymbolTable:
 Label = Optional[Symbol]  # None is epsilon
 
 
-@dataclass(frozen=True)
-class PathList:
+class Record:
+    """Base of rela's value records: plain `__slots__` classes.
+
+    A subclass lists its fields in `__slots__` and sets each one in its
+    own `__init__`; nothing assigns a field after that.  `_fields` names
+    the constructor's arguments in order and `_compare` the fields that
+    equality and hashing read; each defaults to the one before
+    (`__slots__`, then `_fields`).  Equality is structural and
+    class-aware, as a frozen dataclass's is, and equal records hash
+    equal.  The methods are written here once, so defining a record
+    generates no code at import.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_fields" not in vars(cls):
+            cls._fields = cls.__slots__
+        if "_compare" not in vars(cls):
+            cls._compare = cls._fields
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compare])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._key()))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __reduce__(self):
+        return (self.__class__,
+                tuple([getattr(self, f) for f in self._fields]))
+
+
+class PathList(Record):
     """A finite, canonically ordered listing drawn from a path language.
 
     Paths are ordered shortest first, ties broken by symbol ids.  If
@@ -153,8 +192,12 @@ class PathList:
     listed.
     """
 
-    paths: tuple[tuple[Symbol, ...], ...]
-    truncated: bool = False
+    __slots__ = ("paths", "truncated")
+
+    def __init__(self, paths: tuple[tuple[Symbol, ...], ...],
+                 truncated: bool = False):
+        self.paths = paths
+        self.truncated = truncated
 
     def render(self) -> list[str]:
         return [" ".join(s.name for s in p) for p in self.paths]

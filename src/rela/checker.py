@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from . import rir
-from .automata import (PathList, enumerate_shortest, fsa_difference,
+from .automata import (PathList, Record, enumerate_shortest, fsa_difference,
                        fsa_equivalent, fsa_intersect, intersects, substitute)
 from .compiler import CompiledProgram, CompiledSpec
 from .frontend import LocationIndex, match_predicate
@@ -36,30 +35,34 @@ UNMATCHED = "unmatched"
 ERROR = "error"
 
 
-@dataclass(frozen=True)
-class CheckOptions:
+class CheckOptions(Record):
     """Knobs for a checking run.
 
     `max_counterexamples` bounds the counterexamples the report lists
     (the per-arm tallies still count every failure).
     """
 
-    max_counterexamples: int = 100
-    workers: int = 1
-    strict: bool = False
+    __slots__ = ("max_counterexamples", "workers", "strict")
+
+    def __init__(self, max_counterexamples: int = 100, workers: int = 1,
+                 strict: bool = False):
+        self.max_counterexamples = max_counterexamples
+        self.workers = workers
+        self.strict = strict
 
 
-@dataclass(frozen=True)
-class FecVerdict:
+class FecVerdict(Record):
     """The outcome of judging one FEC: pass, fail, or unmatched."""
 
-    fec_id: str
-    status: str
-    guard: str = ""
+    __slots__ = ("fec_id", "status", "guard")
+
+    def __init__(self, fec_id: str, status: str, guard: str = ""):
+        self.fec_id = fec_id
+        self.status = status
+        self.guard = guard
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """Why one FEC failed, localized to the highest-priority broken arm.
 
     `expected` is the image of the pre-change paths under that arm's
@@ -69,21 +72,29 @@ class Counterexample:
     internally by `any(...)` are rewritten back before rendering.
     """
 
-    fec_id: str
-    traffic: TrafficClass
-    guard: str
-    violated_subspec: str
-    pre_paths: PathList
-    post_paths: PathList
-    expected: PathList
-    observed: PathList
-    missing: PathList
-    unexpected: PathList
-    note: str = ""
+    __slots__ = ("fec_id", "traffic", "guard", "violated_subspec",
+                 "pre_paths", "post_paths", "expected", "observed",
+                 "missing", "unexpected", "note")
+
+    def __init__(self, fec_id: str, traffic: TrafficClass, guard: str,
+                 violated_subspec: str, pre_paths: PathList,
+                 post_paths: PathList, expected: PathList,
+                 observed: PathList, missing: PathList,
+                 unexpected: PathList, note: str = ""):
+        self.fec_id = fec_id
+        self.traffic = traffic
+        self.guard = guard
+        self.violated_subspec = violated_subspec
+        self.pre_paths = pre_paths
+        self.post_paths = post_paths
+        self.expected = expected
+        self.observed = observed
+        self.missing = missing
+        self.unexpected = unexpected
+        self.note = note
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Aggregate over a run: totals, per-arm tallies, bounded listings.
 
     Deterministic for fixed inputs and options: counterexamples and errors
@@ -91,13 +102,19 @@ class Report:
     depend on arrival order or on the number of workers.
     """
 
-    verdict: str
-    totals: dict
-    per_subspec: dict
-    counterexamples: tuple
-    counterexamples_truncated: bool
-    errors: tuple
-    metadata: dict
+    __slots__ = ("verdict", "totals", "per_subspec", "counterexamples",
+                 "counterexamples_truncated", "errors", "metadata")
+
+    def __init__(self, verdict: str, totals: dict, per_subspec: dict,
+                 counterexamples: tuple, counterexamples_truncated: bool,
+                 errors: tuple, metadata: dict):
+        self.verdict = verdict
+        self.totals = totals
+        self.per_subspec = per_subspec
+        self.counterexamples = counterexamples
+        self.counterexamples_truncated = counterexamples_truncated
+        self.errors = errors
+        self.metadata = metadata
 
 
 class StrictInputError(Exception):

@@ -16,7 +16,6 @@ import hashlib
 import os
 import sys
 import time
-import traceback
 
 from . import rir
 from .checker import (CheckOptions, StrictInputError, check_all,
@@ -42,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=[g.value for g in Granularity],
                        help="path alphabet granularity (default: device)")
     check.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: CPU count)")
+                       help="worker processes (default: the CPUs this "
+                       "process may run on)")
     check.add_argument("--max-counterexamples", type=int, default=100,
                        metavar="K",
                        help="cap on reported counterexamples (default: 100)")
@@ -85,10 +85,18 @@ def _named_specs(program):
         yield program.default.name, program.default
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, so a pinned run forks no more workers than CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_check(args) -> int:
     workers = args.workers
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _usable_cpus()
     if workers < 1:
         return _fail("--workers must be at least 1")
     if args.max_counterexamples < 0:
@@ -174,6 +182,7 @@ def main(argv=None) -> int:
         try:
             return _run_check(args)
         except Exception as e:
+            import traceback  # only here: importing it slows start-up
             traceback.print_exc()
             print(f"rela: internal error: {type(e).__name__}: {e}",
                   file=sys.stderr)

@@ -22,60 +22,72 @@ disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import rir
-from .automata import Symbol
+from .automata import Record, Symbol
 from .frontend import (
     Add, AnyOf, AtomicSpec, ConcatSpec, DropTraffic, ElseSpec, LocationIndex,
     Preserve, PrefixPredicate, Program, Remove, Replace, SpecAst,
 )
 
 
-@dataclass(frozen=True)
-class MarkerBinding:
+class MarkerBinding(Record):
     """One `any()` occurrence: its marker and the family it ranges over."""
 
-    symbol: Symbol
-    pathset: rir.PathSetExpr
+    __slots__ = ("symbol", "pathset")
+
+    def __init__(self, symbol: Symbol, pathset: rir.PathSetExpr):
+        self.symbol = symbol
+        self.pathset = pathset
 
 
-@dataclass(frozen=True)
-class SubSpec:
+class SubSpec(Record):
     """One arm of an else chain, with the earlier arms masked out."""
 
-    label: str
-    zone: rir.PathSetExpr
-    rpre: rir.RelExpr
-    rpost: rir.RelExpr
+    __slots__ = ("label", "zone", "rpre", "rpost")
+
+    def __init__(self, label: str, zone: rir.PathSetExpr,
+                 rpre: rir.RelExpr, rpost: rir.RelExpr):
+        self.label = label
+        self.zone = zone
+        self.rpre = rpre
+        self.rpost = rpost
 
 
-@dataclass(frozen=True)
-class CompiledSpec:
+class CompiledSpec(Record):
     """A spec's check equation, its arms in priority order, its markers.
 
     `top` is Equal(Image(PreState, rpre), Image(PostState, rpost)), the
     whole spec's two relations being the unions of the arms' ones.
     """
 
-    top: rir.Equal
-    subspecs: tuple
-    markers: tuple
-    name: str = "spec"
+    __slots__ = ("top", "subspecs", "markers", "name")
+
+    def __init__(self, top: rir.Equal, subspecs: tuple, markers: tuple,
+                 name: str = "spec"):
+        self.top = top
+        self.subspecs = subspecs
+        self.markers = markers
+        self.name = name
 
 
-@dataclass(frozen=True)
-class CompiledGuard:
-    name: str
-    predicate: PrefixPredicate
-    spec: CompiledSpec
+class CompiledGuard(Record):
+    __slots__ = ("name", "predicate", "spec")
+
+    def __init__(self, name: str, predicate: PrefixPredicate,
+                 spec: CompiledSpec):
+        self.name = name
+        self.predicate = predicate
+        self.spec = spec
 
 
-@dataclass(frozen=True)
-class CompiledProgram:
-    guards: tuple
-    default: Optional[CompiledSpec]
+class CompiledProgram(Record):
+    __slots__ = ("guards", "default")
+
+    def __init__(self, guards: tuple, default: Optional[CompiledSpec]):
+        self.guards = guards
+        self.default = default
 
 
 class _Lowerer:

@@ -25,12 +25,11 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
 from . import rir
-from .automata import LOCATION, Symbol, SymbolTable
+from .automata import LOCATION, Record, Symbol, SymbolTable
 
 
 class SpecError(Exception):
@@ -131,15 +130,20 @@ class LocationDb:
                              symbol_of)
 
 
-@dataclass
-class LocationIndex:
+class LocationIndex(Record):
     """Symbols for one granularity: the run's working alphabet."""
 
-    db: LocationDb
-    granularity: Granularity
-    table: SymbolTable
-    universe: frozenset[Symbol]
-    symbol_of: dict  # interface name, coarse name or "drop" -> Symbol
+    __slots__ = ("db", "granularity", "table", "universe", "symbol_of")
+
+    def __init__(self, db: LocationDb, granularity: Granularity,
+                 table: SymbolTable, universe: frozenset[Symbol],
+                 symbol_of: dict):
+        self.db = db
+        self.granularity = granularity
+        self.table = table
+        self.universe = universe
+        # interface name, coarse name or "drop" -> Symbol
+        self.symbol_of = symbol_of
 
     def lookup(self, name: str) -> Optional[Symbol]:
         """Resolve a location name: spec atoms, where() filters and FEC
@@ -151,86 +155,109 @@ class LocationIndex:
 # Abstract syntax
 
 
-@dataclass(frozen=True)
-class Modifier:
-    pass
+class Modifier(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Preserve(Modifier):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Add(Modifier):
-    paths: rir.PathSetExpr
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: rir.PathSetExpr):
+        self.paths = paths
 
 
-@dataclass(frozen=True)
 class Remove(Modifier):
-    paths: rir.PathSetExpr
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: rir.PathSetExpr):
+        self.paths = paths
 
 
-@dataclass(frozen=True)
 class Replace(Modifier):
-    old: rir.PathSetExpr
-    new: rir.PathSetExpr
+    __slots__ = ("old", "new")
+
+    def __init__(self, old: rir.PathSetExpr, new: rir.PathSetExpr):
+        self.old = old
+        self.new = new
 
 
-@dataclass(frozen=True)
 class DropTraffic(Modifier):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class AnyOf(Modifier):
     """Accept any post-change path set within `paths` (loose preserve)."""
 
-    paths: rir.PathSetExpr
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: rir.PathSetExpr):
+        self.paths = paths
 
 
-@dataclass(frozen=True)
-class SpecAst:
-    pass
+class SpecAst(Record):
+    """A spec tree; `name` is the definition a tree is bound to, if any,
+    and equality leaves it out."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class AtomicSpec(SpecAst):
-    zone: rir.PathSetExpr
-    modifier: Modifier
-    name: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("zone", "modifier", "name")
+    _compare = ("zone", "modifier")
+
+    def __init__(self, zone: rir.PathSetExpr, modifier: Modifier,
+                 name: Optional[str] = None):
+        self.zone = zone
+        self.modifier = modifier
+        self.name = name
 
 
-@dataclass(frozen=True)
 class ConcatSpec(SpecAst):
     """Statements in sequence: the paths split into one piece per part."""
 
-    parts: tuple
-    name: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("parts", "name")
+    _compare = ("parts",)
+
+    def __init__(self, parts: tuple, name: Optional[str] = None):
+        self.parts = parts
+        self.name = name
 
 
-@dataclass(frozen=True)
 class ElseSpec(SpecAst):
     """Arms in falling priority: each applies where no earlier one does."""
 
-    arms: tuple
-    name: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("arms", "name")
+    _compare = ("arms",)
+
+    def __init__(self, arms: tuple, name: Optional[str] = None):
+        self.arms = arms
+        self.name = name
+
+
+def _named(spec: SpecAst, name: str) -> SpecAst:
+    """`spec` rebuilt as the tree the definition `name` binds."""
+    if isinstance(spec, AtomicSpec):
+        return AtomicSpec(spec.zone, spec.modifier, name)
+    if isinstance(spec, ConcatSpec):
+        return ConcatSpec(spec.parts, name)
+    return ElseSpec(spec.arms, name)
 
 
 # --- traffic predicates ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrefixPredicate:
-    pass
+class PrefixPredicate(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PredTrue(PrefixPredicate):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PredAtom(PrefixPredicate):
     """Containment test of the flow's prefix within fixed CIDR blocks.
 
@@ -238,27 +265,33 @@ class PredAtom(PrefixPredicate):
     "in" (contained in at least one of several blocks).
     """
 
-    fieldname: str  # "dstPrefix" | "srcPrefix"
-    op: str
-    cidrs: tuple
+    __slots__ = ("fieldname", "op", "cidrs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cidrs", tuple(self.cidrs))
+    def __init__(self, fieldname: str, op: str, cidrs):
+        self.fieldname = fieldname  # "dstPrefix" | "srcPrefix"
+        self.op = op
+        self.cidrs = tuple(cidrs)
 
 
-@dataclass(frozen=True)
 class PredAnd(PrefixPredicate):
-    operands: tuple  # of PrefixPredicate, two or more
+    __slots__ = ("operands",)
+
+    def __init__(self, operands: tuple):
+        self.operands = operands  # of PrefixPredicate, two or more
 
 
-@dataclass(frozen=True)
 class PredOr(PrefixPredicate):
-    operands: tuple  # of PrefixPredicate, two or more
+    __slots__ = ("operands",)
+
+    def __init__(self, operands: tuple):
+        self.operands = operands  # of PrefixPredicate, two or more
 
 
-@dataclass(frozen=True)
 class PredNot(PrefixPredicate):
-    inner: PrefixPredicate
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: PrefixPredicate):
+        self.inner = inner
 
 
 def _contained(value, block) -> bool:
@@ -291,15 +324,16 @@ def match_predicate(pred: PrefixPredicate, traffic) -> bool:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-@dataclass(frozen=True)
-class GuardedSpec:
-    name: str
-    predicate: PrefixPredicate
-    spec: SpecAst
+class GuardedSpec(Record):
+    __slots__ = ("name", "predicate", "spec")
+
+    def __init__(self, name: str, predicate: PrefixPredicate, spec: SpecAst):
+        self.name = name
+        self.predicate = predicate
+        self.spec = spec
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """A parsed spec file: guards in file order plus an optional default.
 
     The default is the one spec definition no other definition or guard
@@ -307,8 +341,11 @@ class Program:
     reported unmatched when there is none.
     """
 
-    guarded: tuple
-    default: Optional[SpecAst]
+    __slots__ = ("guarded", "default")
+
+    def __init__(self, guarded: tuple, default: Optional[SpecAst]):
+        self.guarded = guarded
+        self.default = default
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +370,14 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME KEYWORD STRING CIDR punctuation-char EOF
-    value: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind  # NAME KEYWORD STRING CIDR punctuation-char EOF
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str) -> list[Token]:
@@ -443,7 +482,7 @@ class _Parser:
                 self.next()
                 name = self.def_name()
                 self.expect(":=")
-                self.spec_defs[name] = replace(self.spec_expr(), name=name)
+                self.spec_defs[name] = _named(self.spec_expr(), name)
                 order.append(name)
             elif self.at_keyword("pspec"):
                 self.next()

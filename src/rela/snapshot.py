@@ -34,11 +34,9 @@ from __future__ import annotations
 
 import ipaddress
 import json
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
-from .automata import Fsa
+from .automata import Fsa, Record
 from .frontend import LocationIndex
 
 
@@ -46,39 +44,51 @@ class SnapshotError(ValueError):
     """A malformed traffic class or forwarding graph."""
 
 
-@dataclass(frozen=True)
-class TrafficClass:
-    dst_prefix: str
-    src_prefix: Optional[str] = None
-
-    @cached_property
-    def dst(self):
-        return ipaddress.ip_network(self.dst_prefix, strict=False)
-
-    @cached_property
-    def src(self):
-        if self.src_prefix is None:
-            return None
-        return ipaddress.ip_network(self.src_prefix, strict=False)
+def _network(label: str, prefix: str):
+    try:
+        return ipaddress.ip_network(prefix, strict=False)
+    except ValueError:
+        raise ValueError(f"bad {label} {prefix!r}") from None
 
 
-@dataclass(frozen=True)
-class Fec:
+class TrafficClass(Record):
+    """A flow's prefixes as written, and as the ip_network values `dst`
+    and `src` (None without a source prefix) that guards test.  Raises
+    ValueError naming the field when a prefix is not a network."""
+
+    __slots__ = ("dst_prefix", "src_prefix", "dst", "src")
+    _fields = ("dst_prefix", "src_prefix")
+
+    def __init__(self, dst_prefix: str, src_prefix: Optional[str] = None):
+        self.dst_prefix = dst_prefix
+        self.src_prefix = src_prefix
+        self.dst = _network("dstPrefix", dst_prefix)
+        self.src = (None if src_prefix is None
+                    else _network("srcPrefix", src_prefix))
+
+
+class Fec(Record):
     """One traffic class and its two forwarding graphs, as raw JSON
     (`parse_fec` stores equal graphs as one object)."""
 
-    fec_id: str
-    traffic: TrafficClass
-    pre: object
-    post: object
+    __slots__ = ("fec_id", "traffic", "pre", "post")
+
+    def __init__(self, fec_id: str, traffic: TrafficClass, pre: object,
+                 post: object):
+        self.fec_id = fec_id
+        self.traffic = traffic
+        self.pre = pre
+        self.post = post
 
 
-@dataclass(frozen=True)
-class FecError:
+class FecError(Record):
     """A line that failed validation; checking continues past it."""
 
-    fec_id: str
-    message: str
+    __slots__ = ("fec_id", "message")
+
+    def __init__(self, fec_id: str, message: str):
+        self.fec_id = fec_id
+        self.message = message
 
 
 def _err(fec_id: str, message: str) -> SnapshotError:
@@ -104,17 +114,14 @@ def parse_fec(obj, index: LocationIndex, fallback_id: str = "?") -> Fec:
     src = raw_traffic.get("srcPrefix")
     if src is not None and not isinstance(src, str):
         raise _err(fec_id, "'srcPrefix' must be a string when present")
-    for label, value in (("dstPrefix", dst), ("srcPrefix", src)):
-        if value is None:
-            continue
-        try:
-            ipaddress.ip_network(value, strict=False)
-        except ValueError:
-            raise _err(fec_id, f"bad {label} {value!r}")
+    try:
+        traffic = TrafficClass(dst, src)
+    except ValueError as e:
+        raise _err(fec_id, str(e))
     pre, post = obj.get("pre"), obj.get("post")
     if post == pre:
         post = pre      # one object: pickled once, compared in O(1)
-    return Fec(fec_id, TrafficClass(dst, src), pre, post)
+    return Fec(fec_id, traffic, pre, post)
 
 
 def read_line(n: int, line: str | bytes, index: LocationIndex):

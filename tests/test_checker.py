@@ -1,10 +1,10 @@
 """Per-FEC verdicts, counterexample explanations, and report assembly."""
 
 import copy
+import ipaddress
 import json
 import pickle
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -15,13 +15,16 @@ from _fecgen import mutate_one_edge, random_fec_dict
 from rela import rir
 from rela.automata import fsa_equivalent
 from rela.checker import (
-    CheckOptions, FAIL, PASS, FecVerdict, StrictInputError, check_all,
+    CheckOptions, FAIL, PASS, FecVerdict, Report, StrictInputError, check_all,
     check_fec, counterexample_to_json_dict, report_to_json,
     report_to_json_dict, report_to_text, select_spec,
 )
 from rela.compiler import compile_program
-from rela.frontend import Granularity, LocationDb, parse_program
-from rela.snapshot import Fec, FecError, iter_fec_lines, parse_fec
+from rela.frontend import (Add, AnyOf, AtomicSpec, ConcatSpec, DropTraffic,
+                           ElseSpec, Granularity, LocationDb, PredAnd, PredOr,
+                           PredTrue, Preserve, Remove, parse_program)
+from rela.snapshot import (Fec, FecError, TrafficClass, iter_fec_lines,
+                           parse_fec)
 
 DEVICES = [("x1", "X"), ("a1", "A"), ("a2", "A"), ("a3", "A"),
            ("b1", "B"), ("b2", "B"), ("b3", "B"), ("d1", "D"), ("y1", "Y")]
@@ -642,6 +645,70 @@ class TestWorkers:
                       CheckOptions(workers=2, strict=True))
 
 
+class TestRecords:
+    """Records are plain `__slots__` classes.  The ones that cross the
+    pool pickle, and equality is a frozen dataclass's: structural and
+    class-aware."""
+
+    def test_pool_records_pickle_equal(self, index):
+        program = compile_text(index, SHIFT_PROGRAM)
+        fec = make_fec(index, "T1", SHIFT_PRE, SHIFT_POST_BAD,
+                       src="172.16.0.0/12")
+        guard, spec = select_spec(program, fec.traffic)
+        verdict, cx = check_fec(spec, fec, index, guard=guard)
+        assert verdict.status == FAIL and cx.pre_paths.paths
+        error = FecError("line 3", "invalid JSON")
+        for record in (verdict, cx, error, cx.pre_paths, cx.traffic):
+            back = pickle.loads(pickle.dumps(record))
+            assert type(back) is type(record)
+            assert back == record and hash(back) == hash(record)
+        back = pickle.loads(pickle.dumps(cx))
+        assert counterexample_to_json_dict(back) == \
+            counterexample_to_json_dict(cx)
+        assert back.traffic.dst == ipaddress.ip_network("10.0.0.0/24")
+        assert back.traffic.src == ipaddress.ip_network("172.16.0.0/12")
+        assert select_spec(program, back.traffic)[0] == guard
+
+    def test_repr_names_the_fields(self):
+        assert repr(FecError("f", "m")) == "FecError(fec_id='f', message='m')"
+        assert repr(TrafficClass("10.0.0.0/24")) == \
+            "TrafficClass(dst_prefix='10.0.0.0/24', src_prefix=None)"
+
+    def test_equality_is_class_aware(self, index):
+        zone = parse_program("spec s := a1 .* : preserve", index) \
+            .default.zone
+        again = parse_program("spec s := a1 .* : preserve", index) \
+            .default.zone
+        assert zone is not again
+        assert Add(zone) == Add(again) and hash(Add(zone)) == hash(Add(again))
+        assert Add(zone) != Remove(zone) != AnyOf(zone)
+        assert len({Add(zone), Remove(zone), AnyOf(again), Add(again)}) == 3
+        assert PredAnd((PredTrue(),)) != PredOr((PredTrue(),))
+        assert FecVerdict("f", "pass") != FecError("f", "pass")
+        assert FecVerdict("f", "pass") != ("f", "pass", "")
+
+    def test_spec_equality_ignores_the_name(self, index):
+        zone = parse_program("spec s := a1 .* : preserve", index) \
+            .default.zone
+        atom = AtomicSpec(zone, Preserve(), "first")
+        twin = AtomicSpec(zone, Preserve(), "second")
+        for one, other in ((atom, twin),
+                           (ConcatSpec((atom, twin), "first"),
+                            ConcatSpec((twin, atom), "second")),
+                           (ElseSpec((atom,), "first"),
+                            ElseSpec((twin,), None))):
+            assert one == other and hash(one) == hash(other)
+            assert one.name != other.name
+        assert AtomicSpec(zone, Preserve()) != AtomicSpec(zone, DropTraffic())
+
+    def test_a_definition_binds_its_name(self, index):
+        program = parse_program(
+            "spec inner := a1 .* : preserve\nspec outer := inner", index)
+        assert program.default.name == "outer"
+        assert program.default == AtomicSpec(program.default.zone,
+                                             Preserve())
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -691,8 +758,10 @@ class TestRendering:
         program = compile_text(index, "spec s := a1 : add(b1*)")
         fec = make_fec(index, "f", ("a1",), ("a1",))
         cx = check_fec(program.default, fec, index, limit=3)[1]
-        report = replace(check_all(program, index, [fec]),
-                         counterexamples=(cx,))
+        full = check_all(program, index, [fec])
+        report = Report(full.verdict, full.totals, full.per_subspec, (cx,),
+                        full.counterexamples_truncated, full.errors,
+                        full.metadata)
         text = report_to_text(report)
         # add(b1*) also demands the empty path; it renders as ()
         assert "missing:    {(), b1, b1 b1, ...}" in text

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import rela.checker
+import rela.cli
 from rela.cli import main
 
 TESTS = Path(__file__).resolve().parent
@@ -689,16 +690,47 @@ class TestWorkers:
         assert main(argv + ["--workers", "2"]) == 0
 
     def test_importing_the_cli_leaves_multiprocessing_out(self):
-        # the pool's module loads only when a pool starts
+        # the pool's module loads only when a pool starts, and traceback
+        # only on an internal error
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(TESTS.parent / "src"), env.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-c",
-             "import sys, rela.cli; print('multiprocessing' in sys.modules)"],
+             "import sys, rela.cli; print('multiprocessing' in sys.modules, "
+             "'traceback' in sys.modules)"],
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert done.stdout == "False False\n"
+
+    def workers_chosen(self, tmp_path, monkeypatch):
+        """The worker count `rela check` passes on without --workers."""
+        chosen = []
+        real = rela.cli.check_all
+
+        def recording(program, index, items, options, metadata):
+            chosen.append(options.workers)
+            return real(program, index, items,
+                        rela.checker.CheckOptions(workers=1), metadata)
+
+        monkeypatch.setattr(rela.cli, "check_all", recording)
+        assert main(write_world(tmp_path, PASSING)) == 0
+        return chosen
+
+    def test_default_workers_are_the_usable_cpus(self, tmp_path,
+                                                  monkeypatch):
+        # pinned to one CPU of many: one worker, not one per CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        assert self.workers_chosen(tmp_path, monkeypatch) == [1]
+
+    def test_default_workers_without_affinity(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert self.workers_chosen(tmp_path, monkeypatch) == [3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert self.workers_chosen(tmp_path, monkeypatch) == [1]
 
 
 def forty_lines():

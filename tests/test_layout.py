@@ -8,7 +8,8 @@ reads, so two definitions that only name each other are both unused.
 Code only the tests need lives in `tests/`.  Likewise every `rela.rir`
 node class must be constructed by some call in `src/rela`, every
 parameter of a function, method or lambda there must be read in its
-body, and `rela.automata` keeps a single work list.
+body, no class outside `rela.rir` is a dataclass, and `rela.automata`
+keeps a single work list.
 """
 
 from __future__ import annotations
@@ -84,6 +85,36 @@ def test_every_node_kind_is_built_outside_the_tests():
     # A node kind only the tests build is one the evaluator, the
     # renderer and the oracle carry for nothing.
     assert unbuilt_node_kinds() == []
+
+
+def dataclasses_outside_rir() -> list[str]:
+    """Classes defined in rela's modules, `rela.rir` apart, that are
+    dataclasses."""
+    import importlib
+
+    out = []
+    for module in ("automata", "checker", "cli", "compiler", "frontend",
+                   "snapshot"):
+        mod = importlib.import_module(f"rela.{module}")
+        out += [f"{module}.{name}" for name, obj in vars(mod).items()
+                if isinstance(obj, type) and obj.__module__ == mod.__name__
+                and dataclasses.is_dataclass(obj)]
+    return out
+
+
+def test_records_are_plain_classes():
+    # A dataclass generates and compiles its methods when its module is
+    # imported, which every run pays for; records are `__slots__`
+    # classes on `rela.automata.Record` instead.
+    assert dataclasses_outside_rir() == []
+    # The bench's tree_size walks RIR nodes with `dataclasses.fields`.
+    from rela import rir
+
+    nodes = [obj for obj in vars(rir).values()
+             if isinstance(obj, type) and issubclass(obj, rir._Node)
+             and obj not in (rir._Node, rir.PathSetExpr, rir.RelExpr,
+                             rir.SpecExpr)]
+    assert nodes and all(dataclasses.is_dataclass(n) for n in nodes)
 
 
 # Parameters kept unread on purpose, each with the caller that needs it.
