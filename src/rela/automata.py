@@ -10,20 +10,20 @@ default arc included.  A default arc, labelled with its table's
 `Others`, is read on every location the state lists no arc of its own
 for, so `.` is one arc and a machine's size does not grow with the
 number of locations; an arc to `_DEAD` lists a location the default
-leaves out.  Drop and markers are never covered by a default.
-`fsa_symbol_class` writes a default for a class holding more than half
-of the locations.  Acceptors alone carry defaults: `_relabel` spells a
-default out, so transducers have none.  Machines are immutable once
-constructed; every operation returns a fresh one, or its input when
-nothing changes.
+leaves out.  Drop and markers are never covered by a default.  Acceptors
+alone carry defaults: `_relabel` spells a default out, so transducers
+have none.  Machines are immutable once constructed; every operation
+returns a fresh one, or its input when nothing changes.
 
 One breadth-first walk, `_explore`, builds every machine whose states
 are keys discovered from a start key: `determinize` steps over
 epsilon-closed subsets, `_product` over pairs of determinized states
 (intersection, difference, equivalence and `intersects`; a yes/no
 question stops at the first accepting pair) and `fst_compose` over pairs
-of transducer states.  The subset and pair steps resolve defaults
-themselves.  Union, concatenation, star, `trim`, `minimize` and
+of transducer states.  The subset and pair steps write each state's
+default and its exceptions through `_with_default`; `fsa_symbol_class`
+and `minimize` send a default where more than half of the locations go,
+by `_over_classes`.  Union, concatenation, star, `trim`, `minimize` and
 `substitute` copy and renumber plain arc lists, a default like any other
 arc; `fst_identity`, `fst_cross` and `project_output` relabel via
 `_relabel`.  `accepts` is a direct NFA simulation that shares no code
@@ -282,21 +282,17 @@ def fsa_symbol_class(symbols, others: Optional[Others] = None) -> Fsa:
 
     Equivalent to a union of `fsa_symbol` machines but deterministic and
     two states regardless of the class width.  Given `others`, the
-    default label of the symbols' table, a class holding more than half
-    of its locations is one default arc plus an arc to `_DEAD` for each
-    location it leaves out, so its size follows what it leaves out.
+    default label of the symbols' table, the start state's arcs are put
+    in the one form `_over_classes` gives a deterministic state, so a
+    class holding more than half of the locations is one default arc
+    plus an arc to `_DEAD` for each location it leaves out, and its size
+    follows what it leaves out.
     """
-    ordered = sorted(symbols, key=lambda s: s.id)
-    if others is not None and 2 * sum(
-            s.kind == LOCATION for s in ordered) > len(others.locations):
-        members = frozenset(ordered)
-        listed = [s for s in ordered if s.kind != LOCATION] + \
-            [s for s in others.locations if s not in members]
-        arcs = ((others, 1),) + tuple(
-            (sym, 1 if sym in members else _DEAD)
-            for sym in sorted(listed, key=lambda s: s.id))
-    else:
-        arcs = tuple((sym, 1) for sym in ordered)
+    arcs = tuple((sym, 1) for sym in sorted(symbols, key=lambda s: s.id))
+    if others is not None:
+        to_default, arcs = _over_classes(arcs, _DEAD, [0, 1, _DEAD], others)
+        if to_default != _DEAD:
+            arcs = ((others, to_default),) + arcs
     return Fsa(2, 0, frozenset([1]), (arcs, ()), deterministic=True)
 
 
@@ -424,14 +420,41 @@ def _others_of(fsa: Fsa) -> Optional[Others]:
     return None
 
 
+def _with_default(others: Optional[Others], default, moves) -> list:
+    """A deterministic state's moves with its default written in.
+
+    `default` is where the state's default arc goes, `_DEAD` for none,
+    and `moves` are the ``(label, target)`` of the symbols it lists, in
+    order, with `_DEAD` for one that goes nowhere.  A location that goes
+    where the default goes is left out, an arc to `_DEAD` is kept only
+    for a location the default would otherwise read, and a default that
+    reads no location is dropped.
+    """
+    if default == _DEAD:
+        return [move for move in moves if move[1] != _DEAD]
+    out = []
+    listed, covered = 0, False
+    for label, target in moves:
+        if label.kind == LOCATION:
+            listed += 1
+            if target == default:
+                covered = True
+                continue
+        elif target == _DEAD:
+            continue
+        out.append((label, target))
+    if covered or listed < len(others.locations):
+        return [(others, default)] + out
+    return [move for move in out if move[1] != _DEAD]
+
+
 def determinize(fsa: Fsa) -> Fsa:
     """Powerset construction; the result has a partial transition function.
 
     A subset's default arc goes to the union of its members' defaults.
     A location some member lists goes where the members listing it go,
-    and where the other members' defaults go; if that is where the
-    subset's default goes the arc is left out, and if it is nowhere the
-    arc goes to `_DEAD`.
+    and where the other members' defaults go; `_with_default` writes the
+    subset's default and its exceptions from those targets.
 
     The result is memoized on the input machine, so repeated product
     constructions against a shared operand pay for one determinization.
@@ -466,23 +489,11 @@ def determinize(fsa: Fsa) -> Fsa:
                 for sym, targets in by_sym.items():
                     if sym.kind == LOCATION and sym not in listed:
                         targets.update(closures[target])
-        keys = [(sym, tuple(sorted(by_sym[sym])))
+        keys = [(sym, tuple(sorted(by_sym[sym])) or _DEAD)
                 for sym in sorted(by_sym, key=lambda s: s.id)]
         if default is None:
             return accepts, keys
-        to_default = tuple(sorted(default))
-        listed = [key for sym, key in keys if sym.kind == LOCATION]
-        if len(listed) == len(others.locations) and to_default not in listed:
-            # the default would read no location
-            return accepts, [(sym, key) for sym, key in keys if key]
-        moves = [(others, to_default)]
-        for sym, key in keys:
-            if sym.kind != LOCATION:
-                if key:
-                    moves.append((sym, key))
-            elif key != to_default:
-                moves.append((sym, key or _DEAD))
-        return accepts, moves
+        return accepts, _with_default(others, tuple(sorted(default)), keys)
 
     fsa._dfa = _explore(closures[fsa.initial], step, deterministic=True)
     return fsa._dfa
@@ -574,21 +585,17 @@ def _refine(d: Fsa) -> Fsa:
         return d
     # A state's signature is its class, its default's class and its
     # other arcs' symbol ids and target classes in id order; a DFA has
-    # one arc per symbol, so the id order is fixed once.  A state with
-    # a default, or with arcs on more than half of the locations, first
-    # has its arcs put in the one form `_over_classes` gives every
-    # successor function, so states that read alike share a signature;
-    # the arcs of any other state are in that form already.  `_DEAD`'s
-    # class is `_DEAD`, the last entry of `cls`.
+    # one arc per symbol, so the id order is fixed once.  In a machine
+    # with defaults every state first has its arcs put in the one form
+    # `_over_classes` gives every successor function, so states that
+    # read alike share a signature.  `_DEAD`'s class is `_DEAD`, the
+    # last entry of `cls`.
     others = _others_of(d)
     default = [_default(arcs) for arcs in d.arcs]
     explicit = [sorted((arc for arc in arcs if arc[0].__class__ is not Others),
                        key=lambda arc: arc[0].id) for arcs in d.arcs]
     ids = [tuple(label.id for label, _ in arcs) for arcs in explicit]
     targets = [[dst for _, dst in arcs] for arcs in explicit]
-    plain = [others is None or to_default == _DEAD and 2 * sum(
-        label.kind == LOCATION for label, _ in arcs) <= len(others.locations)
-        for arcs, to_default in zip(explicit, default)]
     cls = [1 if q in d.accepting else 0 for q in range(d.num_states)]
     ncls = len(set(cls))
     while True:
@@ -596,7 +603,7 @@ def _refine(d: Fsa) -> Fsa:
         sigs: dict[tuple, int] = {}
         new_cls = [0] * d.num_states
         for q in range(d.num_states):
-            if plain[q]:
+            if others is None:
                 sig = (cls[q], _DEAD, ids[q],
                        tuple(map(cls.__getitem__, targets[q])))
             else:
@@ -616,7 +623,7 @@ def _refine(d: Fsa) -> Fsa:
     for q in range(d.num_states):
         if arcs[cls[q]] is not None:
             continue
-        if plain[q]:
+        if others is None:
             arcs[cls[q]] = tuple((label, cls[dst]) for label, dst in d.arcs[q])
             continue
         to_default, out = _over_classes(explicit[q], cls[default[q]], cls,
@@ -658,25 +665,31 @@ def _over_classes(arcs, to_default: int, cls: list, others: Others):
     return best, tuple(out)
 
 
+# Whether a pair of targets can still reach a deciding pair, by `follow`.
+_ALIVE = {"both": lambda pair: _DEAD not in pair,
+          "left": lambda pair: pair[0] != _DEAD,
+          "either": lambda pair: pair != (_DEAD, _DEAD)}
+
+
 def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
     """Walk the reachable pairs of states of the determinized operands.
 
     `follow` picks the symbols a pair moves on: ``"both"`` (symbols both
     sides read), ``"left"`` (symbols x reads) or ``"either"`` (symbols
     either side reads).  A side with no arc for a followed symbol moves
-    to `_DEAD`, which never accepts, so complements stay implicit.  Under
-    ``"both"`` each pair scans whichever side has the smaller fan-out
-    and looks the labels up in the other side's map, so a product with a
-    complete machine over many symbols stays proportional to the smaller
-    one.  A pair accepts when ``accept(x_accepts, y_accepts)``.  `y`
-    may be a `_Union`, whose states are built as the walk reaches them.
+    to `_DEAD`, which never accepts, so complements stay implicit.  A
+    pair accepts when ``accept(x_accepts, y_accepts)``.  `y` may be a
+    `_Union`, whose states are built as the walk reaches them.
 
-    When an operand has default arcs, a pair moves on the symbols either
-    side lists, or only those of a side with no default where that side
-    decides, and on a default to the pair of the two defaults' targets
-    when some location goes there.  A listed location that goes where
-    that default goes is left out, and one under the default that can no
-    longer decide goes to `_DEAD`.
+    A side whose state has no default decides, where `follow` lets it,
+    which labels move the pair: x under ``"left"`` and either side under
+    ``"both"``, the one with the smaller fan-out when both decide, so a
+    product with a complete machine over many symbols stays proportional
+    to the smaller one.  Its labels alone are scanned and looked up in
+    the other side's map, where a location the other side does not list
+    is read on its default.  Otherwise the pair moves on the symbols
+    either side lists and on a default to the pair of the two defaults'
+    targets, and `_with_default` writes that default and its exceptions.
 
     With `build` the walk returns the product as a deterministic `Fsa`;
     without it, whether an accepting pair is reachable, stopping at the
@@ -690,77 +703,43 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
         y = determinize(y)
         ymaps, y_others = _state_maps(y)
     others = x_others or y_others
+    keep = follow == "left"
+    alive = _ALIVE[follow]
 
     def step(pair):
         qx, qy = pair
         xmap = {} if qx == _DEAD else xmaps[qx]
         ymap = {} if qy == _DEAD else ymaps[qy]
-        if follow == "both":
-            if len(xmap) <= len(ymap):
-                moves = [(label, (dst, ymap[label]))
-                         for label, dst in xmap.items() if label in ymap]
-            else:
-                moves = [(label, (xmap[label], dst))
-                         for label, dst in ymap.items() if label in xmap]
-        else:
-            moves = [(label, (dst, ymap.get(label, _DEAD)))
-                     for label, dst in xmap.items()]
-            if follow == "either":
-                moves += [(label, (_DEAD, dst))
-                          for label, dst in ymap.items() if label not in xmap]
-        return accept(qx in x.accepting, qy in y.accepting), moves
-
-    def alive(tx, ty):
-        # whether a pair of targets can still reach a deciding pair
-        if follow == "both":
-            return tx != _DEAD and ty != _DEAD
-        if follow == "left":
-            return tx != _DEAD
-        return tx != _DEAD or ty != _DEAD
-
-    def step_with_defaults(pair):
-        qx, qy = pair
-        xmap = {} if qx == _DEAD else xmaps[qx]
-        ymap = {} if qy == _DEAD else ymaps[qy]
         dx, dy = xmap.get(None, _DEAD), ymap.get(None, _DEAD)
         accepts = accept(qx in x.accepting, qy in y.accepting)
-        if dx == _DEAD and follow != "either":
-            # Only x's symbols move the pair, and y reads on its default
-            # the locations it does not list.
+        if follow == "either" or dx != _DEAD and (keep or dy != _DEAD):
+            labels = {**xmap, **ymap}   # neither side decides
+        elif dx == _DEAD and (keep or dy != _DEAD or len(xmap) <= len(ymap)):
+            # x decides
             moves = []
             for label, tx in xmap.items():
                 ty = ymap.get(label)
                 if ty is None:
                     ty = dy if label.kind == LOCATION else _DEAD
-                if ty != _DEAD or follow == "left":
+                if ty != _DEAD or keep:   # under "left" y may be dead
                     moves.append((label, (tx, ty)))
             return accepts, moves
-        default = (dx, dy) if alive(dx, dy) else None
-        labels = ymap if dy == _DEAD and follow == "both" else \
-            {**xmap, **ymap}
+        else:
+            labels = ymap   # y decides
         moves = []
-        listed, covered = 0, False
         for label in labels:
             if label is None:
                 continue
-            location = label.kind == LOCATION
-            listed += location
-            target = (xmap.get(label, dx if location else _DEAD),
-                      ymap.get(label, dy if location else _DEAD))
-            if not alive(*target):
-                if location:
-                    moves.append((label, _DEAD))
-            elif location and target == default:
-                covered = True
+            if label.kind == LOCATION:
+                target = (xmap.get(label, dx), ymap.get(label, dy))
             else:
-                moves.append((label, target))
-        if default and (covered or listed < len(others.locations)):
-            return accepts, [(others, default)] + moves
-        return accepts, [move for move in moves if move[1] != _DEAD]
+                target = (xmap.get(label, _DEAD), ymap.get(label, _DEAD))
+            moves.append((label, target if alive(target) else _DEAD))
+        default = (dx, dy) if alive((dx, dy)) else _DEAD
+        return accepts, _with_default(others, default, moves)
 
-    return _explore((x.initial, y.initial),
-                    step if others is None else step_with_defaults,
-                    deterministic=True, decide=not build)
+    return _explore((x.initial, y.initial), step, deterministic=True,
+                    decide=not build)
 
 
 class _Union(dict):

@@ -81,9 +81,10 @@ class LocationDb:
     def from_json(cls, text: str | bytes) -> "LocationDb":
         try:
             raw = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError,
-                RecursionError) as e:
-            # RecursionError: nested deeper than the decoder's limit
+        except (ValueError, RecursionError) as e:
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+            # integer past the int-to-str digit limit; RecursionError is
+            # nesting deeper than the decoder's limit
             raise LocationDbError(f"location database is not valid JSON: {e}")
         if not isinstance(raw, list):
             raise LocationDbError("location database must be a JSON array")

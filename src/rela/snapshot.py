@@ -141,9 +141,10 @@ def read_line(n: int, line: str | bytes, index: LocationIndex):
     fallback = f"line {n}"
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError,
-            RecursionError) as e:
-        # RecursionError: nested deeper than the decoder's limit
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+        # integer past the int-to-str digit limit; RecursionError is
+        # nesting deeper than the decoder's limit
         return None, FecError(fallback, f"invalid JSON: {e}")
     raw_id = obj.get("id") if isinstance(obj, dict) else None
     if not isinstance(raw_id, str) or not raw_id:

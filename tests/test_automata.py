@@ -659,10 +659,12 @@ def pinned_operands():
 def machine_table(m: Fsa):
     """``(num_states, initial, accepting, arcs)`` with each state's arcs
     as ``label>target`` words: a symbol's name, ``in:out`` for a pair and
-    ``-`` for epsilon."""
+    ``-`` for epsilon, ``*`` for a default; `_DEAD` reads ``-1``."""
     def name(label):
         if label is None:
             return "-"
+        if label.__class__ is Others:
+            return "*"
         if isinstance(label, tuple):
             return ":".join(name(s) for s in label)
         return label.name
@@ -732,6 +734,116 @@ def test_constructions_keep_their_state_numbering():
         "star": fsa_star(d1),
     }
     assert {k: machine_table(m) for k, m in got.items()} == PINNED_MACHINES
+
+
+def default_operands():
+    """Hand-built operands over five locations and drop, with default
+    arcs and `_DEAD` exceptions: an NFA with epsilon arcs, two DFAs whose
+    states have a default or none, and a DFA without defaults."""
+    t = SymbolTable()
+    a, b, c, d, e = (t.location(x) for x in "abcde")
+    o, drop = t.others, t.drop
+    nfa = Fsa(4, 0, frozenset({2, 3}), (
+        ((o, 1), (a, _DEAD), (b, 2), (None, 3)),
+        ((o, 1), (c, _DEAD), (drop, 3)),
+        ((a, 3), (b, 0)),
+        ((o, 2), (b, 1), (d, _DEAD)),
+    ))
+    dd1 = Fsa(3, 0, frozenset({2}), (
+        ((o, 1), (b, _DEAD), (drop, 2)),
+        ((o, 2), (a, 0)),
+        ((c, 1), (a, 2)),
+    ), deterministic=True)
+    dd2 = Fsa(3, 0, frozenset({1, 2}), (
+        ((o, 0), (c, 1), (d, _DEAD)),
+        ((b, 2),),
+        ((o, 1), (a, _DEAD), (drop, 0)),
+    ), deterministic=True)
+    plain = Fsa(3, 0, frozenset({1, 2}), (
+        ((a, 1), (b, 2)),
+        ((c, 0), (a, 1), (d, 2)),
+        ((b, 2),),
+    ), deterministic=True)
+    return t, nfa, dd1, dd2, plain
+
+
+# The same contract on operands with default arcs and `_DEAD` exceptions,
+# one or two to a product.
+PINNED_DEFAULT_MACHINES = {
+    "determinize": (7, 0, (0, 1, 2, 4, 5, 6), (
+        "*>1 a>2 d>3", "*>3 drop>4 a>5 b>6 c>-1", "a>4 b>0",
+        "*>3 drop>4 c>-1", "*>2 b>3 d>-1", "*>1 drop>4 b>3 c>2 d>3",
+        "*>1 drop>4 d>3",
+    )),
+    "intersect_one": (8, 0, (4, 5), (
+        "a>1", "c>2 a>3 d>4", "a>5", "c>6 a>1 d>7", "", "c>6 a>5", "a>3 b>4",
+        "b>4",
+    )),
+    "intersect_one_right": (6, 0, (4, 5), (
+        "a>1 b>2", "c>3 a>1", "b>2", "b>4", "b>5", "b>4",
+    )),
+    "intersect_two": (6, 0, (4, 5), (
+        "*>1 b>-1 c>2 d>-1", "*>3 a>0 c>4 d>-1", "b>5", "c>2 a>3", "", "c>2",
+    )),
+    "intersect_nfa": (13, 0, (3, 8, 9, 11), (
+        "*>1 a>2 d>-1 c>3", "*>4 a>5 b>6 c>-1 d>-1", "a>7 b>0", "b>8",
+        "*>4 c>-1 d>-1", "*>1 b>4 c>9 d>-1", "*>1 d>-1 c>3",
+        "*>2 b>4 d>-1 c>9", "*>3 drop>7 d>10 a>-1", "b>11", "b>12",
+        "*>3 a>-1 d>10", "*>10 drop>7 c>-1 a>-1",
+    )),
+    "difference_one": (11, 0, (2, 6), (
+        "*>1 b>-1 drop>2 a>3", "*>2 a>4", "c>1 a>2", "*>2 a>5 c>6 d>7",
+        "*>1 b>-1 drop>2", "*>1 b>-1 drop>2 c>8 a>3 d>9", "c>1 a>10",
+        "c>1 a>2", "*>2 a>5 b>7", "*>2 a>4 b>7", "c>8 a>10",
+    )),
+    "difference_one_reversed": (9, 0, (1, 2, 4, 8), (
+        "a>1 b>2", "c>3 a>4 d>5", "b>2", "a>6 b>2", "c>7 a>1 d>8", "b>2",
+        "c>7 a>6 d>2", "a>4 b>5", "b>5",
+    )),
+    "difference_two": (9, 0, (2, 5), (
+        "*>1 b>-1 drop>2 c>3 d>4", "*>5 a>0 c>6 d>2", "c>4 a>2",
+        "*>2 a>7 b>8", "*>2 a>7", "c>3 a>5", "c>4 a>2", "*>4 b>-1 drop>2",
+        "c>3 a>2",
+    )),
+    "difference_two_reversed": (9, 0, (2, 7, 8), (
+        "*>1 c>2 d>-1 b>3", "*>4 c>5 d>-1 a>0", "b>6", "*>3 c>7 d>-1",
+        "*>3 c>2 d>-1 a>4", "b>8", "*>7 a>-1 drop>3 c>2", "b>8",
+        "*>7 a>-1 drop>3",
+    )),
+    "difference_nfa": (21, 0, (0, 1, 2, 4, 6, 7, 9, 13, 14, 15, 19), (
+        "*>1 a>2 d>3 b>4", "*>5 drop>6 a>7 b>8 c>-1", "a>9 b>10",
+        "*>5 drop>6 c>-1 a>11", "*>12 drop>6 a>13 b>14 c>-1",
+        "*>12 drop>6 c>-1 a>5", "*>15 b>12 d>-1", "*>1 drop>16 b>12 c>2 d>3",
+        "*>4 drop>6 d>12 c>1 a>17", "*>2 b>12 d>-1", "*>4 a>18 d>12 c>1",
+        "*>3 drop>16 c>-1 b>12", "*>12 drop>6 c>-1",
+        "*>4 drop>6 b>12 c>15 d>12", "*>4 drop>6 d>12", "a>6 b>19",
+        "*>15 b>12 d>-1 c>2 a>18", "*>12 drop>6 a>20 b>14 c>-1", "a>16 b>19",
+        "*>4 a>15 d>12", "*>4 drop>6 b>12 c>2 d>12 a>17",
+    )),
+    "symbol_class_wide": (2, 0, (1,), (
+        "*>1 drop>1 b>-1", "",
+    )),
+}
+
+
+def test_constructions_with_defaults_keep_their_state_numbering():
+    t, nfa, dd1, dd2, plain = default_operands()
+    a, c, d, e = (t.location(x) for x in "acde")
+    got = {
+        "determinize": determinize(nfa),
+        "intersect_one": fsa_intersect(dd1, plain),
+        "intersect_one_right": fsa_intersect(plain, dd2),
+        "intersect_two": fsa_intersect(dd1, dd2),
+        "intersect_nfa": fsa_intersect(nfa, dd2),
+        "difference_one": fsa_difference(dd1, plain),
+        "difference_one_reversed": fsa_difference(plain, dd1),
+        "difference_two": fsa_difference(dd1, dd2),
+        "difference_two_reversed": fsa_difference(dd2, dd1),
+        "difference_nfa": fsa_difference(nfa, dd1),
+        "symbol_class_wide": fsa_symbol_class((t.drop, e, a, c, d), t.others),
+    }
+    assert {k: machine_table(m) for k, m in got.items()} == \
+        PINNED_DEFAULT_MACHINES
 
 
 def _sym_objects():

@@ -366,16 +366,22 @@ class TestStrict:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_line_nested_past_the_decoder_limit(self, tmp_path, capsys,
                                                 workers):
-        # json.loads raises RecursionError, not JSONDecodeError, here
-        deep = PASSING[0].replace('"edges"', '"x": ' + "[" * 5000
-                                  + "]" * 5000 + ', "edges"', 1)
-        argv = write_world(tmp_path, PASSING[:1] + [deep])
-        assert main(argv + ["--workers", workers]) == 2
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["totals"]["pass"] == 1
-        [error] = doc["errors"]
-        assert error["fec_id"] == "line 2"
-        assert error["message"].startswith("invalid JSON: ")
+        # json.loads raises RecursionError on the nesting and a plain
+        # ValueError on the integer past the int-to-str digit limit, not
+        # JSONDecodeError
+        for extra in ["[" * 5000 + "]" * 5000, "1" * 5000]:
+            line = PASSING[0].replace('"edges"', f'"x": {extra}, "edges"', 1)
+            argv = write_world(tmp_path, PASSING[:1] + [line])
+            assert main(argv + ["--workers", workers]) == 2
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["totals"]["pass"] == 1
+            [error] = doc["errors"]
+            assert error["fec_id"] == "line 2"
+            assert error["message"].startswith("invalid JSON: ")
+            assert main(argv + ["--workers", workers, "--strict"]) == 2
+            err = capsys.readouterr().err
+            assert "rela: error: line 2: invalid JSON: " in err
+            assert "Traceback" not in err
 
 
 class TestNonUtf8Input:

@@ -89,6 +89,9 @@ class TestLocationDb:
     @pytest.mark.parametrize("data", [
         b'[{"name": "p\xff", "device": "d", "group": "g"}]',  # not UTF-8
         b"[" * 100_000 + b"]" * 100_000,  # past the decoder's nesting limit
+        # an integer past the int-to-str digit limit
+        b'[{"name": "p", "device": "d", "group": "g", "n": '
+        + b"1" * 5000 + b"}]",
     ])
     def test_undecodable_file_rejected(self, tmp_path, data):
         path = tmp_path / "locations.json"

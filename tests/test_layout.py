@@ -9,7 +9,7 @@ Code only the tests need lives in `tests/`.  Likewise every `rela.rir`
 node class must be constructed by some call in `src/rela`, every
 parameter of a function, method or lambda there must be read in its
 body, no class outside `rela.rir` is a dataclass, and `rela.automata`
-keeps a single work list.
+keeps a single work list, to which each walk hands one step function.
 """
 
 from __future__ import annotations
@@ -167,3 +167,20 @@ def test_automata_keeps_one_work_list():
     # pairs) goes through `_explore`; a new construction is a step
     # function for it, not another breadth-first loop.
     assert work_list_owners() == ["_explore"]
+
+
+def explore_steps() -> list[ast.expr]:
+    """The step argument of every `_explore` call in `rela.automata`."""
+    tree = ast.parse((SRC / "automata.py").read_text(encoding="utf-8"))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "_explore"]
+    return [n.args[1] for n in calls]
+
+
+def test_each_walk_has_one_step_function():
+    # A walk that picks its step per call keeps two code paths for one
+    # construction; each construction states its moves in one function.
+    steps = explore_steps()
+    assert steps
+    assert [ast.unparse(s) for s in steps
+            if not isinstance(s, ast.Name)] == []
