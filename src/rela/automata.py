@@ -687,9 +687,11 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
     product with a complete machine over many symbols stays proportional
     to the smaller one.  Its labels alone are scanned and looked up in
     the other side's map, where a location the other side does not list
-    is read on its default.  Otherwise the pair moves on the symbols
-    either side lists and on a default to the pair of the two defaults'
-    targets, and `_with_default` writes that default and its exceptions.
+    is read on its default.  Under ``"either"`` a pair where neither side
+    has a default moves on x's labels and then on y's unlisted ones.
+    Otherwise the pair moves on the symbols either side lists and on a
+    default to the pair of the two defaults' targets, and
+    `_with_default` writes that default and its exceptions.
 
     With `build` the walk returns the product as a deterministic `Fsa`;
     without it, whether an accepting pair is reachable, stopping at the
@@ -712,6 +714,13 @@ def _product(x: Fsa, y: Fsa, follow: str, accept, build: bool = True):
         ymap = {} if qy == _DEAD else ymaps[qy]
         dx, dy = xmap.get(None, _DEAD), ymap.get(None, _DEAD)
         accepts = accept(qx in x.accepting, qy in y.accepting)
+        if follow == "either" and dx == dy == _DEAD:
+            # no default on either side: x's labels, then y's unlisted ones
+            moves = [(label, (tx, ymap.get(label, _DEAD)))
+                     for label, tx in xmap.items()]
+            moves += [(label, (_DEAD, ty)) for label, ty in ymap.items()
+                      if label not in xmap]
+            return accepts, moves
         if follow == "either" or dx != _DEAD and (keep or dy != _DEAD):
             labels = {**xmap, **ymap}   # neither side decides
         elif dx == _DEAD and (keep or dy != _DEAD or len(xmap) <= len(ymap)):
@@ -814,8 +823,9 @@ def fsa_difference(x: Fsa, *ys: Fsa) -> Fsa:
 
 
 def fsa_equivalent(x: Fsa, y: Fsa) -> bool:
-    """Language equality: no reachable pair where exactly one side accepts."""
-    return not _product(x, y, "either", operator.ne, build=False)
+    """Language equality: no reachable pair where exactly one side
+    accepts.  A machine equals itself without a walk."""
+    return x is y or not _product(x, y, "either", operator.ne, build=False)
 
 
 def accepts(fsa: Fsa, path: Sequence[Symbol]) -> bool:

@@ -4,11 +4,11 @@
 forwarding graphs and decides image(pre, Rpre) == image(post, Rpost) by
 automaton equivalence; two identity images are the intersections
 pre n Z and post n Z'.  An unchanged FEC has one acceptor for both
-sides, so when the two zones are one object too, the sides agree
-without a walk; a spec whose relations differ still walks.  A failure
-is explained from built images: the arms are replayed in priority order
-to find the one to blame, and the shortest paths on which the sides
-disagree are listed.
+sides, so when the two zones are one object too, or when its paths
+never enter the arms where the two relations differ, the sides are one
+machine and agree without a walk.  A failure is explained from built
+images: the arms are replayed in priority order to find the one to
+blame, and the shortest paths on which the sides disagree are listed.
 `check_all` picks each FEC's spec, runs `check_fec` over a stream of
 FECs or raw NDJSON lines, optionally on a process pool whose workers
 parse the lines too, and aggregates a deterministic report.
@@ -171,7 +171,10 @@ def _agree(ev: rir.Evaluator, left: rir.Image, right: rir.Image) -> bool:
     of each snapshot with its zone; they are equal without a walk when
     the snapshots and the zones are one object each, as for an unchanged
     FEC under a shared zone.  A zone both sides share as one object is
-    looked up once.  Other images are built by the evaluator."""
+    looked up once.  Other images are built by the evaluator, which
+    gives an unchanged FEC one machine for both sides when its paths
+    miss every arm where the relations differ, and `fsa_equivalent`
+    passes one machine without a walk."""
     rpre, rpost = left.rel, right.rel
     if isinstance(rpre, rir.Identity) and isinstance(rpost, rir.Identity):
         zone = ev.pathset(rpre.source)

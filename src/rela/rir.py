@@ -30,7 +30,12 @@ deciding and explaining an equation is left to :mod:`rela.checker`.  A
 ground path-set `Union` is cached as the trimmed minimal DFA of its
 language, and a `Difference` takes a union's operands away together in
 one walk, so an `else` chain's masks neither copy nor build the union
-of the earlier zones; relations are kept as built.
+of the earlier zones; relations are kept as built.  An image is
+acceptor algebra wherever the relation's structure allows; a
+concatenation or star of relations is applied as a transducer only to
+a source that meets its `domain`, so a FEC outside a block's zone never
+composes, and an unchanged FEC whose two relations differ only where it
+never enters gets one image machine for both sides.
 """
 
 from __future__ import annotations
@@ -299,8 +304,53 @@ def flatten(node, join):
             yield node
 
 
+def domain(r):
+    """A path set holding the input of every pair in relation `r`.
+
+    Built with the constructors above: dom I(A) = A, dom (A x B) = A,
+    and the domain of a union, concatenation or star is that operator
+    over the operands' domains; `Zero` and `One` stand for themselves.
+    A composition R . S reads only inputs of R, so its domain is taken
+    as dom R, which may hold inputs that relate to nothing.
+    """
+    if isinstance(r, Identity):
+        return r.source
+    if isinstance(r, Cross):
+        return r.left
+    if isinstance(r, Union):
+        return union(domain(r.left), domain(r.right))
+    if isinstance(r, Concat):
+        return concat(domain(r.left), domain(r.right))
+    if isinstance(r, Star):
+        return star(domain(r.inner))
+    if isinstance(r, Compose):
+        return domain(r.left)
+    if isinstance(r, (Zero, One)):
+        return r
+    raise TypeError(f"not a relation: {r!r}")
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
+
+
+class _Same:
+    """A cache key that matches one object alone, by identity.
+
+    Hashing a node walks its whole tree; this key holds its object, so
+    the id stays that object's while the key lives.
+    """
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return other.__class__ is _Same and other.obj is self.obj
 
 
 class Evaluator:
@@ -320,7 +370,10 @@ class Evaluator:
     `ground_cache` to every evaluator whose symbols come from one
     `SymbolTable`.  A ground path-set `Union` is cached as a trimmed
     minimal DFA; a relation union, whose labels are symbol pairs, is not
-    minimized, and neither is any other node.
+    minimized, and neither is any other node.  Two entries `_image` reads
+    are keyed by object identity instead, since hashing a node walks its
+    tree: a ground relation's domain machine, in the ground cache, and an
+    identity image per source machine and zone node, in the local one.
     """
 
     def __init__(self, pre: Fsa, post: Fsa, others: Others,
@@ -395,22 +448,50 @@ class Evaluator:
             img(P, R | S)   = img(P, R) | img(P, S)
             img(P, R . S)   = img(img(P, R), S)       (Compose)
 
-        Concatenation and star would need P split at unknown points, so
-        they fall back to transducer application, as do `Zero` and `One`,
-        whose transducers have one state.
+        An identity image is built once per source machine and zone node,
+        and a union leaves out a part with no accepting state, so two
+        sides that differ only in relations they never enter reduce to
+        one machine.  Concatenation and star would need P split at
+        unknown points, so they fall back to transducer application, as
+        do `Zero` and `One`, whose transducers have one state; a source
+        that misses the relation's `domain` has an empty image and is
+        not composed.
         """
         if isinstance(r, Identity):
-            return fsa_intersect(source, self.pathset(r.source))
+            key = (_Same(source), _Same(r.source))
+            got = self._local.get(key)
+            if got is None:
+                got = self._local[key] = fsa_intersect(
+                    source, self.pathset(r.source))
+            return got
         if isinstance(r, Cross):
             if not intersects(source, self.pathset(r.left)):
                 return fsa_empty()
             return self.pathset(r.right)
         if isinstance(r, Union):
-            return fsa_union(self._image(source, r.left),
-                             self._image(source, r.right))
+            left = self._image(source, r.left)
+            right = self._image(source, r.right)
+            if not right.accepting:
+                return left
+            if not left.accepting:
+                return right
+            return fsa_union(left, right)
         if isinstance(r, Compose):
             return self._image(self._image(source, r.left), r.right)
+        if not intersects(source, self._domain(r)):
+            return fsa_empty()
         return apply_image(source, self.pathset(r))
+
+    def _domain(self, r: RelExpr) -> Fsa:
+        """The machine of `domain(r)`; for a ground `r`, built once per
+        ground cache and looked up by the relation object."""
+        if not r.ground:
+            return self.pathset(domain(r))
+        key = _Same(r)
+        got = self._ground.get(key)
+        if got is None:
+            got = self._ground[key] = self.pathset(domain(r))
+        return got
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,95 @@ class TestUnchangedFec:
         assert len(pickle.dumps(fec)) < 0.7 * len(pickle.dumps(apart))
 
 
+class TestRerouteImages:
+    """The README's reroute: the `moved` block's relations concatenate,
+    so their images are transducer applications.  A FEC whose paths miss
+    that block's domain never composes, and an unchanged one then has one
+    image for both sides, which agree without a walk."""
+
+    SPEC = """
+    regex edge := where(group == "X") | where(group == "Y")
+    regex rowA := where(group == "A")
+    regex rowB := where(group == "B")
+    spec moved     := { edge : preserve; rowB rowB* : any(rowA) ; edge : preserve; }
+    spec untouched := .* : preserve
+    spec change    := moved else untouched
+    """
+
+    @staticmethod
+    def paths(*paths):
+        return {"paths": list(paths), "truncated": False}
+
+    def check(self, index, monkeypatch, pre, post):
+        """check_fec on a fresh ground cache, with the transducer
+        compositions and the walks it made."""
+        spec = compile_text(index, self.SPEC).default
+        composed, walks = [], []
+        compose, product = rela.automata.fst_compose, rela.automata._product
+
+        def counted_compose(*args):
+            composed.append(1)
+            return compose(*args)
+
+        def counted_product(*args, **kwargs):
+            walks.append(args[2])
+            return product(*args, **kwargs)
+
+        for module in (rela.automata, rir):
+            monkeypatch.setattr(module, "fst_compose", counted_compose)
+        monkeypatch.setattr(rela.automata, "_product", counted_product)
+        fec = make_fec(index, "f", pre, post)
+        return check_fec(spec, fec, index, {}), len(composed), walks
+
+    def test_unchanged_outside_the_rows_neither_composes_nor_walks(
+            self, index, monkeypatch):
+        route = ("x1", "d1", "y1")
+        got, composed, walks = self.check(index, monkeypatch, route, route)
+        assert got == (FecVerdict("f", PASS, "change"), None)
+        assert composed == 0
+        assert "either" not in walks
+
+    def test_changed_outside_the_rows_fails_without_composing(
+            self, index, monkeypatch):
+        (verdict, cx), composed, _ = self.check(
+            index, monkeypatch, ("x1", "d1", "y1"), ("x1", "a3", "d1", "y1"))
+        assert verdict.status == FAIL and composed == 0
+        got = counterexample_to_json_dict(cx)
+        assert got["violated_subspec"] == "untouched"
+        assert (got["expected"], got["observed"]) == \
+            (self.paths("x1 d1 y1"), self.paths("x1 a3 d1 y1"))
+        assert (got["missing"], got["unexpected"]) == \
+            (self.paths("x1 d1 y1"), self.paths("x1 a3 d1 y1"))
+
+    @pytest.mark.parametrize("post", [("x1", "a1", "y1"),
+                                      ("x1", "b1", "b2", "y1")])
+    def test_paths_into_the_rows_still_compose(self, index, monkeypatch,
+                                               post):
+        (verdict, _), composed, _ = self.check(
+            index, monkeypatch, ("x1", "b1", "b2", "y1"), post)
+        assert verdict.status == (PASS if "a1" in post else FAIL)
+        assert composed > 0
+
+    def test_a_moved_flow_that_keeps_row_b_is_explained_as_before(
+            self, index, monkeypatch):
+        (verdict, cx), composed, walks = self.check(
+            index, monkeypatch, ("x1", "b1", "b2", "y1"),
+            ("x1", "a1", "b3", "y1"))
+        assert verdict == FecVerdict("f", FAIL, "change")
+        assert composed > 0 and "either" in walks
+        assert counterexample_to_json_dict(cx) == {
+            "fec_id": "f", "traffic": {"dstPrefix": "10.0.0.0/24"},
+            "guard": "change", "violated_subspec": "moved",
+            "pre_paths": self.paths("x1 b1 b2 y1"),
+            "post_paths": self.paths("x1 a1 b3 y1"),
+            "expected": self.paths("x1 a1 y1", "x1 a2 y1", "x1 a3 y1"),
+            "observed": self.paths(),
+            "missing": self.paths("x1 a1 y1", "x1 a2 y1", "x1 a3 y1"),
+            "unexpected": self.paths("x1 a1 b3 y1"),
+            "note": "",
+        }
+
+
 class TestLazyDecision:
     """Identity-only equations are decided by `_agree` as intersections of
     each snapshot with its zone, not through the evaluator's images.

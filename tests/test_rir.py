@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracle import OracleEnv, oracle_eval_pathset
 from _treegen import (
     Env, TreeGen, bounded_language, fsa_from_paths, is_empty, make_env,
+    random_paths,
 )
 from rela.automata import (
     SymbolTable, accepts, apply_image, enumerate_shortest, fsa_equivalent,
@@ -16,7 +19,8 @@ from rela.automata import (
 )
 from rela.rir import (
     Compose, Concat, Cross, Difference, Equal, Evaluator, Identity, Image,
-    Intersect, One, PostState, PreState, Star, SymSet, Union, Zero, pretty,
+    Intersect, One, PostState, PreState, Star, SymSet, Union, Zero, domain,
+    pretty,
 )
 
 
@@ -255,6 +259,44 @@ def test_oracle_image():
     got = oracle_eval_pathset(
         Image(PreState(), Cross(sym(a), Union(sym(b), sym(c)))), oenv, 4)
     assert got == {(b,), (c,)}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_images_skip_only_inputs_outside_the_domain(seed):
+    # `_image` skips composing a source that misses `domain(r)`, so every
+    # input with an image must lie in that domain, and the skips and the
+    # distributed forms must give the transducer application's language.
+    rng = random.Random(seed)
+    _, symbols, env, _, env_ml = make_env(rng)
+    gen = TreeGen(rng, symbols, env_ml)
+    r = gen.rel(3)
+    ev = Evaluator(env.pre, env.post, env.others, {})
+    transducer = ev.pathset(r)
+    dom = ev.pathset(domain(r))
+    for n in range(4):
+        for path in itertools.product(symbols, repeat=n):
+            if not is_empty(apply_image(fsa_from_paths({path}), transducer)):
+                assert accepts(dom, path), f"{path} outside dom {pretty(r)}"
+    for source in (fsa_from_paths(random_paths(rng, symbols)),
+                   ev.pathset(gen.pathset(2))):
+        got = ev._image(source, r)
+        want = apply_image(source, transducer)
+        assert bounded_language(got, 4) == bounded_language(want, 4), \
+            pretty(r)
+
+
+def test_domain_of_each_relation_form():
+    t, (a, b, c), env, _ = small_world()
+    A, B = sym(a), sym(b)
+    assert domain(Identity(A)) is A
+    assert domain(Cross(A, B)) is A
+    assert domain(Compose(Cross(B, A), Identity(A))) is B
+    assert domain(Union(Identity(A), Cross(B, A))) == SymSet(frozenset([a, b]))
+    assert domain(Concat(Identity(A), Cross(B, A))) == Concat(A, B)
+    assert domain(Star(Cross(A, B))) == Star(A)
+    assert domain(Concat(One(), Cross(A, B))) is A
+    assert domain(Union(Zero(), Identity(B))) is B
 
 
 def test_oracle_relstar_and_compose():
